@@ -23,6 +23,7 @@ __all__ = [
     "UnboundedCycleError",
     "InfeasibleError",
     "IterationCapExceeded",
+    "default_iteration_cap",
     "rational",
     "Edge",
     "FlowNetwork",
@@ -80,6 +81,11 @@ class IterationCapExceeded(FlowLabError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def default_iteration_cap(node_count: int, edge_count: int) -> int:
+    """Safety cap: a generous multiple of the worst-case cycle count."""
+    return 8 * node_count * edge_count * edge_count + node_count * edge_count
 
 
 def rational(value: RationalLike) -> Fraction:
@@ -333,22 +339,36 @@ class Violation:
     detail: str
 
 
-def _weakly_connected(node_count: int, edges: Sequence[Edge]) -> bool:
-    if node_count <= 1:
-        return True
-    parent = list(range(node_count))
+class _DisjointSets:
+    """Union-find over the nodes ``0 .. size - 1`` with path halving."""
 
-    def find(x):
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of ``a`` and ``b``; ``False`` when they are
+        already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def _weakly_connected(node_count: int, edges: Sequence[Edge]) -> bool:
+    if node_count <= 1:
+        return True
+    sets = _DisjointSets(node_count)
     for e in edges:
-        a, b = find(e.tail), find(e.head)
-        if a != b:
-            parent[a] = b
-    roots = {find(v) for v in range(node_count)}
+        sets.union(e.tail, e.head)
+    roots = {sets.find(v) for v in range(node_count)}
     return len(roots) == 1
 
 

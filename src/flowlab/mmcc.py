@@ -21,6 +21,7 @@ from .core import (
     IterationCapExceeded,
     SmoothedInstance,
     augment_cycle,
+    default_iteration_cap,
     residual,
 )
 from .maxflow import solve_max_flow
@@ -34,11 +35,6 @@ __all__ = [
     "mmcc_solve",
     "halving_violation",
 ]
-
-
-def default_iteration_cap(node_count: int, edge_count: int) -> int:
-    """Safety cap: a generous multiple of the worst-case cycle count."""
-    return 8 * node_count * edge_count * edge_count + node_count * edge_count
 
 
 @dataclass(frozen=True)

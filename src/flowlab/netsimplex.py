@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from .core import (
@@ -22,8 +23,9 @@ from .core import (
     IterationCapExceeded,
     UnboundedCycleError,
     Violation,
+    _DisjointSets,
+    default_iteration_cap,
 )
-from .mmcc import default_iteration_cap
 
 __all__ = [
     "InfeasibleStructureError",
@@ -76,20 +78,11 @@ def validate_structure(net: FlowNetwork, s: SpanningTreeStructure) -> Optional[V
             "tree_size",
             "tree has %d edges for %d nodes" % (len(s.tree_edges), net.node_count),
         )
-    parent = list(range(net.node_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _DisjointSets(net.node_count)
     for idx in s.tree_edges:
         e = net.edges[idx]
-        a, b = find(e.tail), find(e.head)
-        if a == b:
+        if not sets.union(e.tail, e.head):
             return Violation("tree_cycle", "tree edges contain a cycle")
-        parent[a] = b
     for idx in s.upper:
         if net.edges[idx].capacity is None:
             return Violation("uncapacitated_upper", "edge %d in upper set has no capacity" % idx)
@@ -460,52 +453,241 @@ def ns_solve(
     Every pivot is recorded with its cycle, so the sequence of
     augmentations can be replayed or compared.  Hitting the safety cap
     raises ``IterationCapExceeded`` with the partial trace attached.
+
+    The run is exactly a loop of ``entering_edge`` and ``pivot`` with
+    the same options, pivot for pivot.  It is carried out on integers:
+    costs and potentials are scaled once by the common denominator of
+    the costs (and of any given potentials), flows by that of the
+    capacities and the starting tree flow, and the spanning tree is
+    kept as parent pointers with depths that each pivot updates in
+    place.  ``Fraction`` values are built only for the trace and the
+    final flow and structure.
     """
     bad = validate_structure(net, structure)
     if bad is not None:
         raise InfeasibleStructureError("%s: %s" % (bad.kind, bad.detail))
     flow = tree_flow(net, structure)
-    if structure.potentials is None:
-        structure = replace(structure, potentials=compute_potentials(net, structure))
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
+    return _ns_kernel(
+        net, structure, flow, iteration_cap, strongly_feasible, full_potential_recompute
+    )
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    """``value * scale`` for a ``scale`` that ``value``'s denominator divides."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _tree_potentials(root, children, parent_edge, tail, cost, pot) -> None:
+    """Fill ``pot`` from the tree with the root pinned at zero, as
+    ``compute_potentials`` does."""
+    pot[root] = 0
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in children[v]:
+            e = parent_edge[w]
+            pot[w] = pot[v] - cost[e] if tail[e] == v else pot[v] + cost[e]
+            stack.append(w)
+
+
+def _ns_kernel(
+    net: FlowNetwork,
+    structure: SpanningTreeStructure,
+    start: Flow,
+    iteration_cap: int,
+    strongly_feasible: bool,
+    full_potential_recompute: bool,
+) -> NsTrace:
+    """The pivot loop of ``ns_solve`` on integer-scaled flat arrays."""
+    n, m, root = net.node_count, net.edge_count, structure.root
+    edges = net.edges
+    tail = [e.tail for e in edges]
+    head = [e.head for e in edges]
+    rank = [e.leaving_rank for e in edges]
+    given = structure.potentials
+    cost_scale = lcm(
+        *(e.cost.denominator for e in edges), *(p.denominator for p in given or ())
+    )
+    flow_scale = lcm(
+        *(e.capacity.denominator for e in edges if e.capacity is not None),
+        *(f.denominator for f in start.values),
+    )
+    cost = [_scaled(e.cost, cost_scale) for e in edges]
+    cap = [None if e.capacity is None else _scaled(e.capacity, flow_scale) for e in edges]
+    flow = [_scaled(f, flow_scale) for f in start.values]
+    # 0: tree edge, +1: pinned at zero (lower), -1: pinned at capacity (upper)
+    state = [0] * m
+    for e in structure.lower:
+        state[e] = 1
+    for e in structure.upper:
+        state[e] = -1
+
+    # the spanning tree hung from the root: parent node, the tree edge to
+    # it, depth and children of every node, and the cycle steps that
+    # climb from a node to its parent and descend from the parent to it
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    depth = [0] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    up_step: list[Optional[tuple[int, bool]]] = [None] * n
+    down_step: list[Optional[tuple[int, bool]]] = [None] * n
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for e in structure.tree_edges:
+        incident[tail[e]].append(e)
+        incident[head[e]].append(e)
+    order = [root]
+    for v in order:
+        for e in incident[v]:
+            if e != parent_edge[v]:
+                w = head[e] if tail[e] == v else tail[e]
+                parent[w], parent_edge[w], depth[w] = v, e, depth[v] + 1
+                up_step[w], down_step[w] = (e, tail[e] == w), (e, head[e] == w)
+                children[v].append(w)
+                order.append(w)
+    pot = [0] * n
+    if given is None:
+        _tree_potentials(root, children, parent_edge, tail, cost, pot)
+    else:
+        pot = [_scaled(p, cost_scale) for p in given]
 
     trace = NsTrace()
+    pivots = trace.pivots
+
+    def close(termination: str) -> NsTrace:
+        trace.termination = termination
+        trace.final_flow = Flow(tuple(Fraction(f, flow_scale) for f in flow))
+        trace.final_structure = SpanningTreeStructure(
+            tree_edges=frozenset(e for e in range(m) if state[e] == 0),
+            lower=frozenset(e for e in range(m) if state[e] == 1),
+            upper=frozenset(e for e in range(m) if state[e] == -1),
+            root=root,
+            potentials=tuple(Fraction(p, cost_scale) for p in pot),
+        )
+        return trace
+
+    mags = None
     while True:
-        candidate = entering_edge(net, structure)
-        if candidate is None:
+        # Dantzig pricing: the largest violation, ties to the lowest id;
+        # tree edges price at zero and never win
+        if mags is None:
+            mags = [s * (pot[a] - pot[b] - c) for s, a, b, c in zip(state, tail, head, cost)]
+        best = max(mags, default=0)
+        if best <= 0:
             break
-        if len(trace.pivots) >= iteration_cap:
-            trace.termination = "iteration_cap_hit"
-            trace.final_flow = flow
-            trace.final_structure = structure
-            raise IterationCapExceeded(
-                "no optimum after %d pivots" % iteration_cap, trace=trace
-            )
-        result = pivot(
-            net,
-            structure,
-            candidate,
-            flow,
-            strongly_feasible=strongly_feasible,
-            full_potential_recompute=full_potential_recompute,
-        )
-        trace.pivots.append(
+        if len(pivots) >= iteration_cap:
+            close("iteration_cap_hit")
+            raise IterationCapExceeded("no optimum after %d pivots" % iteration_cap, trace=trace)
+        entering = mags.index(best)
+        a, b = tail[entering], head[entering]
+        rc = cost[entering] - pot[a] + pot[b]
+        increase = state[entering] == 1
+
+        # the cycle: the entering edge, then the tree path back to its
+        # start (head to tail when it increases, tail to head otherwise),
+        # found by climbing both ends to their common ancestor
+        first, last = (b, a) if increase else (a, b)
+        u, v = first, last
+        climb, descent = [], []
+        while depth[u] > depth[v]:
+            climb.append(up_step[u])
+            u = parent[u]
+        while depth[v] > depth[u]:
+            descent.append(down_step[v])
+            v = parent[v]
+        while u != v:
+            climb.append(up_step[u])
+            u = parent[u]
+            descent.append(down_step[v])
+            v = parent[v]
+        descent.reverse()
+        cycle = [(entering, increase)] + climb + descent
+
+        # ratio test; an uncapacitated forward step has no limit (None)
+        rooms = [
+            (None if cap[e] is None else cap[e] - flow[e]) if fwd else flow[e]
+            for e, fwd in cycle
+        ]
+        finite = [room for room in rooms if room is not None]
+        if not finite:
+            raise UnboundedCycleError("pivot cycle has unlimited headroom; cost is unbounded")
+        delta = min(finite)
+        blocking = [pos for pos, room in enumerate(rooms) if room == delta]
+        if strongly_feasible:
+            # the last blocker met walking from the apex (the common
+            # ancestor, where the descent starts) along the cycle
+            apex = (1 + len(climb)) % len(cycle)
+            before = [pos for pos in blocking if pos < apex]
+            leaving_pos = before[-1] if before else blocking[-1]
+        else:
+            leaving_pos = min(blocking, key=lambda pos: (rank[cycle[pos][0]], cycle[pos][0]))
+        leaving, leaving_fwd = cycle[leaving_pos]
+
+        if delta:
+            for e, fwd in cycle:
+                if fwd:
+                    flow[e] += delta
+                else:
+                    flow[e] -= delta
+
+        if leaving == entering:
+            # bounced straight back out at its other bound; the tree and
+            # the potentials stay, so only this edge's price changes
+            state[entering] = -state[entering]
+            mags[entering] = -best
+        else:
+            state[entering] = 0
+            # a forward-traversed blocker filled up, a backward one drained
+            state[leaving] = -1 if leaving_fwd else 1
+            # the leaving edge cuts off the subtree of its lower end; the
+            # entering end inside it is the one whose climb holds the
+            # leaving edge
+            cut = tail[leaving] if parent_edge[tail[leaving]] == leaving else head[leaving]
+            inner, outer = (first, last) if leaving_pos <= len(climb) else (last, first)
+            if inner == a:
+                shift = pot[b] + cost[entering] - pot[a]
+            else:
+                shift = pot[a] - cost[entering] - pot[b]
+            # re-hang the cut-off subtree from the entering edge by
+            # reversing the parent pointers from inner up to cut
+            children[parent[cut]].remove(cut)
+            x, above, above_edge = inner, outer, entering
+            while True:
+                next_x, next_edge = parent[x], parent_edge[x]
+                parent[x], parent_edge[x] = above, above_edge
+                up_step[x] = (above_edge, tail[above_edge] == x)
+                down_step[x] = (above_edge, head[above_edge] == x)
+                children[above].append(x)
+                if x == cut:
+                    break
+                children[next_x].remove(x)
+                x, above, above_edge = next_x, x, next_edge
+            # one walk over the subtree fixes its depths and potentials
+            depth[inner] = depth[outer] + 1
+            stack = [inner]
+            while stack:
+                x = stack.pop()
+                pot[x] += shift
+                below = depth[x] + 1
+                for y in children[x]:
+                    depth[y] = below
+                    stack.append(y)
+            if full_potential_recompute:
+                _tree_potentials(root, children, parent_edge, tail, cost, pot)
+            mags = None
+
+        pivots.append(
             NsPivot(
-                entering=candidate,
-                leaving=result.leaving,
-                amount=result.amount,
-                degenerate=result.degenerate,
-                entering_reduced_cost=result.entering_reduced_cost,
-                cycle=result.cycle,
+                entering=entering,
+                leaving=leaving,
+                amount=Fraction(delta, flow_scale),
+                degenerate=(delta == 0),
+                entering_reduced_cost=Fraction(rc, cost_scale),
+                cycle=tuple(cycle),
             )
         )
-        structure = result.structure
-        flow = result.flow
-    trace.final_flow = flow
-    trace.final_structure = structure
-    trace.termination = "optimal"
-    return trace
+    return close("optimal")
 
 
 def basic_structure_from_flow(
@@ -545,21 +727,13 @@ def basic_structure_from_flow(
         for idx, fwd in cycle:
             values[idx] += delta if fwd else -delta
 
-    parent = list(range(net.node_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _DisjointSets(net.node_count)
     tree = []
     free_ids = [idx for idx in range(net.edge_count) if is_free(idx)]
-    for idx in free_ids + [i for i in range(net.edge_count) if i not in set(free_ids)]:
+    free_set = set(free_ids)
+    for idx in free_ids + [i for i in range(net.edge_count) if i not in free_set]:
         e = net.edges[idx]
-        a, b = find(e.tail), find(e.head)
-        if a != b:
-            parent[a] = b
+        if sets.union(e.tail, e.head):
             tree.append(idx)
     if len(tree) != net.node_count - 1:
         raise InfeasibleStructureError(
@@ -604,38 +778,40 @@ def _free_cycle(net, free_ids):
         e = net.edges[idx]
         adj.setdefault(e.tail, []).append((idx, e.head))
         adj.setdefault(e.head, []).append((idx, e.tail))
+    # depth-first search with an explicit stack of neighbour iterators,
+    # so long interior cycles cannot exhaust the interpreter's recursion
     state: dict[int, int] = {}
     parent: dict[int, Optional[tuple[int, int]]] = {}
-
-    def walk(v):
-        state[v] = 1
-        for idx, w in adj.get(v, ()):
-            if parent.get(v) is not None and parent[v][1] == idx:
-                continue
-            if state.get(w, 0) == 1:
-                # back edge closes a cycle through the parent chain
-                steps = [(idx, net.edges[idx].tail == v)]
-                node = v
-                while node != w:
-                    prev, pidx = parent[node]
-                    steps.append((pidx, net.edges[pidx].head == node))
-                    node = prev
-                steps.reverse()
-                return steps
-            if state.get(w, 0) == 0:
-                parent[w] = (v, idx)
-                got = walk(w)
-                if got is not None:
-                    return got
-        state[v] = 2
-        return None
-
-    for v in list(adj):
-        if state.get(v, 0) == 0:
-            parent[v] = None
-            got = walk(v)
-            if got is not None:
-                return got
+    for start in adj:
+        if state.get(start, 0) != 0:
+            continue
+        parent[start] = None
+        state[start] = 1
+        stack = [(start, iter(adj[start]))]
+        while stack:
+            v, neighbours = stack[-1]
+            for idx, w in neighbours:
+                if parent[v] is not None and parent[v][1] == idx:
+                    continue
+                seen = state.get(w, 0)
+                if seen == 1:
+                    # back edge closes a cycle through the parent chain
+                    steps = [(idx, net.edges[idx].tail == v)]
+                    node = v
+                    while node != w:
+                        prev, pidx = parent[node]
+                        steps.append((pidx, net.edges[pidx].head == node))
+                        node = prev
+                    steps.reverse()
+                    return steps
+                if seen == 0:
+                    parent[w] = (v, idx)
+                    state[w] = 1
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                state[v] = 2
+                stack.pop()
     return None
 
 

@@ -24,10 +24,10 @@ from .core import (
     IterationCapExceeded,
     ResidualEdge,
     ResidualNetwork,
+    default_iteration_cap,
     rational,
     residual,
 )
-from .mmcc import default_iteration_cap
 
 __all__ = [
     "NegativeCycleError",

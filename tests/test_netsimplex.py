@@ -1,21 +1,33 @@
 """Tree-structure bookkeeping and pivot mechanics."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from flowlab import (
     Flow,
     FlowNetwork,
     IterationCapExceeded,
+    UnboundedCycleError,
     check_feasible,
     flow_cost,
     verify_optimality,
 )
+from flowlab.generators import (
+    NsParams,
+    gen_ns_lower_bound,
+    gen_random_smoothed,
+    sample_costs,
+)
 from flowlab.mmcc import initial_feasible_flow, mmcc_solve
 from flowlab.netsimplex import (
     InfeasibleStructureError,
+    NsPivot,
     SpanningTreeStructure,
     basic_structure_from_flow,
     compute_potentials,
@@ -372,3 +384,201 @@ def test_nondegenerate_cycle_paths_rejects_fragmented_chains():
     trace = ns_solve(net, s)
     with pytest.raises(ValueError):
         nondegenerate_cycle_paths(net, trace, skip_nodes={0, 3})
+
+
+def reference_solve(net, structure, limit=None, **options):
+    """``ns_solve`` spelled out as a loop of the one-step functions:
+    the pivots, the final flow and the final structure."""
+    flow = tree_flow(net, structure)
+    if structure.potentials is None:
+        structure = replace(structure, potentials=compute_potentials(net, structure))
+    pivots = []
+    while limit is None or len(pivots) < limit:
+        entering = entering_edge(net, structure)
+        if entering is None:
+            break
+        result = pivot(net, structure, entering, flow, **options)
+        pivots.append(
+            NsPivot(
+                entering=entering,
+                leaving=result.leaving,
+                amount=result.amount,
+                degenerate=result.degenerate,
+                entering_reduced_cost=result.entering_reduced_cost,
+                cycle=result.cycle,
+            )
+        )
+        structure, flow = result.structure, result.flow
+    return pivots, flow, structure
+
+
+def assert_replays_reference(net, structure, **options):
+    trace = ns_solve(net, structure, **options)
+    pivots, flow, final = reference_solve(net, structure, **options)
+    assert trace.termination == "optimal"
+    assert trace.pivots == pivots
+    assert trace.final_flow == flow
+    assert trace.final_structure == final
+    assert trace.final_structure.potentials == final.potentials
+    return trace
+
+
+OPTIONS = [
+    {},
+    {"strongly_feasible": True},
+    {"full_potential_recompute": True},
+]
+OPTION_IDS = ["default", "strongly_feasible", "full_recompute"]
+
+
+@pytest.mark.parametrize(
+    "params, cost_seed",
+    [
+        pytest.param(params, seed, id="%d-%d-%d-seed%d" % (params + (seed,)))
+        for params, seeds in (((6, 10, 64), range(3)), ((8, 16, 128), range(2)))
+        for seed in seeds
+    ],
+)
+@pytest.mark.parametrize("options", OPTIONS, ids=OPTION_IDS)
+def test_ns_solve_replays_reference_on_ns_lower(params, cost_seed, options):
+    inst, structure = gen_ns_lower_bound(NsParams(*params))
+    net = inst.realize(sample_costs(inst, cost_seed))
+    trace = assert_replays_reference(net, structure, **options)
+    assert trace.nondegenerate_count > 0 and trace.degenerate_count > 0
+
+
+@st.composite
+def random_starts(draw):
+    """A realized ``gen_random_smoothed`` network with the tree that
+    ``basic_structure_from_flow`` builds from its first feasible flow."""
+    n = draw(st.integers(3, 9))
+    m = draw(st.integers(n - 1, n * (n - 1) // 2))
+    phi = draw(st.sampled_from([4, 16, 256]))
+    inst = gen_random_smoothed(n, m, phi, draw(st.integers(0, 2**32 - 1)))
+    net = inst.realize(sample_costs(inst, draw(st.integers(0, 2**32 - 1))))
+    try:
+        flow = initial_feasible_flow(net)
+    except InfeasibleError:
+        assume(False)
+    structure, _ = basic_structure_from_flow(net, flow)
+    return net, structure
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(random_starts(), st.booleans(), st.booleans())
+def test_ns_solve_replays_reference_on_random_instances(start, strongly, recompute):
+    net, structure = start
+    assert_replays_reference(
+        net, structure, strongly_feasible=strongly, full_potential_recompute=recompute
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(random_starts())
+def test_ns_solve_optimal_cost_matches_networkx(start):
+    net, structure = start
+    # integer-scaled copy: costs by their common denominator, capacities
+    # and budgets by theirs
+    cost_scale = lcm(*(e.cost.denominator for e in net.edges))
+    flow_scale = lcm(
+        *(e.capacity.denominator for e in net.edges if e.capacity is not None),
+        *(b.denominator for b in net.budgets),
+    )
+    graph = nx.DiGraph()
+    for v, budget in enumerate(net.budgets):
+        graph.add_node(v, demand=int(-budget * flow_scale))
+    for e in net.edges:
+        attrs = {"weight": int(e.cost * cost_scale)}
+        if e.capacity is not None:
+            attrs["capacity"] = int(e.capacity * flow_scale)
+        graph.add_edge(e.tail, e.head, **attrs)
+    expected = Fraction(nx.min_cost_flow_cost(graph), cost_scale * flow_scale)
+    assert flow_cost(net, ns_solve(net, structure).final_flow) == expected
+
+
+@pytest.mark.parametrize("options", OPTIONS, ids=OPTION_IDS)
+def test_ns_solve_replays_reference_through_ties_and_ranks(options):
+    # costs in {-3, ..., 3} tie in pricing and in the ratio test, random
+    # leaving ranks compete with edge ids, and starting potentials off
+    # by a constant tell incremental updates from full recomputation
+    rng = random.Random(76)
+    replayed = 0
+    for _ in range(100):
+        base = random_network(rng, rng.randint(3, 7), rng.randint(3, 12), with_budgets=True)
+        net = replace(
+            base,
+            edges=tuple(
+                replace(e, cost=Fraction(rng.randint(-3, 3)), leaving_rank=rng.randint(0, 2))
+                for e in base.edges
+            ),
+        )
+        try:
+            s, _ = basic_structure_from_flow(net, initial_feasible_flow(net))
+        except (InfeasibleError, InfeasibleStructureError):
+            continue
+        offset = Fraction(rng.randint(-3, 3), 2)
+        s = replace(s, potentials=tuple(p + offset for p in s.potentials))
+        assert_replays_reference(net, s, **options)
+        replayed += 1
+    assert replayed > 25
+
+
+def test_ns_solve_scales_rational_capacities_and_budgets():
+    net = FlowNetwork.from_data(
+        4,
+        [
+            (0, 1, "5/2", "1/2"),
+            (1, 3, "7/3", "1/3"),
+            (0, 2, 4, 5),
+            (2, 3, 4, "9/2"),
+        ],
+        budgets=["7/2", 0, 0, "-7/2"],
+    )
+    s = SpanningTreeStructure(frozenset({0, 2, 3}), frozenset({1}), frozenset())
+    trace = assert_replays_reference(net, s)
+    assert [p.amount for p in trace.pivots] == [Fraction(7, 3)]
+    # cost 1/3, potential -1/2 at its tail and -19/2 at its head
+    assert trace.pivots[0].entering_reduced_cost == Fraction(-26, 3)
+    assert trace.final_flow.values == (
+        Fraction(7, 3),
+        Fraction(7, 3),
+        Fraction(7, 6),
+        Fraction(7, 6),
+    )
+    assert check_feasible(net, trace.final_flow) is None
+    assert verify_optimality(net, trace.final_flow) is None
+
+
+def test_ns_solve_raises_on_uncapacitated_negative_cycle():
+    net = FlowNetwork.from_data(3, [(0, 1, None, -1), (1, 2, None, -1), (2, 0, None, -1)])
+    s = SpanningTreeStructure(frozenset({0, 1}), frozenset({2}), frozenset())
+    with pytest.raises(UnboundedCycleError):
+        ns_solve(net, s)
+    with pytest.raises(UnboundedCycleError):
+        pivot(net, s, entering_edge(net, s))
+
+
+def test_ns_solve_iteration_cap_trace_holds_the_flow_and_structure_reached():
+    inst, structure = gen_ns_lower_bound(NsParams(6, 10, 64))
+    net = inst.realize(sample_costs(inst, 0))
+    with pytest.raises(IterationCapExceeded) as info:
+        ns_solve(net, structure, iteration_cap=5)
+    trace = info.value.trace
+    pivots, flow, final = reference_solve(net, structure, limit=5)
+    assert trace.termination == "iteration_cap_hit"
+    assert trace.pivots == pivots
+    assert trace.final_flow == flow
+    assert trace.final_structure == final
+    assert trace.final_structure.potentials == final.potentials
+
+
+def test_basic_structure_from_flow_handles_a_long_interior_cycle():
+    # every edge strictly between its bounds: the search for a free
+    # cycle must walk all 1500 nodes deep
+    n = 1500
+    net = FlowNetwork.from_data(n, [(v, (v + 1) % n, 2, 1) for v in range(n)])
+    s, flat = basic_structure_from_flow(net, Flow((Fraction(1),) * n))
+    assert validate_structure(net, s) is None
+    assert flat.values == (Fraction(0),) * n
+    assert tree_flow(net, s) == flat
+    assert s.upper == frozenset() and len(s.lower) == 1
