@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -101,6 +102,11 @@ def rational(value: RationalLike) -> Fraction:
             "like '1/10' to keep arithmetic exact" % (value,)
         )
     return Fraction(value)
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    """``value * scale`` for a ``scale`` that ``value``'s denominator divides."""
+    return value.numerator * (scale // value.denominator)
 
 
 def _capacity(value) -> Capacity:
@@ -522,39 +528,80 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
     A feasible flow is optimal exactly when its residual network has no
     negative-cost cycle; the witness returned is such a cycle, found by
     label correcting from a virtual source attached to every node.
+
+    The residual edges are those ``residual`` builds, in its order, held
+    as flat lists with costs scaled to integers by their common
+    denominator; only the witness is built as ``ResidualEdge`` values.
     """
-    r = residual(net, flow)
-    n = r.node_count
+    if len(flow) != net.edge_count:
+        raise ValueError("flow has %d values for %d edges" % (len(flow), net.edge_count))
+    scale = lcm(*(e.cost.denominator for e in net.edges))
+    # residual edge i runs tail[i] -> head[i]; paired[i] is 2e when it
+    # runs along network edge e and 2e + 1 when it runs against it
+    tail: list[int] = []
+    head: list[int] = []
+    cost: list[int] = []
+    paired: list[int] = []
+    for idx, e in enumerate(net.edges):
+        f = flow[idx]
+        if f < 0:
+            raise CapacityViolation("edge %d carries negative flow %s" % (idx, f))
+        if e.capacity is not None and f > e.capacity:
+            raise CapacityViolation(
+                "edge %d carries %s above capacity %s" % (idx, f, e.capacity)
+            )
+        c = _scaled(e.cost, scale)
+        if e.capacity is None or f < e.capacity:
+            tail.append(e.tail)
+            head.append(e.head)
+            cost.append(c)
+            paired.append(2 * idx)
+        if f > 0:
+            tail.append(e.head)
+            head.append(e.tail)
+            cost.append(-c)
+            paired.append(2 * idx + 1)
+    n = net.node_count
     if n == 0:
         return None
-    dist = [Fraction(0)] * n
-    pred: list[Optional[ResidualEdge]] = [None] * n
-    touched = None
+    arcs = list(zip(range(len(tail)), tail, head, cost))
+    dist = [0] * n
+    pred = [-1] * n
+    touched = -1
     for _ in range(n):
         changed = False
-        for e in r.edges:
-            candidate = dist[e.tail] + e.cost
-            if candidate < dist[e.head]:
-                dist[e.head] = candidate
-                pred[e.head] = e
+        for i, a, b, c in arcs:
+            candidate = dist[a] + c
+            if candidate < dist[b]:
+                dist[b] = candidate
+                pred[b] = i
                 changed = True
-                touched = e.head
+                touched = b
         if not changed:
             return None
     # Still relaxing after n passes: the predecessor chain from the last
     # touched node must contain a negative cycle.
     node = touched
     for _ in range(n):
-        node = pred[node].tail
-    edges = []
+        node = tail[pred[node]]
+    chain = []
     cursor = node
     while True:
-        e = pred[cursor]
-        edges.append(e)
-        cursor = e.tail
+        i = pred[cursor]
+        chain.append(i)
+        cursor = tail[i]
         if cursor == node:
             break
-    edges.reverse()
+    chain.reverse()
+    edges = []
+    for i in chain:
+        idx, backward = divmod(paired[i], 2)
+        e, f = net.edges[idx], flow[idx]
+        if backward:
+            edges.append(ResidualEdge(e.head, e.tail, f, -e.cost, idx, False))
+        else:
+            room = None if e.capacity is None else e.capacity - f
+            edges.append(ResidualEdge(e.tail, e.head, room, e.cost, idx, True))
     witness = Cycle.from_edges(edges)
     if witness.total_cost >= 0:
         raise FlowLabError("internal error: witness cycle is not negative")

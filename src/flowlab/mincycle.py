@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import Cycle, FlowLabError, ResidualEdge, ResidualNetwork
+from .core import Cycle, FlowLabError, ResidualEdge, ResidualNetwork, _scaled
 
 __all__ = [
     "GraphTooLargeError",
@@ -72,7 +72,7 @@ def karp_min_mean(r: ResidualNetwork) -> Optional[Cycle]:
     if n == 0 or not r.edges:
         return None
     scale = math.lcm(*(e.cost.denominator for e in r.edges))
-    int_costs = [e.cost.numerator * (scale // e.cost.denominator) for e in r.edges]
+    int_costs = [_scaled(e.cost, scale) for e in r.edges]
 
     table: list[list[Optional[int]]] = [[0] * n]
     preds: list[list[Optional[ResidualEdge]]] = [[None] * n]

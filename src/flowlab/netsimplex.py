@@ -24,6 +24,7 @@ from .core import (
     UnboundedCycleError,
     Violation,
     _DisjointSets,
+    _scaled,
     default_iteration_cap,
 )
 
@@ -472,11 +473,6 @@ def ns_solve(
     return _ns_kernel(
         net, structure, flow, iteration_cap, strongly_feasible, full_potential_recompute
     )
-
-
-def _scaled(value: Fraction, scale: int) -> int:
-    """``value * scale`` for a ``scale`` that ``value``'s denominator divides."""
-    return value.numerator * (scale // value.denominator)
 
 
 def _tree_potentials(root, children, parent_edge, tail, cost, pot) -> None:

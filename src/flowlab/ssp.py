@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import lcm
 from typing import Optional
 
 from .core import (
@@ -24,9 +26,9 @@ from .core import (
     IterationCapExceeded,
     ResidualEdge,
     ResidualNetwork,
+    _scaled,
     default_iteration_cap,
     rational,
-    residual,
 )
 
 __all__ = [
@@ -170,6 +172,16 @@ def ssp_solve(
     is the path bottleneck or the remaining demand, whichever is
     smaller.  Runs out of paths before the demand is met raises
     ``InfeasibleError``.
+
+    The run is exactly a loop of ``residual`` and ``cheapest_path``,
+    step for step.  It is carried out on integers: costs are scaled
+    once by their common denominator, flows by that of the capacities
+    and the demand, and the residual network is kept as paired arcs
+    whose room each augmentation updates in place.  The first labels
+    come from Bellman–Ford; every later step keeps the previous labels
+    as node potentials and runs Dijkstra on the non-negative reduced
+    costs (Edmonds and Karp, 1972).  ``Fraction`` values are built only
+    for the trace and the final flow.
     """
     demand = rational(demand)
     if demand < 0:
@@ -182,38 +194,194 @@ def ssp_solve(
         raise ValueError("budgets must be zero; concentrate them into a source and sink first")
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
+    return _ssp_kernel(net, source, sink, demand, iteration_cap)
+
+
+def _bellman_ford_labels(n, sink, tail, head, cost, room, nxt):
+    """``distances_to_sink`` on the paired arcs: the same relaxation
+    order, rounds and ``NegativeCycleError``.  ``nxt[v]`` is set to the
+    arc that last lowered ``v``'s label."""
+    live = [(a, tail[a], head[a], cost[a]) for a in range(len(tail)) if room[a] != 0]
+    dist: list[Optional[int]] = [None] * n
+    dist[sink] = 0
+    for _ in range(n):
+        changed = False
+        for a, t, h, c in live:
+            d = dist[h]
+            if d is None:
+                continue
+            candidate = d + c
+            if dist[t] is None or candidate < dist[t]:
+                dist[t] = candidate
+                nxt[t] = a
+                changed = True
+        if not changed:
+            return dist
+    raise NegativeCycleError("path costs keep dropping; negative residual cycle")
+
+
+def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
+    """Distances to the sink from a reverse Dijkstra on the reduced
+    costs ``cost + pot[head] - pot[tail]``, which are non-negative on
+    every arc between nodes that reach the sink.  A node with no
+    potential could not reach the sink before and cannot now.
+    ``nxt[v]`` is set to the arc that gave ``v`` its label."""
+    reduced: list[Optional[int]] = [None] * n
+    reduced[sink] = 0
+    done = [False] * n
+    heap = [(0, sink)]
+    while heap:
+        d, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        base = d + pot[v]
+        for a, u, c in in_arcs[v]:
+            if done[u] or room[a] == 0:
+                continue
+            pu = pot[u]
+            if pu is None:
+                continue
+            candidate = base + c - pu
+            seen = reduced[u]
+            if seen is None or candidate < seen:
+                reduced[u] = candidate
+                nxt[u] = a
+                heappush(heap, (candidate, u))
+    return [None if d is None else d + p for d, p in zip(reduced, pot)]
+
+
+def _ssp_kernel(
+    net: FlowNetwork, source: int, sink: int, demand: Fraction, iteration_cap: int
+) -> SspTrace:
+    """The augmentation loop of ``ssp_solve`` on integer-scaled paired arcs."""
+    n, edges = net.node_count, net.edges
+    cost_scale = lcm(*(e.cost.denominator for e in edges))
+    flow_scale = lcm(
+        *(e.capacity.denominator for e in edges if e.capacity is not None),
+        demand.denominator,
+    )
+    # arc 2e runs along edge e and arc 2e + 1 against it, so arc ^ 1 is
+    # the reverse; room is the residual capacity, None when unbounded
+    tail: list[int] = []
+    head: list[int] = []
+    cost: list[int] = []
+    room: list[Optional[int]] = []
+    for e in edges:
+        c = _scaled(e.cost, cost_scale)
+        tail += (e.tail, e.head)
+        head += (e.head, e.tail)
+        cost += (c, -c)
+        room += (None if e.capacity is None else _scaled(e.capacity, flow_scale), 0)
+    # out-arcs by head, then arc id: the order in which ``cheapest_path``
+    # tries the tight residual edges leaving a node
+    out_arcs: list[list[int]] = [[] for _ in range(n)]
+    in_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a in range(len(tail)):
+        out_arcs[tail[a]].append(a)
+        in_arcs[head[a]].append((a, tail[a], cost[a]))
+    for arcs in out_arcs:
+        arcs.sort(key=head.__getitem__)
 
     trace = SspTrace()
-    values = [Fraction(0)] * net.edge_count
-    remaining = demand
+    steps = trace.steps
+
+    def final_flow() -> Flow:
+        return Flow(tuple(Fraction(room[a], flow_scale) for a in range(1, len(room), 2)))
+
+    def reaches(start: int, dist, visited) -> bool:
+        # ``_reaches`` over the tight arcs with room.  The label arcs
+        # ``nxt`` are tight and lead to the sink without a cycle, so the
+        # search runs only when their chain from ``start`` meets the
+        # path so far, which zero-cost cycles of tight arcs allow.
+        v = start
+        while v != sink:
+            if visited[v]:
+                break
+            v = head[nxt[v]]
+        else:
+            return True
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            dv = dist[v]
+            for a in out_arcs[v]:
+                w = head[a]
+                dw = dist[w]
+                if dw is None or room[a] == 0 or cost[a] + dw != dv:
+                    continue
+                if w == sink:
+                    return True
+                if w not in seen and not visited[w]:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    remaining = _scaled(demand, flow_scale)
+    dist = None
+    nxt = [-1] * n
     while remaining > 0:
-        if len(trace.steps) >= iteration_cap:
-            trace.final_flow = Flow(tuple(values))
+        if len(steps) >= iteration_cap:
+            trace.final_flow = final_flow()
             raise IterationCapExceeded(
                 "demand not met after %d augmentations" % iteration_cap, trace=trace
             )
-        r = residual(net, Flow(tuple(values)))
-        path = cheapest_path(r, source, sink)
-        if path is None:
-            trace.final_flow = Flow(tuple(values))
+        if dist is None:
+            dist = _bellman_ford_labels(n, sink, tail, head, cost, room, nxt)
+        else:
+            dist = _dijkstra_labels(n, sink, in_arcs, room, dist, nxt)
+        if dist[source] is None:
+            trace.final_flow = final_flow()
             raise InfeasibleError(
-                "no residual path left with %s of %s still to ship" % (remaining, demand)
+                "no residual path left with %s of %s still to ship"
+                % (Fraction(remaining, flow_scale), demand)
             )
-        bottleneck: Optional[Fraction] = None
-        for e in path:
-            if e.capacity is not None and (bottleneck is None or e.capacity < bottleneck):
-                bottleneck = e.capacity
-        amount = remaining if bottleneck is None else min(bottleneck, remaining)
-        for e in path:
-            if e.forward:
-                values[e.edge_id] += amount
+
+        # the lexicographically smallest cheapest path, built greedily
+        # as in ``cheapest_path``
+        path = []
+        nodes = [source]
+        visited = [False] * n
+        visited[source] = True
+        node = source
+        while node != sink:
+            here = dist[node]
+            for a in out_arcs[node]:
+                w = head[a]
+                if visited[w]:
+                    continue
+                dw = dist[w]
+                if dw is None or room[a] == 0 or cost[a] + dw != here:
+                    continue
+                if reaches(w, dist, visited):
+                    break
             else:
-                values[e.edge_id] -= amount
-        nodes = (source,) + tuple(e.head for e in path)
-        cost = sum((e.cost for e in path), Fraction(0))
-        trace.steps.append(SspStep(path=nodes, cost=cost, amount=amount))
+                raise FlowLabError("internal error: cheapest path search got stuck")
+            path.append(a)
+            nodes.append(w)
+            visited[w] = True
+            node = w
+
+        amount = remaining
+        for a in path:
+            r = room[a]
+            if r is not None and r < amount:
+                amount = r
+        for a in path:
+            if room[a] is not None:
+                room[a] -= amount
+            if room[a ^ 1] is not None:
+                room[a ^ 1] += amount
+        steps.append(
+            SspStep(
+                path=tuple(nodes),
+                cost=Fraction(sum(cost[a] for a in path), cost_scale),
+                amount=Fraction(amount, flow_scale),
+            )
+        )
         remaining -= amount
-    trace.final_flow = Flow(tuple(values))
+    trace.final_flow = final_flow()
     return trace
 
 

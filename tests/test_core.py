@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -9,8 +10,10 @@ from flowlab.core import (
     CapacityViolation,
     CostInterval,
     Cycle,
+    Edge,
     EmptyCycleError,
     Flow,
+    FlowLabError,
     FlowNetwork,
     ResidualEdge,
     SmoothedInstance,
@@ -24,6 +27,9 @@ from flowlab.core import (
     validate_network,
     verify_optimality,
 )
+
+from flowlab.generators import MmccGeneralParams, gen_mmcc_general, sample_costs
+from flowlab.mmcc import mmcc_solve
 
 from conftest import (
     find_any_cycle,
@@ -274,6 +280,109 @@ def test_verify_optimality_witness_is_valid_cycle():
         _, delta = augment_cycle(net, flow, witness)
         assert delta > 0
     assert witnesses > 5
+
+
+def reference_verify_optimality(net, flow):
+    """``verify_optimality`` as it was over ``Fraction`` labels on the
+    built residual network: the reference for the integer version."""
+    r = residual(net, flow)
+    n = r.node_count
+    if n == 0:
+        return None
+    dist = [Fraction(0)] * n
+    pred: list[Optional[ResidualEdge]] = [None] * n
+    touched = None
+    for _ in range(n):
+        changed = False
+        for e in r.edges:
+            candidate = dist[e.tail] + e.cost
+            if candidate < dist[e.head]:
+                dist[e.head] = candidate
+                pred[e.head] = e
+                changed = True
+                touched = e.head
+        if not changed:
+            return None
+    node = touched
+    for _ in range(n):
+        node = pred[node].tail
+    edges = []
+    cursor = node
+    while True:
+        e = pred[cursor]
+        edges.append(e)
+        cursor = e.tail
+        if cursor == node:
+            break
+    edges.reverse()
+    witness = Cycle.from_edges(edges)
+    if witness.total_cost >= 0:
+        raise FlowLabError("internal error: witness cycle is not negative")
+    return witness
+
+
+def test_verify_optimality_matches_reference_on_mmcc_starting_flows():
+    for params, pair_seed in (((6, 12, 64), 0), ((8, 16, 256), 1)):
+        inst = gen_mmcc_general(MmccGeneralParams(*params), pair_seed)
+        for cost_seed in range(4):
+            net_costs = sample_costs(inst, cost_seed)
+            net = inst.realize(net_costs)
+            witness = verify_optimality(net, inst.starting_flow)
+            assert witness is not None
+            assert witness == reference_verify_optimality(net, inst.starting_flow)
+            final = mmcc_solve(inst, net_costs).final_flow
+            assert verify_optimality(net, final) is None
+            assert reference_verify_optimality(net, final) is None
+
+
+def test_verify_optimality_matches_reference_on_random_networks():
+    # zero flows of random networks with negative cycles, random flows
+    # inside the capacity box, rational capacities and uncapacitated
+    # edges, then the optimal flows cycle canceling reaches
+    rng = random.Random(33)
+    witnesses = optimal = 0
+    for _ in range(150):
+        base = random_network(rng, rng.randint(2, 8), rng.randint(1, 14))
+        net = FlowNetwork(
+            base.node_count,
+            tuple(
+                Edge(
+                    e.tail,
+                    e.head,
+                    None if rng.random() < 0.15 else e.capacity / rng.randint(1, 3),
+                    e.cost,
+                )
+                for e in base.edges
+            ),
+            base.budgets,
+        )
+        flows = [Flow.zero(net.edge_count), random_capacity_respecting_flow(rng, net)]
+        for flow in flows:
+            try:
+                expected = reference_verify_optimality(net, flow)
+            except CapacityViolation as exc:
+                with pytest.raises(CapacityViolation) as info:
+                    verify_optimality(net, flow)
+                assert str(info.value) == str(exc)
+                continue
+            assert verify_optimality(net, flow) == expected
+            witnesses += expected is not None
+        if all(e.capacity is not None for e in net.edges):
+            final = mmcc_solve(net).final_flow
+            assert verify_optimality(net, final) is None
+            assert reference_verify_optimality(net, final) is None
+            optimal += 1
+    assert witnesses > 50 and optimal > 40
+
+
+def test_verify_optimality_keeps_its_input_errors():
+    net = net_from(2, [(0, 1, 2, 1)], [0, 0])
+    with pytest.raises(ValueError, match="flow has 2 values for 1 edges"):
+        verify_optimality(net, Flow.from_values([0, 0]))
+    with pytest.raises(CapacityViolation, match="edge 0 carries negative flow -1"):
+        verify_optimality(net, Flow.from_values([-1]))
+    with pytest.raises(CapacityViolation, match="edge 0 carries 3 above capacity 2"):
+        verify_optimality(net, Flow.from_values([3]))
 
 
 def test_cycle_from_edges_validates_closure():

@@ -3,18 +3,30 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlab import Flow, FlowNetwork, check_feasible, flow_cost, residual, verify_optimality
-from flowlab.core import InfeasibleError
+from flowlab.core import InfeasibleError, IterationCapExceeded
+from flowlab.generators import (
+    NsParams,
+    gen_ns_lower_bound,
+    predicted_ns_pivots,
+    sample_costs,
+    strip_q_chain,
+)
 from flowlab.mmcc import mmcc_solve
 from flowlab.ssp import (
     NegativeCycleError,
+    SspStep,
     cheapest_path,
     concentrate_budgets,
     distances_to_sink,
     ssp_solve,
+    zero_budget_copy,
 )
 
 from conftest import random_simple_digraph
@@ -201,3 +213,187 @@ def test_ssp_on_concentrated_network_matches_cycle_canceling():
         assert verify_optimality(net, restricted) is None
         solved += 1
     assert solved > 15
+
+
+def reference_ssp(net, source, sink, demand, limit=None):
+    """``ssp_solve`` spelled out as a loop of ``residual`` and
+    ``cheapest_path``: the steps and the flow after them."""
+    demand = Fraction(demand)
+    values = [Fraction(0)] * net.edge_count
+    steps = []
+    remaining = demand
+    while remaining > 0 and (limit is None or len(steps) < limit):
+        path = cheapest_path(residual(net, Flow(tuple(values))), source, sink)
+        if path is None:
+            raise InfeasibleError(
+                "no residual path left with %s of %s still to ship" % (remaining, demand)
+            )
+        rooms = [e.capacity for e in path if e.capacity is not None]
+        amount = min(rooms + [remaining])
+        for e in path:
+            values[e.edge_id] += amount if e.forward else -amount
+        nodes = (source,) + tuple(e.head for e in path)
+        cost = sum((e.cost for e in path), Fraction(0))
+        steps.append(SspStep(path=nodes, cost=cost, amount=amount))
+        remaining -= amount
+    return steps, Flow(tuple(values))
+
+
+def outcome(solve, *args):
+    """Steps and final flow of a run, or the type and message of the
+    error it raised."""
+    try:
+        result = solve(*args)
+    except (InfeasibleError, NegativeCycleError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.steps, result.final_flow
+
+
+def twin_run(params, cost_seed):
+    """The detour-free twin of ns_lower, ready for ``ssp_solve``."""
+    lower, _ = gen_ns_lower_bound(NsParams(*params))
+    twin = strip_q_chain(lower)
+    names = twin.network.node_names
+    net = zero_budget_copy(twin.realize(sample_costs(twin, cost_seed)))
+    return net, names.index("s"), names.index("t"), predicted_ns_pivots(lower)
+
+
+@pytest.mark.parametrize(
+    "params, cost_seed",
+    [
+        pytest.param(params, seed, id="%d-%d-%d-seed%d" % (params + (seed,)))
+        for params, seeds in (((6, 10, 64), range(3)), ((8, 16, 128), range(2)))
+        for seed in seeds
+    ],
+)
+def test_ssp_solve_replays_reference_on_ns_lower_twin(params, cost_seed):
+    net, source, sink, demand = twin_run(params, cost_seed)
+    trace = ssp_solve(net, source, sink, demand)
+    steps, flow = reference_ssp(net, source, sink, demand)
+    assert len(steps) == demand
+    assert trace.steps == steps
+    assert trace.final_flow == flow
+
+
+@st.composite
+def random_runs(draw):
+    """A zero-budget network with negative and rational costs, rational
+    and unbounded capacities, and a rational demand from the first node
+    to the last."""
+    n = draw(st.integers(2, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    size = min(len(pairs), 2 * n)
+    chosen = draw(
+        st.lists(st.sampled_from(pairs), min_size=max(1, size // 2), max_size=size, unique=True)
+    )
+    edges = []
+    for a, b in chosen:
+        # mostly toward the sink, so that many runs take several paths
+        tail, head = (a, b) if draw(st.integers(0, 3)) else (b, a)
+        cap = draw(
+            st.one_of(
+                st.none(),
+                st.builds(Fraction, st.integers(0, 4), st.integers(1, 3)),
+            )
+        )
+        cost = Fraction(draw(st.integers(-6, 9)), draw(st.integers(1, 4)))
+        edges.append((tail, head, cap, cost))
+    source, sink = 0, n - 1
+    demand = Fraction(draw(st.integers(0, 16)), draw(st.integers(1, 3)))
+    return FlowNetwork.from_data(n, edges), source, sink, demand
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_runs())
+def test_ssp_solve_matches_reference_on_random_networks(run):
+    assert outcome(ssp_solve, *run) == outcome(reference_ssp, *run)
+
+
+def test_ssp_solve_raises_on_negative_cycle_at_the_first_step():
+    # the triangle 1 -> 2 -> 3 -> 1 costs -1 and reaches the sink 4
+    edges = [(0, 1, 2, 1), (1, 2, 1, -2), (2, 3, 1, 0), (3, 1, 1, 1), (3, 4, 2, 1)]
+    net = FlowNetwork.from_data(5, edges)
+    with pytest.raises(NegativeCycleError) as info:
+        ssp_solve(net, 0, 4, 1)
+    assert outcome(reference_ssp, net, 0, 4, 1) == (NegativeCycleError, str(info.value))
+    # the same triangle cut off from the sink is never seen
+    cut = FlowNetwork.from_data(5, edges[:4] + [(0, 4, 2, 1)])
+    assert outcome(ssp_solve, cut, 0, 4, 2) == outcome(reference_ssp, cut, 0, 4, 2)
+    assert [s.path for s in ssp_solve(cut, 0, 4, 2).steps] == [(0, 4)]
+
+
+def test_ssp_solve_iteration_cap_trace_holds_the_first_steps():
+    net, source, sink, demand = twin_run((6, 10, 64), 0)
+    with pytest.raises(IterationCapExceeded, match="demand not met after 2 augmentations") as info:
+        ssp_solve(net, source, sink, demand, iteration_cap=2)
+    steps, flow = reference_ssp(net, source, sink, demand, limit=2)
+    assert info.value.trace.steps == steps
+    assert info.value.trace.final_flow == flow
+    assert flow != Flow.zero(net.edge_count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_runs())
+def test_ssp_solve_optimal_cost_matches_networkx(run):
+    net, source, sink, demand = run
+    # non-negative costs keep the residual free of negative cycles, and
+    # unbounded capacities bounded by the demand
+    net = replace(
+        net,
+        edges=tuple(
+            replace(e, cost=abs(e.cost), capacity=demand if e.capacity is None else e.capacity)
+            for e in net.edges
+        ),
+    )
+    try:
+        trace = ssp_solve(net, source, sink, demand)
+    except InfeasibleError:
+        return
+    # integer-scaled copy: costs by their common denominator, capacities
+    # and the demand by theirs
+    cost_scale = lcm(*(e.cost.denominator for e in net.edges))
+    flow_scale = lcm(*(e.capacity.denominator for e in net.edges), demand.denominator)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(net.node_count), demand=0)
+    graph.nodes[source]["demand"] = -int(demand * flow_scale)
+    graph.nodes[sink]["demand"] = int(demand * flow_scale)
+    for e in net.edges:
+        graph.add_edge(
+            e.tail,
+            e.head,
+            weight=int(e.cost * cost_scale),
+            capacity=int(e.capacity * flow_scale),
+        )
+    expected = Fraction(nx.min_cost_flow_cost(graph), cost_scale * flow_scale)
+    assert flow_cost(net, trace.final_flow) == expected
+
+
+def test_ssp_solve_walks_on_past_a_zero_cost_cycle_through_the_source():
+    # 0 -> 1 -> 2 -> 0 is a cycle of tight zero-cost arcs, and the arc
+    # that gave node 2 its label leads back to the source; the smallest
+    # cheapest path still goes on from 2 to the sink
+    net = FlowNetwork.from_data(
+        4, [(0, 3, 1, 0), (2, 0, 1, 0), (1, 2, 1, 0), (0, 1, 1, 0), (2, 3, 1, 0)]
+    )
+    trace = ssp_solve(net, 0, 3, 2)
+    assert [s.path for s in trace.steps] == [(0, 1, 2, 3), (0, 3)]
+    assert outcome(ssp_solve, net, 0, 3, 2) == outcome(reference_ssp, net, 0, 3, 2)
+
+
+def test_ssp_solve_replays_reference_through_zero_cost_ties():
+    # costs in {0, 1, 2} and small capacities: many equally cheap paths
+    # and zero-cost cycles of tight arcs at every step
+    rng = random.Random(84)
+    multi_step = 0
+    for _ in range(1500):
+        n = rng.randint(3, 7)
+        pairs = random_simple_digraph(rng, n, rng.randint(n, 3 * n))
+        edges = [(t, h, rng.randint(1, 3), rng.randint(0, 2)) for t, h in pairs]
+        net = FlowNetwork.from_data(n, edges)
+        demand = rng.randint(1, 8)
+        got = outcome(ssp_solve, net, 0, n - 1, demand)
+        assert got == outcome(reference_ssp, net, 0, n - 1, demand)
+        multi_step += got[0] is not InfeasibleError and len(got[0]) > 1
+    assert multi_step > 100
