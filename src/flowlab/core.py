@@ -85,8 +85,12 @@ class IterationCapExceeded(FlowLabError):
 
 
 def default_iteration_cap(node_count: int, edge_count: int) -> int:
-    """Safety cap: a generous multiple of the worst-case cycle count."""
-    return 8 * node_count * edge_count * edge_count + node_count * edge_count
+    """Safety cap: a generous multiple of the worst-case cycle count.
+
+    It is at least 1, so that a solver on a network without edges gets
+    to find out why it cannot finish.
+    """
+    return max(1, 8 * node_count * edge_count * edge_count + node_count * edge_count)
 
 
 def rational(value: RationalLike) -> Fraction:
@@ -433,15 +437,11 @@ def validate_instance(inst: SmoothedInstance) -> Optional[Violation]:
     return None
 
 
-def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
-    """Residual network of ``flow``: forward edges with spare capacity,
-    backward edges with cancellable flow at negated cost.
-
-    Raises ``CapacityViolation`` if the flow breaks a capacity bound.
-    """
+def _check_capacities(net: FlowNetwork, flow: Flow) -> None:
+    """Raise unless ``flow`` has one value per edge, each within
+    [0, capacity]."""
     if len(flow) != net.edge_count:
         raise ValueError("flow has %d values for %d edges" % (len(flow), net.edge_count))
-    out = []
     for idx, e in enumerate(net.edges):
         f = flow[idx]
         if f < 0:
@@ -450,6 +450,18 @@ def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
             raise CapacityViolation(
                 "edge %d carries %s above capacity %s" % (idx, f, e.capacity)
             )
+
+
+def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
+    """Residual network of ``flow``: forward edges with spare capacity,
+    backward edges with cancellable flow at negated cost.
+
+    Raises ``CapacityViolation`` if the flow breaks a capacity bound.
+    """
+    _check_capacities(net, flow)
+    out = []
+    for idx, e in enumerate(net.edges):
+        f = flow[idx]
         if e.capacity is None:
             out.append(ResidualEdge(e.tail, e.head, None, e.cost, idx, True))
         elif f < e.capacity:
@@ -533,8 +545,7 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
     as flat lists with costs scaled to integers by their common
     denominator; only the witness is built as ``ResidualEdge`` values.
     """
-    if len(flow) != net.edge_count:
-        raise ValueError("flow has %d values for %d edges" % (len(flow), net.edge_count))
+    _check_capacities(net, flow)
     scale = lcm(*(e.cost.denominator for e in net.edges))
     # residual edge i runs tail[i] -> head[i]; paired[i] is 2e when it
     # runs along network edge e and 2e + 1 when it runs against it
@@ -544,12 +555,6 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
     paired: list[int] = []
     for idx, e in enumerate(net.edges):
         f = flow[idx]
-        if f < 0:
-            raise CapacityViolation("edge %d carries negative flow %s" % (idx, f))
-        if e.capacity is not None and f > e.capacity:
-            raise CapacityViolation(
-                "edge %d carries %s above capacity %s" % (idx, f, e.capacity)
-            )
         c = _scaled(e.cost, scale)
         if e.capacity is None or f < e.capacity:
             tail.append(e.tail)

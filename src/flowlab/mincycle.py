@@ -4,12 +4,20 @@
 the production routine.  ``brute_force_min_mean`` enumerates every
 simple cycle and exists purely as an oracle for testing; it refuses
 graphs above a node limit unless told otherwise.
+
+Karp's table (``_walk_table``), its min-max step and the cycle cut
+(``_min_mean_cycle``) are private routines on flat integer arcs.
+``karp_min_mean`` and the cycle-canceling solver both search with
+``_min_mean_cycle``, and ``walk_cost_table`` is ``_walk_table`` divided
+back to rationals, so there is one dynamic program to maintain.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import sub, truediv
 from typing import Iterator, Optional
 
 from .core import Cycle, FlowLabError, ResidualEdge, ResidualNetwork, _scaled
@@ -24,9 +32,134 @@ __all__ = [
 
 BRUTE_FORCE_NODE_LIMIT = 12
 
+# integers below this in magnitude are exact as floats, and so are their
+# sums and differences while those stay below it too
+_FLOAT_EXACT = 2**53
+
 
 class GraphTooLargeError(FlowLabError):
     """Brute-force enumeration refused: too many nodes for the guard."""
+
+
+def _walk_table(n: int, arcs, levels: int, far) -> list[list]:
+    """Karp's table over arcs ``(tail, head, cost)`` whose costs are
+    integers, held as ``int`` or ``float``: row k holds, for each node,
+    the least cost of a walk of exactly k arcs ending there, from any
+    start.  Row 0 is all zeros, the empty walks.
+
+    Rows start at ``far``.  Every real entry lies within ``levels * top``
+    of 0, where ``top`` is the largest cost magnitude, and an entry with
+    no walk behind it stays within that distance below ``far``; so with
+    ``far > 2 * levels * top`` the two never mix, and an entry above
+    ``levels * top`` means there is no walk.
+    """
+    prev: list = [0] * n
+    table = [prev]
+    for _ in range(levels):
+        row: list = [far] * n
+        for t, h, c in arcs:
+            candidate = prev[t] + c
+            if candidate < row[h]:
+                row[h] = candidate
+        table.append(row)
+        prev = row
+    return table
+
+
+def _min_mean_cycle(n: int, arcs) -> Optional[tuple[list[int], int, int]]:
+    """Karp's minimum-mean cycle over integer arcs ``(tail, head, cost)``.
+
+    Returns the positions in ``arcs`` of the cycle's arcs in walk order
+    and the minimum mean as a pair (num, den) with den > 0, or ``None``
+    when the graph is acyclic.  The minimum mean is min over nodes v of
+    max over k < n of (D[n][v] - D[k][v]) / (n - k), over the entries
+    with a walk behind them; ties between nodes go to the lowest node.
+    The witness is ``_cycle_cut`` of the length-n walk into that node,
+    so ties between arcs go to the lowest residual-edge index.
+    """
+    if n == 0 or not arcs:
+        return None
+    top = max(abs(c) for _, _, c in arcs)
+    limit = n * top
+    # A missing entry D[k][v] gives a quotient far below the one at
+    # k = 0, which is at least -top, so it never attains a maximum.
+    far = 8 * (n + 1) ** 2 * (top + 1)
+    if 2 * limit < _FLOAT_EXACT:
+        # floats hold every real entry and every difference of two
+        # exactly, and add them faster than integers
+        table = _walk_table(n, [(t, h, float(c)) for t, h, c in arcs], n, float(far))
+    else:
+        table = _walk_table(n, arcs, n, far)
+    # Division rounds correctly to the nearest float, and rounding keeps
+    # order up to ties, so quotients are compared as floats while they
+    # fit in one, and exactly only where the floats tie.
+    divide = truediv if far.bit_length() < 1000 else Fraction
+    last = table[n]
+    quotients = [
+        list(map(divide, map(sub, last, row), repeat(n - k, n)))
+        for k, row in enumerate(table[:n])
+    ]
+    worst = list(map(max, zip(*quotients)))
+    ends = [v for v in range(n) if last[v] <= limit]
+    if not ends:
+        return None
+    least = min(worst[v] for v in ends)
+    best_num = best_den = best_node = None
+    for v in ends:
+        if worst[v] != least:
+            continue
+        num = den = None
+        for k in range(n):
+            if quotients[k][v] == least:
+                diff = int(last[v] - table[k][v])
+                if num is None or diff * den > num * (n - k):
+                    num, den = diff, n - k
+        if best_node is None or num * best_den < best_num * den:
+            best_num, best_den, best_node = num, den, v
+
+    positions = _cycle_cut(n, arcs, table, best_node)
+    total = sum(arcs[i][2] for i in positions)
+    if total * best_den != best_num * len(positions):
+        raise FlowLabError(
+            "internal error: extracted cycle mean %s differs from minimum %s"
+            % (Fraction(total, len(positions)), Fraction(best_num, best_den))
+        )
+    return positions, best_num, best_den
+
+
+def _cycle_cut(n: int, arcs, table, end: int) -> list[int]:
+    """The first cycle met reading the length-n walk into ``end`` back
+    from its end, as positions in ``arcs`` in walk order.  Each step of
+    the walk is the lowest-positioned arc that attains its table entry,
+    the one a scan in position order that keeps only strict
+    improvements would have recorded."""
+    into: list[list[int]] = [[] for _ in range(n)]
+    for i, (_, h, _) in enumerate(arcs):
+        into[h].append(i)
+    # n + 1 nodes on n of them: some node repeats
+    node, k = end, n
+    seen_at = {end: n}
+    steps: list[int] = []
+    while True:
+        want, prev = table[k][node], table[k - 1]
+        for i in into[node]:
+            t, _, c = arcs[i]
+            if prev[t] + c == want:
+                break
+        steps.append(i)
+        node, k = t, k - 1
+        if node in seen_at:
+            # steps run backwards from the walk's end, so the cycle is
+            # the last ``seen_at[node] - k`` of them, reversed
+            return steps[len(steps) - (seen_at[node] - k):][::-1]
+        seen_at[node] = k
+
+
+def _scaled_arcs(r: ResidualNetwork) -> tuple[list[tuple[int, int, int]], int]:
+    """The residual edges as integer arcs ``(tail, head, cost)``, with
+    costs scaled by their common denominator, and that scale."""
+    scale = math.lcm(*(e.cost.denominator for e in r.edges))
+    return [(e.tail, e.head, _scaled(e.cost, scale)) for e in r.edges], scale
 
 
 def walk_cost_table(r: ResidualNetwork, levels: Optional[int] = None):
@@ -35,108 +168,32 @@ def walk_cost_table(r: ResidualNetwork, levels: Optional[int] = None):
 
     Row 0 is all zeros (the empty walk at each node); unreachable
     entries are ``None``.  By default the table has node-count + 1 rows,
-    which is what the minimum-mean formula needs.
+    which is what the minimum-mean formula needs.  It is the table
+    ``karp_min_mean`` computes, with entries divided back by the scale.
     """
-    n = r.node_count
     if levels is None:
-        levels = n
-    table = [[Fraction(0)] * n]
-    for _ in range(levels):
-        prev = table[-1]
-        row: list[Optional[Fraction]] = [None] * n
-        for e in r.edges:
-            base = prev[e.tail]
-            if base is None:
-                continue
-            candidate = base + e.cost
-            if row[e.head] is None or candidate < row[e.head]:
-                row[e.head] = candidate
-        table.append(row)
-    return table
+        levels = r.node_count
+    arcs, scale = _scaled_arcs(r)
+    limit = levels * max((abs(c) for _, _, c in arcs), default=0)
+    return [
+        [None if d > limit else Fraction(d, scale) for d in row]
+        for row in _walk_table(r.node_count, arcs, levels, 2 * limit + 1)
+    ]
 
 
 def karp_min_mean(r: ResidualNetwork) -> Optional[Cycle]:
     """A cycle of minimum mean cost, or ``None`` if the graph is acyclic.
 
-    The minimum mean equals min over nodes v of max over walk lengths k
-    of (D[n][v] - D[k][v]) / (n - k), taken over finite table entries.
-    The witness cycle is recovered by walking predecessor links back
-    from the minimizing node and cutting at the first repeated node;
-    ties in predecessor choice go to the lowest residual-edge index, and
-    ties between nodes to the lowest node index.
-
-    Costs are scaled to a common integer denominator internally so the
-    inner loops run on machine integers; results are exact Fractions.
+    Karp's dynamic program over walk lengths, on costs scaled to a
+    common integer denominator; see ``_min_mean_cycle`` for the formula
+    and the tie-breaks.  The cycle is made of ``r``'s own edges.
     """
-    n = r.node_count
-    if n == 0 or not r.edges:
+    arcs, _ = _scaled_arcs(r)
+    found = _min_mean_cycle(r.node_count, arcs)
+    if found is None:
         return None
-    scale = math.lcm(*(e.cost.denominator for e in r.edges))
-    int_costs = [_scaled(e.cost, scale) for e in r.edges]
-
-    table: list[list[Optional[int]]] = [[0] * n]
-    preds: list[list[Optional[ResidualEdge]]] = [[None] * n]
-    for _ in range(n):
-        prev = table[-1]
-        row: list[Optional[int]] = [None] * n
-        pred_row: list[Optional[ResidualEdge]] = [None] * n
-        for idx, e in enumerate(r.edges):
-            base = prev[e.tail]
-            if base is None:
-                continue
-            candidate = base + int_costs[idx]
-            seen = row[e.head]
-            if seen is None or candidate < seen:
-                row[e.head] = candidate
-                pred_row[e.head] = e
-        table.append(row)
-        preds.append(pred_row)
-
-    last = table[n]
-    best_num = best_den = None
-    best_node = None
-    for v in range(n):
-        final = last[v]
-        if final is None:
-            continue
-        worst_num = worst_den = None
-        for k in range(n):
-            entry = table[k][v]
-            if entry is None:
-                continue
-            num, den = final - entry, n - k
-            if worst_num is None or num * worst_den > worst_num * den:
-                worst_num, worst_den = num, den
-        if best_num is None or worst_num * best_den < best_num * worst_den:
-            best_num, best_den, best_node = worst_num, worst_den, v
-    if best_node is None:
-        return None
-    min_mean = Fraction(best_num, best_den * scale)
-
-    # Recover the length-n walk into the minimizing node, then cut out
-    # the first cycle met while scanning it from the end.
-    walk_nodes: list[Optional[int]] = [None] * (n + 1)
-    walk_edges: list[Optional[ResidualEdge]] = [None] * (n + 1)
-    walk_nodes[n] = best_node
-    for k in range(n, 0, -1):
-        e = preds[k][walk_nodes[k]]
-        walk_edges[k] = e
-        walk_nodes[k - 1] = e.tail
-    seen_at: dict[int, int] = {}
-    cycle_edges = None
-    for k in range(n, -1, -1):
-        node = walk_nodes[k]
-        if node in seen_at:
-            cycle_edges = [walk_edges[i] for i in range(k + 1, seen_at[node] + 1)]
-            break
-        seen_at[node] = k
-    cycle = Cycle.from_edges(cycle_edges)
-    if cycle.mean_cost != min_mean:
-        raise FlowLabError(
-            "internal error: extracted cycle mean %s differs from minimum %s"
-            % (cycle.mean_cost, min_mean)
-        )
-    return cycle
+    positions, _, _ = found
+    return Cycle.from_edges([r.edges[i] for i in positions])
 
 
 def enumerate_simple_cycles(r: ResidualNetwork) -> Iterator[tuple[ResidualEdge, ...]]:

@@ -5,12 +5,18 @@ of minimum mean cost in the residual network, pushing as much as the
 cycle allows, until no negative-mean cycle remains.  The full sequence
 of canceled cycles is recorded so iteration-count experiments can
 inspect exactly what happened.
+
+The loop runs on integers, over paired residual arcs whose room each
+cancellation updates in place, and shares its minimum-mean cycle
+search with ``mincycle.karp_min_mean``; ``Fraction`` values are built
+only for the trace and the final flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -19,13 +25,15 @@ from .core import (
     FlowNetwork,
     InfeasibleError,
     IterationCapExceeded,
+    ResidualEdge,
     SmoothedInstance,
-    augment_cycle,
+    UnboundedCycleError,
+    _check_capacities,
+    _scaled,
     default_iteration_cap,
-    residual,
 )
 from .maxflow import solve_max_flow
-from .mincycle import karp_min_mean
+from .mincycle import _min_mean_cycle
 
 __all__ = [
     "MmccIteration",
@@ -104,6 +112,12 @@ def mmcc_solve(
     flow.  The iteration cap is a safety net only: hitting it raises
     ``IterationCapExceeded`` with the partial trace attached, it never
     silently truncates a run.
+
+    The run is exactly a loop of ``karp_min_mean(residual(...))`` and
+    ``augment_cycle``, cycle for cycle.  It is carried out on integers:
+    costs are scaled once by their common denominator, flows by that of
+    the capacities and the starting flow, and the residual network is
+    kept as paired arcs whose room each cancellation updates in place.
     """
     if isinstance(instance, SmoothedInstance):
         if costs is None:
@@ -121,22 +135,83 @@ def mmcc_solve(
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
 
+    return _mmcc_kernel(net, flow, iteration_cap)
+
+
+def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
+    """The cancellation loop of ``mmcc_solve`` on integer-scaled paired arcs."""
+    _check_capacities(net, flow)
+    edges = net.edges
+    cost_scale = lcm(*(e.cost.denominator for e in edges))
+    flow_scale = lcm(
+        *(e.capacity.denominator for e in edges if e.capacity is not None),
+        *(f.denominator for f in flow.values),
+    )
+    # arc 2e runs along edge e and arc 2e + 1 against it, so arc ^ 1 is
+    # the reverse; room is the residual capacity, None when unbounded
+    arcs: list[tuple[int, int, int]] = []
+    room: list[Optional[int]] = []
+    for e, f in zip(edges, flow.values):
+        c = _scaled(e.cost, cost_scale)
+        x = _scaled(f, flow_scale)
+        arcs += ((e.tail, e.head, c), (e.head, e.tail, -c))
+        room += (None if e.capacity is None else _scaled(e.capacity, flow_scale) - x, x)
+
     trace = MmccTrace()
+    iterations = trace.iterations
+
+    def final_flow() -> Flow:
+        return Flow(tuple(Fraction(room[a], flow_scale) for a in range(1, len(room), 2)))
+
     while True:
-        cycle = karp_min_mean(residual(net, flow))
-        if cycle is None or cycle.mean_cost >= 0:
+        # the arcs with room, in ascending arc id, which is the order of
+        # the edges ``residual`` builds
+        present = [a for a, r in enumerate(room) if r != 0]
+        found = _min_mean_cycle(net.node_count, [arcs[a] for a in present])
+        if found is None:
             break
-        if len(trace.iterations) >= iteration_cap:
+        positions, mean_num, _ = found
+        if mean_num >= 0:
+            break
+        if len(iterations) >= iteration_cap:
             trace.termination = "iteration_cap_hit"
-            trace.final_flow = flow
+            trace.final_flow = final_flow()
             raise IterationCapExceeded(
                 "no optimum after %d cycle cancellations" % iteration_cap, trace=trace
             )
-        flow, amount = augment_cycle(net, flow, cycle)
-        trace.iterations.append(
-            MmccIteration(cycle=cycle, mean_cost=cycle.mean_cost, amount=amount)
+        cycle_arcs = [present[i] for i in positions]
+        bounded = [room[a] for a in cycle_arcs if room[a] is not None]
+        if not bounded:
+            raise UnboundedCycleError("every cycle edge is uncapacitated; cost is unbounded")
+        amount = min(bounded)
+        cycle_edges = []
+        total = 0
+        for a in cycle_arcs:
+            e, r = edges[a >> 1], room[a]
+            tail, head, c = arcs[a]
+            total += c
+            cycle_edges.append(
+                ResidualEdge(
+                    tail,
+                    head,
+                    None if r is None else Fraction(r, flow_scale),
+                    -e.cost if a & 1 else e.cost,
+                    a >> 1,
+                    not a & 1,
+                )
+            )
+            if r is not None:
+                room[a] = r - amount
+            if room[a ^ 1] is not None:
+                room[a ^ 1] += amount
+        mean = Fraction(total, len(cycle_arcs) * cost_scale)
+        cycle = Cycle(
+            edges=tuple(cycle_edges), total_cost=Fraction(total, cost_scale), mean_cost=mean
         )
-    trace.final_flow = flow
+        iterations.append(
+            MmccIteration(cycle=cycle, mean_cost=mean, amount=Fraction(amount, flow_scale))
+        )
+    trace.final_flow = final_flow()
     trace.termination = "optimal"
     return trace
 

@@ -1,5 +1,6 @@
 """Command-line behavior: generation, solving, verification, reports."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,19 @@ def test_experiment_propagates_generation_failures(capsys):
                "--phi", "16", "--seeds", "4"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_experiment_csv_bytes_are_pinned(capsys):
+    # flowlab-experiment-v1 output stays byte-identical.  Only the bytes
+    # are pinned: the exit code is 1 while the MMCC count misses the
+    # paper's prediction.
+    main(["experiment", "--family", "mmcc_general", "--n", "8", "--m", "16",
+          "--phi", "256", "--seeds", "0..2", "--algorithm", "all"])
+    out = capsys.readouterr().out.encode()
+    assert out.startswith(b"# flowlab-experiment-v1\n")
+    assert hashlib.sha256(out).hexdigest() == (
+        "ab2b735376d3bcdb2eec96a0664b9ae77b506f40388424bfb8dbfb518ca150b6"
+    )
 
 
 def test_parse_seeds_forms():

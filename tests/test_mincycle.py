@@ -2,11 +2,12 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from flowlab.core import Flow, ResidualEdge, ResidualNetwork, residual
+from flowlab.core import Cycle, Flow, ResidualEdge, ResidualNetwork, residual
 from flowlab.mincycle import (
     GraphTooLargeError,
     brute_force_min_mean,
@@ -197,3 +198,99 @@ def test_brute_force_guard():
         brute_force_min_mean(r)
     cycle = brute_force_min_mean(r, node_limit=13)
     assert cycle is not None and cycle.mean_cost == 1
+
+
+def reference_karp(r):
+    """Karp's table over ``Fraction`` costs with a predecessor link per
+    entry, ties to the lowest residual-edge index and then the lowest
+    node: the cycle, or None."""
+    n = r.node_count
+    if n == 0 or not r.edges:
+        return None
+    table = [[Fraction(0)] * n]
+    preds = [[None] * n]
+    for _ in range(n):
+        prev, row, pred_row = table[-1], [None] * n, [None] * n
+        for e in r.edges:
+            if prev[e.tail] is None:
+                continue
+            candidate = prev[e.tail] + e.cost
+            if row[e.head] is None or candidate < row[e.head]:
+                row[e.head], pred_row[e.head] = candidate, e
+        table.append(row)
+        preds.append(pred_row)
+    best = best_node = None
+    for v in range(n):
+        if table[n][v] is None:
+            continue
+        worst = max(
+            (table[n][v] - table[k][v]) / (n - k) for k in range(n) if table[k][v] is not None
+        )
+        if best is None or worst < best:
+            best, best_node = worst, v
+    if best_node is None:
+        return None
+    walk, node = [], best_node
+    for k in range(n, 0, -1):
+        walk.append(preds[k][node])
+        node = walk[-1].tail
+    # walk runs backwards from the end; cut at the first repeated node
+    seen_at = {best_node: 0}
+    for i, e in enumerate(walk):
+        if e.tail in seen_at:
+            return Cycle.from_edges(walk[seen_at[e.tail]:i + 1][::-1])
+        seen_at[e.tail] = i + 1
+
+
+def scaled_costs(r, factor):
+    edges = tuple(replace(e, cost=e.cost * factor) for e in r.edges)
+    return ResidualNetwork(node_count=r.node_count, edges=edges)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [1, 2**60, 2**1100, Fraction(1, 3**40)],
+    ids=["float-table", "integer-table", "exact-quotients", "fine-costs"],
+)
+def test_karp_returns_the_reference_cycle_through_ties(factor):
+    # costs in {-2..2} make many equally cheap walks and equal means;
+    # the factors move the table out of float range, and the quotients
+    # too, without changing which cycle is returned
+    rng = random.Random(404)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        arcs = [
+            (t, h, rng.randint(-2, 2))
+            for t in range(n)
+            for h in range(n)
+            if t != h and rng.random() < 0.45
+        ]
+        r = scaled_costs(residual_net(n, arcs), factor)
+        got = karp_min_mean(r)
+        assert got == reference_karp(r)
+        found += got is not None
+    for _ in range(100):
+        net = random_network(rng, rng.randint(3, 7), rng.randint(3, 12))
+        r = scaled_costs(residual(net, random_capacity_respecting_flow(rng, net)), factor)
+        got = karp_min_mean(r)
+        assert got == reference_karp(r)
+        found += got is not None
+    assert found > 200
+
+
+def test_karp_compares_exactly_where_means_round_alike():
+    # costs near -2**60 and 2**60 that differ in their last bits: walk
+    # means then round to the same float far more often than they are
+    # equal, and only exact comparison tells them apart
+    rng = random.Random(405)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        arcs = [
+            (t, h, rng.choice((-1, 1)) * 2**60 + rng.randint(-3, 3))
+            for t in range(n)
+            for h in range(n)
+            if t != h and rng.random() < 0.45
+        ]
+        r = residual_net(n, arcs)
+        assert karp_min_mean(r) == reference_karp(r)

@@ -2,19 +2,33 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlab.core import (
     Flow,
     FlowNetwork,
     InfeasibleError,
     IterationCapExceeded,
+    UnboundedCycleError,
+    augment_cycle,
     check_feasible,
     flow_cost,
+    residual,
     verify_optimality,
 )
+from flowlab.generators import (
+    MmccGeneralParams,
+    gen_mmcc_general,
+    gen_mmcc_large_phi,
+    sample_costs,
+)
+from flowlab.mincycle import karp_min_mean
 from flowlab.mmcc import (
+    MmccIteration,
     default_iteration_cap,
     halving_violation,
     initial_feasible_flow,
@@ -167,3 +181,177 @@ def test_smoothed_instance_requires_costs():
         mmcc_solve(inst)
     with pytest.raises(ValueError):
         mmcc_solve(net, costs=[Fraction(1, 2)])
+
+
+def reference_mmcc(net, flow, limit=None):
+    """``mmcc_solve`` spelled out as a loop of ``karp_min_mean`` over
+    ``residual`` and ``augment_cycle``: the iterations and the flow
+    after them."""
+    iterations = []
+    while limit is None or len(iterations) < limit:
+        cycle = karp_min_mean(residual(net, flow))
+        if cycle is None or cycle.mean_cost >= 0:
+            break
+        flow, amount = augment_cycle(net, flow, cycle)
+        iterations.append(MmccIteration(cycle=cycle, mean_cost=cycle.mean_cost, amount=amount))
+    return iterations, flow
+
+
+def reference_run(net):
+    return reference_mmcc(net, initial_feasible_flow(net))
+
+
+def outcome(solve, *args):
+    """Iterations and final flow of a run, or the type and message of
+    the error it raised."""
+    try:
+        result = solve(*args)
+    except (InfeasibleError, UnboundedCycleError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return result
+    assert result.termination == "optimal"
+    return result.iterations, result.final_flow
+
+
+def assert_replays_reference(inst, costs):
+    trace = mmcc_solve(inst, costs)
+    iterations, flow = reference_mmcc(inst.realize(costs), inst.starting_flow)
+    assert trace.termination == "optimal"
+    assert trace.iterations == iterations
+    assert trace.final_flow == flow
+    return trace
+
+
+@pytest.mark.parametrize("cost_seed", range(3))
+def test_mmcc_solve_replays_reference_on_mmcc_general(cost_seed):
+    inst = gen_mmcc_general(MmccGeneralParams(8, 16, 256))
+    trace = assert_replays_reference(inst, sample_costs(inst, cost_seed))
+    assert trace.iteration_count == 62
+
+
+@pytest.mark.parametrize("n, m", [(4, 9), (5, 10)])
+def test_mmcc_solve_replays_reference_on_mmcc_large_phi(n, m):
+    # costs here are too fine for the table to be held in floats
+    inst = gen_mmcc_large_phi(n, m)
+    trace = assert_replays_reference(inst, sample_costs(inst, 0))
+    assert trace.iteration_count >= 2 * m * n
+
+
+def random_net(rng, bounded=False):
+    """A network with negative and rational costs, rational and, unless
+    ``bounded``, unbounded capacities, and rational budgets."""
+    n = rng.randint(3, 7)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = []
+    for a, b in rng.sample(pairs, rng.randint(n, len(pairs))):
+        tail, head = (a, b) if rng.random() < 0.5 else (b, a)
+        cap = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+        if not bounded and rng.random() < 0.4:
+            cap = None
+        edges.append((tail, head, cap, Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+    budgets = [Fraction(0)] * n
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(range(n), 2)
+        amount = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+        budgets[a] += amount
+        budgets[b] -= amount
+    return FlowNetwork.from_data(n, edges, budgets)
+
+
+def test_mmcc_solve_replays_reference_on_random_networks():
+    rng = random.Random(57)
+    kinds = {"solved": 0, "several": 0, InfeasibleError: 0, UnboundedCycleError: 0}
+    for _ in range(600):
+        net = random_net(rng)
+        got = outcome(mmcc_solve, net)
+        assert got == outcome(reference_run, net)
+        if isinstance(got[0], type):
+            kinds[got[0]] += 1
+        else:
+            kinds["solved"] += 1
+            kinds["several"] += len(got[0]) > 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_mmcc_solve_replays_reference_through_ties():
+    # small integer costs: many equally cheap walks into the same node,
+    # so the cycle depends on which arc the search tries first
+    rng = random.Random(59)
+    several = 0
+    for _ in range(400):
+        n = rng.randint(3, 7)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = [
+            (a, b, rng.randint(1, 3), rng.randint(-3, 2)) if rng.random() < 0.5
+            else (b, a, rng.randint(1, 3), rng.randint(-3, 2))
+            for a, b in rng.sample(pairs, rng.randint(n, len(pairs)))
+        ]
+        net = net_from(n, edges, [0] * n)
+        got = outcome(mmcc_solve, net)
+        assert got == outcome(reference_run, net)
+        several += len(got[0]) > 1
+    assert several > 50
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_mmcc_solve_matches_reference_on_drawn_networks(rng):
+    net = random_net(rng)
+    assert outcome(mmcc_solve, net) == outcome(reference_run, net)
+
+
+def test_mmcc_solve_raises_on_uncapacitated_negative_cycle():
+    # 0 -> 1 -> 2 -> 0 costs -1 and no edge on it has a capacity
+    net = net_from(
+        3, [(0, 1, None, -2), (1, 2, None, 0), (2, 0, None, 1), (0, 2, 4, -1)], [0, 0, 0]
+    )
+    with pytest.raises(UnboundedCycleError, match="cost is unbounded") as info:
+        mmcc_solve(net)
+    assert outcome(reference_run, net) == (UnboundedCycleError, str(info.value))
+
+
+def test_mmcc_solve_iteration_cap_trace_holds_the_first_cancellations():
+    inst = gen_mmcc_general(MmccGeneralParams(8, 16, 256))
+    costs = sample_costs(inst, 0)
+    with pytest.raises(IterationCapExceeded, match="no optimum after 3 cycle cancellations") as info:
+        mmcc_solve(inst, costs, iteration_cap=3)
+    iterations, flow = reference_mmcc(inst.realize(costs), inst.starting_flow, limit=3)
+    trace = info.value.trace
+    assert trace.termination == "iteration_cap_hit"
+    assert trace.iterations == iterations
+    assert trace.final_flow == flow
+    assert flow != inst.starting_flow
+
+
+def test_mmcc_solve_optimal_cost_matches_networkx():
+    rng = random.Random(58)
+    checked = 0
+    for _ in range(200):
+        net = random_net(rng, bounded=True)
+        # integer-scaled copy: costs by their common denominator,
+        # capacities and budgets by theirs
+        cost_scale = lcm(*(e.cost.denominator for e in net.edges))
+        flow_scale = lcm(
+            *(e.capacity.denominator for e in net.edges), *(b.denominator for b in net.budgets)
+        )
+        graph = nx.DiGraph()
+        for v, b in enumerate(net.budgets):
+            graph.add_node(v, demand=-int(b * flow_scale))
+        for e in net.edges:
+            graph.add_edge(
+                e.tail,
+                e.head,
+                weight=int(e.cost * cost_scale),
+                capacity=int(e.capacity * flow_scale),
+            )
+        try:
+            trace = mmcc_solve(net)
+        except InfeasibleError:
+            with pytest.raises(nx.NetworkXUnfeasible):
+                nx.min_cost_flow_cost(graph)
+            continue
+        expected = Fraction(nx.min_cost_flow_cost(graph), cost_scale * flow_scale)
+        assert flow_cost(net, trace.final_flow) == expected
+        checked += 1
+    assert checked > 50

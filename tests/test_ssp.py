@@ -151,6 +151,12 @@ def test_ssp_infeasible_demand():
         ssp_solve(net, 0, 2, 5)
 
 
+def test_ssp_infeasible_demand_on_a_network_without_edges():
+    net = FlowNetwork.from_data(2, [])
+    with pytest.raises(InfeasibleError, match="no residual path left with 1 of 1"):
+        ssp_solve(net, 0, 1, 1)
+
+
 def test_ssp_rejects_nonzero_budgets_and_bad_endpoints():
     net = FlowNetwork.from_data(2, [(0, 1, 2, 1)], budgets=[1, -1])
     with pytest.raises(ValueError):
