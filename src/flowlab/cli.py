@@ -46,7 +46,29 @@ from .mmcc import initial_feasible_flow, mmcc_solve
 from .netsimplex import basic_structure_from_flow, ns_solve
 from .ssp import concentrate_budgets, ssp_solve
 
-_FAMILIES = ("mmcc_general", "mmcc_large_phi", "ns_lower", "random")
+# family -> (generate, predict): generate(n, m, phi, seed) returns an
+# instance and its stored tree or None, and predict(inst, n, m, phi) the
+# predicted iteration count of each algorithm that has one
+FAMILIES = {
+    "mmcc_general": (
+        lambda n, m, phi, seed: (gen_mmcc_general(MmccGeneralParams(n, m, phi), seed), None),
+        lambda inst, n, m, phi: {
+            "mmcc": predicted_mmcc_general_iterations(MmccGeneralParams(n, m, phi))
+        },
+    ),
+    "mmcc_large_phi": (
+        lambda n, m, phi, seed: (gen_mmcc_large_phi(n, m, seed), None),
+        lambda inst, n, m, phi: {"mmcc": predicted_mmcc_large_phi_iterations(n, m)},
+    ),
+    "ns_lower": (
+        lambda n, m, phi, seed: gen_ns_lower_bound(NsParams(n, m, phi), seed),
+        lambda inst, n, m, phi: {"ns": predicted_ns_pivots(inst)},
+    ),
+    "random": (
+        lambda n, m, phi, seed: (gen_random_smoothed(n, m, phi, seed), None),
+        lambda inst, n, m, phi: {},
+    ),
+}
 _ALGORITHMS = ("mmcc", "ns", "ssp")
 
 CSV_HEADER = "# flowlab-experiment-v1"
@@ -79,10 +101,12 @@ class ExperimentSpec:
     pair_seed: int = 0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.algorithm != "all" and self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.phi is None and self.family != "mmcc_large_phi":
+            raise ValueError("phi is required for this family")
 
 
 def _power_of_two(value: Fraction) -> bool:
@@ -108,36 +132,8 @@ def _validated_phi(family: str, phi: Optional[Fraction]) -> Optional[Fraction]:
     return phi
 
 
-def _generate(family: str, n: int, m: int, phi: Optional[Fraction], seed: int):
-    phi = _validated_phi(family, phi)
-    if family == "mmcc_general":
-        return gen_mmcc_general(MmccGeneralParams(n, m, phi), seed), None
-    if family == "mmcc_large_phi":
-        return gen_mmcc_large_phi(n, m, seed), None
-    if family == "ns_lower":
-        return gen_ns_lower_bound(NsParams(n, m, phi), seed)
-    return gen_random_smoothed(n, m, phi, seed), None
-
-
-def _family_instance(spec: ExperimentSpec, seed: int):
-    """Instance, optional structure, and per-algorithm predicted counts."""
-    if spec.family == "mmcc_general":
-        params = MmccGeneralParams(spec.n, spec.m, spec.phi)
-        inst = gen_mmcc_general(params, spec.pair_seed)
-        return inst, None, {"mmcc": predicted_mmcc_general_iterations(params)}
-    if spec.family == "mmcc_large_phi":
-        inst = gen_mmcc_large_phi(spec.n, spec.m, spec.pair_seed)
-        predicted = predicted_mmcc_large_phi_iterations(spec.n, spec.m)
-        return inst, None, {"mmcc": predicted}
-    if spec.family == "ns_lower":
-        inst, structure = gen_ns_lower_bound(
-            NsParams(spec.n, spec.m, spec.phi), spec.pair_seed
-        )
-        return inst, structure, {"ns": predicted_ns_pivots(inst)}
-    return gen_random_smoothed(spec.n, spec.m, spec.phi, seed), None, {}
-
-
-def _solve_one(inst, structure, costs, algorithm: str) -> dict:
+def _solve(inst, structure, costs, algorithm: str, *, strongly_feasible: bool = False) -> dict:
+    """Run one solver on one realization, from the stored tree if any."""
     net = inst.realize(costs)
     if algorithm == "mmcc":
         trace = mmcc_solve(inst, costs)
@@ -149,7 +145,7 @@ def _solve_one(inst, structure, costs, algorithm: str) -> dict:
             if start is None:
                 start = initial_feasible_flow(net)
             structure, start = basic_structure_from_flow(net, start)
-        trace = ns_solve(net, structure)
+        trace = ns_solve(net, structure, strongly_feasible=strongly_feasible)
         flow = trace.final_flow
         counts = (trace.pivot_count, trace.nondegenerate_count, trace.degenerate_count)
     else:
@@ -177,17 +173,21 @@ def run_experiment(spec: ExperimentSpec) -> tuple[str, bool]:
     otherwise).  The second return value is the conjunction over rows.
     """
     algorithms = _ALGORITHMS if spec.algorithm == "all" else (spec.algorithm,)
-    shared = None
-    if spec.family != "random":
-        shared = _family_instance(spec, 0)
+    generate, predict = FAMILIES[spec.family]
+
+    def instance(seed: int):
+        inst, structure = generate(spec.n, spec.m, spec.phi, seed)
+        return inst, structure, predict(inst, spec.n, spec.m, spec.phi)
+
+    # a random instance is drawn per seed; the others are fixed by the
+    # pair seed and built once
+    shared = None if spec.family == "random" else instance(spec.pair_seed)
     lines = [CSV_HEADER, ",".join(CSV_COLUMNS)]
     all_match = True
     for seed in sorted(spec.seeds):
-        inst, structure, predicted = (
-            shared if shared is not None else _family_instance(spec, seed)
-        )
+        inst, structure, predicted = shared if shared is not None else instance(seed)
         costs = sample_costs(inst, seed)
-        results = {alg: _solve_one(inst, structure, costs, alg) for alg in algorithms}
+        results = {alg: _solve(inst, structure, costs, alg) for alg in algorithms}
         agree = len({r["cost"] for r in results.values()}) == 1
         for alg in algorithms:
             r = results[alg]
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a generated instance file")
-    gen.add_argument("--family", choices=_FAMILIES, required=True)
+    gen.add_argument("--family", choices=tuple(FAMILIES), required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--phi", type=Fraction)
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="cost sample seed")
 
     exp = sub.add_parser("experiment", help="sweep seeds and emit a CSV report")
-    exp.add_argument("--family", choices=_FAMILIES, required=True)
+    exp.add_argument("--family", choices=tuple(FAMILIES), required=True)
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--m", type=int, required=True)
     exp.add_argument("--phi", type=Fraction)
@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    inst, structure = _generate(args.family, args.n, args.m, args.phi, args.seed)
+    generate, _ = FAMILIES[args.family]
+    phi = _validated_phi(args.family, args.phi)
+    inst, structure = generate(args.n, args.m, phi, args.seed)
     text = format_smoothed(inst, structure)
     if args.out:
         Path(args.out).write_text(text)
@@ -284,34 +286,20 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.strongly_feasible and args.algorithm != "ns":
+        raise ValueError("--strongly-feasible applies to --algorithm ns only")
     inst, structure = read_smoothed(args.input)
     costs = sample_costs(inst, args.seed)
-    net = inst.realize(costs)
-    if args.algorithm == "ns":
-        if structure is None:
-            start = inst.starting_flow
-            if start is None:
-                start = initial_feasible_flow(net)
-            structure, start = basic_structure_from_flow(net, start)
-        trace = ns_solve(net, structure, strongly_feasible=args.strongly_feasible)
-        flow = trace.final_flow
-        counts = (trace.pivot_count, trace.nondegenerate_count, trace.degenerate_count)
-    elif args.algorithm == "mmcc":
-        trace = mmcc_solve(inst, costs)
-        flow = trace.final_flow
-        counts = (trace.iteration_count, trace.iteration_count, 0)
-    else:
-        wide, source, sink, demand = concentrate_budgets(net)
-        trace = ssp_solve(wide, source, sink, demand)
-        flow = Flow(trace.final_flow.values[: net.edge_count])
-        counts = (trace.step_count, trace.step_count, 0)
+    result = _solve(
+        inst, structure, costs, args.algorithm, strongly_feasible=args.strongly_feasible
+    )
     print(f"algorithm {args.algorithm}")
-    print(f"iterations {counts[0]}")
-    print(f"nondegenerate {counts[1]}")
-    print(f"degenerate {counts[2]}")
-    print(f"cost {flow_cost(net, flow)}")
+    print(f"iterations {result['iterations']}")
+    print(f"nondegenerate {result['nondegenerate']}")
+    print(f"degenerate {result['degenerate']}")
+    print(f"cost {result['cost']}")
     if args.flow_out:
-        write_flow(net, flow, args.flow_out)
+        write_flow(result["net"], result["flow"], args.flow_out)
     return 0
 
 

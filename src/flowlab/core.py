@@ -452,6 +452,72 @@ def _check_capacities(net: FlowNetwork, flow: Flow) -> None:
             )
 
 
+class _ResidualArcs:
+    """The residual network of a flow as paired integer arcs.
+
+    Arc ``2e`` runs along edge ``e`` and arc ``2e + 1`` against it, so
+    ``a ^ 1`` is the reverse of ``a``.  Costs are scaled to integers by
+    ``cost_scale``, the lcm of the cost denominators, and room (residual
+    capacity) by ``flow_scale``, the lcm of the capacity, flow and
+    ``extra`` denominators; room is ``None`` when unbounded.  The flow
+    of edge ``e`` is the room of arc ``2e + 1``, and the arcs with room,
+    in ascending arc id, are the edges ``residual`` builds, in its
+    order.  ``flow`` defaults to zero; one outside its capacities raises
+    as in ``residual``.
+    """
+
+    def __init__(self, net: FlowNetwork, flow: Optional[Flow] = None, extra=()):
+        self.edges = edges = net.edges
+        if flow is None:
+            values = (0,) * len(edges)
+        else:
+            _check_capacities(net, flow)
+            values = flow.values
+        self.cost_scale = cost_scale = lcm(*(e.cost.denominator for e in edges))
+        self.flow_scale = flow_scale = lcm(
+            *(e.capacity.denominator for e in edges if e.capacity is not None),
+            *(f.denominator for f in values),
+            *(x.denominator for x in extra),
+        )
+        tail: list[int] = []
+        head: list[int] = []
+        cost: list[int] = []
+        room: list[Optional[int]] = []
+        for e, f in zip(edges, values):
+            c = _scaled(e.cost, cost_scale)
+            x = _scaled(f, flow_scale)
+            tail += (e.tail, e.head)
+            head += (e.head, e.tail)
+            cost += (c, -c)
+            room += (None if e.capacity is None else _scaled(e.capacity, flow_scale) - x, x)
+        self.tail, self.head, self.cost, self.room = tail, head, cost, room
+
+    def push(self, arcs: Iterable[int], amount: int) -> None:
+        """Send the scaled ``amount`` along every arc of ``arcs``."""
+        room = self.room
+        for a in arcs:
+            if room[a] is not None:
+                room[a] -= amount
+            if room[a ^ 1] is not None:
+                room[a ^ 1] += amount
+
+    def flow(self) -> Flow:
+        room, scale = self.room, self.flow_scale
+        return Flow(tuple(Fraction(room[a], scale) for a in range(1, len(room), 2)))
+
+    def residual_edge(self, a: int) -> ResidualEdge:
+        """The ``ResidualEdge`` of arc ``a`` at its present room."""
+        e, r = self.edges[a >> 1], self.room[a]
+        return ResidualEdge(
+            self.tail[a],
+            self.head[a],
+            None if r is None else Fraction(r, self.flow_scale),
+            -e.cost if a & 1 else e.cost,
+            a >> 1,
+            not a & 1,
+        )
+
+
 def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
     """Residual network of ``flow``: forward edges with spare capacity,
     backward edges with cancellable flow at negated cost.
@@ -541,35 +607,16 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
     negative-cost cycle; the witness returned is such a cycle, found by
     label correcting from a virtual source attached to every node.
 
-    The residual edges are those ``residual`` builds, in its order, held
-    as flat lists with costs scaled to integers by their common
-    denominator; only the witness is built as ``ResidualEdge`` values.
+    The residual edges are the arcs of ``_ResidualArcs`` with room, in
+    ascending arc id, which is ``residual``'s order; only the witness is
+    built as ``ResidualEdge`` values.
     """
-    _check_capacities(net, flow)
-    scale = lcm(*(e.cost.denominator for e in net.edges))
-    # residual edge i runs tail[i] -> head[i]; paired[i] is 2e when it
-    # runs along network edge e and 2e + 1 when it runs against it
-    tail: list[int] = []
-    head: list[int] = []
-    cost: list[int] = []
-    paired: list[int] = []
-    for idx, e in enumerate(net.edges):
-        f = flow[idx]
-        c = _scaled(e.cost, scale)
-        if e.capacity is None or f < e.capacity:
-            tail.append(e.tail)
-            head.append(e.head)
-            cost.append(c)
-            paired.append(2 * idx)
-        if f > 0:
-            tail.append(e.head)
-            head.append(e.tail)
-            cost.append(-c)
-            paired.append(2 * idx + 1)
+    res = _ResidualArcs(net, flow)
     n = net.node_count
     if n == 0:
         return None
-    arcs = list(zip(range(len(tail)), tail, head, cost))
+    tail, head, cost = res.tail, res.head, res.cost
+    arcs = [(a, tail[a], head[a], cost[a]) for a, r in enumerate(res.room) if r != 0]
     dist = [0] * n
     pred = [-1] * n
     touched = -1
@@ -598,15 +645,7 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
         if cursor == node:
             break
     chain.reverse()
-    edges = []
-    for i in chain:
-        idx, backward = divmod(paired[i], 2)
-        e, f = net.edges[idx], flow[idx]
-        if backward:
-            edges.append(ResidualEdge(e.head, e.tail, f, -e.cost, idx, False))
-        else:
-            room = None if e.capacity is None else e.capacity - f
-            edges.append(ResidualEdge(e.tail, e.head, room, e.cost, idx, True))
+    edges = [res.residual_edge(i) for i in chain]
     witness = Cycle.from_edges(edges)
     if witness.total_cost >= 0:
         raise FlowLabError("internal error: witness cycle is not negative")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -25,11 +24,9 @@ from .core import (
     FlowNetwork,
     InfeasibleError,
     IterationCapExceeded,
-    ResidualEdge,
     SmoothedInstance,
     UnboundedCycleError,
-    _check_capacities,
-    _scaled,
+    _ResidualArcs,
     default_iteration_cap,
 )
 from .maxflow import solve_max_flow
@@ -140,29 +137,12 @@ def mmcc_solve(
 
 def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
     """The cancellation loop of ``mmcc_solve`` on integer-scaled paired arcs."""
-    _check_capacities(net, flow)
-    edges = net.edges
-    cost_scale = lcm(*(e.cost.denominator for e in edges))
-    flow_scale = lcm(
-        *(e.capacity.denominator for e in edges if e.capacity is not None),
-        *(f.denominator for f in flow.values),
-    )
-    # arc 2e runs along edge e and arc 2e + 1 against it, so arc ^ 1 is
-    # the reverse; room is the residual capacity, None when unbounded
-    arcs: list[tuple[int, int, int]] = []
-    room: list[Optional[int]] = []
-    for e, f in zip(edges, flow.values):
-        c = _scaled(e.cost, cost_scale)
-        x = _scaled(f, flow_scale)
-        arcs += ((e.tail, e.head, c), (e.head, e.tail, -c))
-        room += (None if e.capacity is None else _scaled(e.capacity, flow_scale) - x, x)
+    res = _ResidualArcs(net, flow)
+    arcs = list(zip(res.tail, res.head, res.cost))
+    cost, room = res.cost, res.room
 
     trace = MmccTrace()
     iterations = trace.iterations
-
-    def final_flow() -> Flow:
-        return Flow(tuple(Fraction(room[a], flow_scale) for a in range(1, len(room), 2)))
-
     while True:
         # the arcs with room, in ascending arc id, which is the order of
         # the edges ``residual`` builds
@@ -175,7 +155,7 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
             break
         if len(iterations) >= iteration_cap:
             trace.termination = "iteration_cap_hit"
-            trace.final_flow = final_flow()
+            trace.final_flow = res.flow()
             raise IterationCapExceeded(
                 "no optimum after %d cycle cancellations" % iteration_cap, trace=trace
             )
@@ -184,34 +164,19 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
         if not bounded:
             raise UnboundedCycleError("every cycle edge is uncapacitated; cost is unbounded")
         amount = min(bounded)
-        cycle_edges = []
-        total = 0
-        for a in cycle_arcs:
-            e, r = edges[a >> 1], room[a]
-            tail, head, c = arcs[a]
-            total += c
-            cycle_edges.append(
-                ResidualEdge(
-                    tail,
-                    head,
-                    None if r is None else Fraction(r, flow_scale),
-                    -e.cost if a & 1 else e.cost,
-                    a >> 1,
-                    not a & 1,
-                )
-            )
-            if r is not None:
-                room[a] = r - amount
-            if room[a ^ 1] is not None:
-                room[a ^ 1] += amount
-        mean = Fraction(total, len(cycle_arcs) * cost_scale)
+        # only the zero-cost 2-cycle holds both arcs of one edge, so no
+        # arc's room changes before its own push: build the edges first
+        cycle_edges = tuple(res.residual_edge(a) for a in cycle_arcs)
+        res.push(cycle_arcs, amount)
+        total = sum(cost[a] for a in cycle_arcs)
+        mean = Fraction(total, len(cycle_arcs) * res.cost_scale)
         cycle = Cycle(
-            edges=tuple(cycle_edges), total_cost=Fraction(total, cost_scale), mean_cost=mean
+            edges=cycle_edges, total_cost=Fraction(total, res.cost_scale), mean_cost=mean
         )
         iterations.append(
-            MmccIteration(cycle=cycle, mean_cost=mean, amount=Fraction(amount, flow_scale))
+            MmccIteration(cycle=cycle, mean_cost=mean, amount=Fraction(amount, res.flow_scale))
         )
-    trace.final_flow = final_flow()
+    trace.final_flow = res.flow()
     trace.termination = "optimal"
     return trace
 

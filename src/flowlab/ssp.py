@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
 from typing import Optional
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     IterationCapExceeded,
     ResidualEdge,
     ResidualNetwork,
+    _ResidualArcs,
     _scaled,
     default_iteration_cap,
     rational,
@@ -255,24 +255,9 @@ def _ssp_kernel(
     net: FlowNetwork, source: int, sink: int, demand: Fraction, iteration_cap: int
 ) -> SspTrace:
     """The augmentation loop of ``ssp_solve`` on integer-scaled paired arcs."""
-    n, edges = net.node_count, net.edges
-    cost_scale = lcm(*(e.cost.denominator for e in edges))
-    flow_scale = lcm(
-        *(e.capacity.denominator for e in edges if e.capacity is not None),
-        demand.denominator,
-    )
-    # arc 2e runs along edge e and arc 2e + 1 against it, so arc ^ 1 is
-    # the reverse; room is the residual capacity, None when unbounded
-    tail: list[int] = []
-    head: list[int] = []
-    cost: list[int] = []
-    room: list[Optional[int]] = []
-    for e in edges:
-        c = _scaled(e.cost, cost_scale)
-        tail += (e.tail, e.head)
-        head += (e.head, e.tail)
-        cost += (c, -c)
-        room += (None if e.capacity is None else _scaled(e.capacity, flow_scale), 0)
+    n = net.node_count
+    res = _ResidualArcs(net, extra=(demand,))
+    tail, head, cost, room = res.tail, res.head, res.cost, res.room
     # out-arcs by head, then arc id: the order in which ``cheapest_path``
     # tries the tight residual edges leaving a node
     out_arcs: list[list[int]] = [[] for _ in range(n)]
@@ -285,9 +270,6 @@ def _ssp_kernel(
 
     trace = SspTrace()
     steps = trace.steps
-
-    def final_flow() -> Flow:
-        return Flow(tuple(Fraction(room[a], flow_scale) for a in range(1, len(room), 2)))
 
     def reaches(start: int, dist, visited) -> bool:
         # ``_reaches`` over the tight arcs with room.  The label arcs
@@ -318,12 +300,12 @@ def _ssp_kernel(
                     stack.append(w)
         return False
 
-    remaining = _scaled(demand, flow_scale)
+    remaining = _scaled(demand, res.flow_scale)
     dist = None
     nxt = [-1] * n
     while remaining > 0:
         if len(steps) >= iteration_cap:
-            trace.final_flow = final_flow()
+            trace.final_flow = res.flow()
             raise IterationCapExceeded(
                 "demand not met after %d augmentations" % iteration_cap, trace=trace
             )
@@ -332,10 +314,10 @@ def _ssp_kernel(
         else:
             dist = _dijkstra_labels(n, sink, in_arcs, room, dist, nxt)
         if dist[source] is None:
-            trace.final_flow = final_flow()
+            trace.final_flow = res.flow()
             raise InfeasibleError(
                 "no residual path left with %s of %s still to ship"
-                % (Fraction(remaining, flow_scale), demand)
+                % (Fraction(remaining, res.flow_scale), demand)
             )
 
         # the lexicographically smallest cheapest path, built greedily
@@ -368,20 +350,16 @@ def _ssp_kernel(
             r = room[a]
             if r is not None and r < amount:
                 amount = r
-        for a in path:
-            if room[a] is not None:
-                room[a] -= amount
-            if room[a ^ 1] is not None:
-                room[a ^ 1] += amount
+        res.push(path, amount)
         steps.append(
             SspStep(
                 path=tuple(nodes),
-                cost=Fraction(sum(cost[a] for a in path), cost_scale),
-                amount=Fraction(amount, flow_scale),
+                cost=Fraction(sum(cost[a] for a in path), res.cost_scale),
+                amount=Fraction(amount, res.flow_scale),
             )
         )
         remaining -= amount
-    trace.final_flow = final_flow()
+    trace.final_flow = res.flow()
     return trace
 
 

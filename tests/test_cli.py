@@ -1,7 +1,11 @@
 """Command-line behavior: generation, solving, verification, reports."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +179,86 @@ def test_experiment_spec_validation():
     # rows come out seed-ordered no matter the input order
     assert [r.split(",")[4] for r in rows] == ["0", "1"]
     assert all(r.split(",")[7] == "120" for r in rows)
+
+
+def test_experiment_spec_requires_phi():
+    for family in ("mmcc_general", "ns_lower", "random"):
+        with pytest.raises(ValueError, match="phi is required for this family"):
+            ExperimentSpec(family, 6, 10, None, (0,))
+    # the large-phi family fixes its own phi, and the power-of-two rule
+    # belongs to the command line only
+    ExperimentSpec("mmcc_large_phi", 4, 9, None, (0,))
+    ExperimentSpec("ns_lower", 6, 10, Fraction(129, 2), (0,))
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["gen", "--family", "mmcc_general", "--n", "6", "--m", "12", "--phi", "64"]
+    done = subprocess.run(
+        [sys.executable, "-m", "flowlab", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert "p min 17 38" in done.stdout
+
+
+def _solve_stdout(tmp_path, capsys, gen_argv, solve_argv):
+    inst_path = tmp_path / "instance.min"
+    assert main(["gen", *gen_argv, "--out", str(inst_path)]) == 0
+    assert main(["solve", "--input", str(inst_path), *solve_argv]) == 0
+    return capsys.readouterr().out
+
+
+# Each expected stdout below was taken before the solve and experiment
+# commands were merged onto one solver dispatch.
+def test_solve_ssp_output(tmp_path, capsys):
+    out = _solve_stdout(
+        tmp_path, capsys,
+        ["--family", "mmcc_general", "--n", "6", "--m", "12", "--phi", "64"],
+        ["--algorithm", "ssp", "--seed", "3"],
+    )
+    assert out == (
+        "algorithm ssp\niterations 12\nnondegenerate 12\ndegenerate 0\n"
+        "cost 54797486519/137438953472\n"
+    )
+
+
+def test_solve_ns_builds_a_tree_when_the_file_has_none(tmp_path, capsys):
+    # a random instance file stores neither a tree nor a starting flow
+    out = _solve_stdout(
+        tmp_path, capsys,
+        ["--family", "random", "--n", "7", "--m", "12", "--phi", "16", "--seed", "2"],
+        ["--algorithm", "ns", "--seed", "1"],
+    )
+    assert out == (
+        "algorithm ns\niterations 3\nnondegenerate 2\ndegenerate 1\n"
+        "cost 15990660011/4294967296\n"
+    )
+
+
+def test_solve_ns_strongly_feasible_output(tmp_path, capsys):
+    out = _solve_stdout(
+        tmp_path, capsys,
+        ["--family", "ns_lower", "--n", "6", "--m", "10", "--phi", "64"],
+        ["--algorithm", "ns", "--strongly-feasible", "--seed", "5"],
+    )
+    assert out == (
+        "algorithm ns\niterations 131\nnondegenerate 120\ndegenerate 11\n"
+        "cost 26620021246685/34359738368\n"
+    )
+
+
+def test_solve_rejects_strongly_feasible_outside_ns(tmp_path, capsys):
+    inst_path = tmp_path / "general.min"
+    assert main(["gen", "--family", "mmcc_general", "--n", "6", "--m", "12",
+                 "--phi", "64", "--out", str(inst_path)]) == 0
+    for algorithm in ("mmcc", "ssp"):
+        rc = main(["solve", "--input", str(inst_path), "--algorithm", algorithm,
+                   "--strongly-feasible"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --strongly-feasible applies to --algorithm ns only\n"
