@@ -105,7 +105,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.algorithm != "all" and self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.phi is None and self.family != "mmcc_large_phi":
+        if self.family == "mmcc_large_phi":
+            if self.phi is not None:
+                raise ValueError("phi is fixed by the mmcc_large_phi family")
+        elif self.phi is None:
             raise ValueError("phi is required for this family")
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "FlowLabError",
     "CapacityViolation",
     "EmptyCycleError",
-    "ZeroResidualCapacityError",
     "UnboundedCycleError",
     "InfeasibleError",
     "IterationCapExceeded",
@@ -40,7 +39,6 @@ __all__ = [
     "residual",
     "flow_cost",
     "check_feasible",
-    "augment_cycle",
     "verify_optimality",
 ]
 
@@ -58,10 +56,6 @@ class CapacityViolation(FlowLabError):
 
 class EmptyCycleError(FlowLabError):
     """An augmenting cycle with no edges was supplied."""
-
-
-class ZeroResidualCapacityError(FlowLabError):
-    """A cycle edge has no residual capacity under the current flow."""
 
 
 class UnboundedCycleError(FlowLabError):
@@ -564,40 +558,6 @@ def check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
                 "node %s is off by %s" % (net.name_of(v), balance[v]),
             )
     return None
-
-
-def augment_cycle(net: FlowNetwork, flow: Flow, cycle: Cycle) -> tuple[Flow, Fraction]:
-    """Push the maximum possible amount around ``cycle``.
-
-    The amount is the minimum residual capacity over the cycle edges,
-    recomputed from ``flow`` rather than trusted from the cycle object.
-    Returns the new flow and the amount pushed.
-    """
-    if len(cycle.edges) == 0:
-        raise EmptyCycleError("cannot augment along an empty cycle")
-    delta: Capacity = None
-    for re in cycle.edges:
-        e = net.edges[re.edge_id]
-        f = flow[re.edge_id]
-        if re.forward:
-            headroom = None if e.capacity is None else e.capacity - f
-        else:
-            headroom = f
-        if headroom is not None and headroom <= 0:
-            raise ZeroResidualCapacityError(
-                "cycle edge over network edge %d has no residual capacity" % re.edge_id
-            )
-        if headroom is not None and (delta is None or headroom < delta):
-            delta = headroom
-    if delta is None:
-        raise UnboundedCycleError("every cycle edge is uncapacitated; cost is unbounded")
-    values = list(flow.values)
-    for re in cycle.edges:
-        if re.forward:
-            values[re.edge_id] += delta
-        else:
-            values[re.edge_id] -= delta
-    return Flow(tuple(values)), delta
 
 
 def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     CostInterval,

@@ -110,11 +110,13 @@ def mmcc_solve(
     ``IterationCapExceeded`` with the partial trace attached, it never
     silently truncates a run.
 
-    The run is exactly a loop of ``karp_min_mean(residual(...))`` and
-    ``augment_cycle``, cycle for cycle.  It is carried out on integers:
-    costs are scaled once by their common denominator, flows by that of
-    the capacities and the starting flow, and the residual network is
-    kept as paired arcs whose room each cancellation updates in place.
+    The run is exactly the ``Fraction`` loop of
+    ``karp_min_mean(residual(...))`` and ``augment_cycle`` that
+    ``tests/reference.py`` holds, cycle for cycle.  It is carried out on
+    integers: costs are scaled once by their common denominator, flows
+    by that of the capacities and the starting flow, and the residual
+    network is kept as paired arcs whose room each cancellation updates
+    in place.
     """
     if isinstance(instance, SmoothedInstance):
         if costs is None:

@@ -31,14 +31,11 @@ from .core import (
 __all__ = [
     "InfeasibleStructureError",
     "SpanningTreeStructure",
-    "PivotResult",
     "NsPivot",
     "NsTrace",
     "validate_structure",
     "tree_flow",
     "compute_potentials",
-    "entering_edge",
-    "pivot",
     "ns_solve",
     "basic_structure_from_flow",
     "nondegenerate_cycle_paths",
@@ -183,234 +180,6 @@ def compute_potentials(net: FlowNetwork, s: SpanningTreeStructure) -> tuple[Frac
     return tuple(pot)
 
 
-def reduced_cost(net: FlowNetwork, potentials, edge_id: int) -> Fraction:
-    e = net.edges[edge_id]
-    return e.cost - potentials[e.tail] + potentials[e.head]
-
-
-def entering_edge(net: FlowNetwork, s: SpanningTreeStructure) -> Optional[int]:
-    """The violating off-tree edge with the largest absolute reduced
-    cost, ties to the lowest edge id; ``None`` when the structure is
-    optimal.
-
-    Lower edges violate with negative reduced cost, upper edges with
-    positive reduced cost.
-    """
-    pot = s.potentials if s.potentials is not None else compute_potentials(net, s)
-    best_id: Optional[int] = None
-    best_mag: Optional[Fraction] = None
-    for idx in range(net.edge_count):
-        if idx in s.lower:
-            rc = reduced_cost(net, pot, idx)
-            if rc >= 0:
-                continue
-            mag = -rc
-        elif idx in s.upper:
-            rc = reduced_cost(net, pot, idx)
-            if rc <= 0:
-                continue
-            mag = rc
-        else:
-            continue
-        if best_mag is None or mag > best_mag:
-            best_mag = mag
-            best_id = idx
-    return best_id
-
-
-def _tree_path(net: FlowNetwork, adj, start: int, goal: int):
-    """Tree path as (edge id, traversed-forward) steps from start to goal."""
-    parent: dict[int, Optional[tuple[int, int]]] = {start: None}
-    queue = deque([start])
-    while queue and goal not in parent:
-        v = queue.popleft()
-        for idx, w in adj[v]:
-            if w not in parent:
-                parent[w] = (v, idx)
-                queue.append(w)
-    if goal not in parent:
-        raise InfeasibleStructureError("tree edges do not connect the pivot endpoints")
-    steps = []
-    node = goal
-    while parent[node] is not None:
-        prev, idx = parent[node]
-        steps.append((idx, net.edges[idx].tail == prev))
-        node = prev
-    steps.reverse()
-    return steps
-
-
-@dataclass(frozen=True)
-class PivotResult:
-    structure: SpanningTreeStructure
-    flow: Flow
-    leaving: int
-    amount: Fraction
-    degenerate: bool
-    cycle: tuple[tuple[int, bool], ...]
-    entering_reduced_cost: Fraction
-
-
-def pivot(
-    net: FlowNetwork,
-    s: SpanningTreeStructure,
-    entering: int,
-    flow: Optional[Flow] = None,
-    *,
-    strongly_feasible: bool = False,
-    full_potential_recompute: bool = False,
-) -> PivotResult:
-    """Execute one pivot on ``entering``.
-
-    The cycle is the entering edge plus the tree path between its
-    endpoints, traversed in the direction that increases a lower
-    entering edge and decreases an upper one.  The pushed amount is the
-    smallest headroom on the cycle; whichever blocking edge the leaving
-    rule picks swaps places with the entering edge.
-
-    The default leaving rule takes the blocking edge of minimum
-    ``leaving_rank``, ties to the lowest edge id.  With
-    ``strongly_feasible`` the rule instead takes the last blocking edge
-    met when walking the cycle from its apex (the path node nearest the
-    root) along the augmentation direction, which is the classic
-    anti-cycling choice and overrides the ranks.
-
-    Potentials are updated by shifting the subtree cut off by the
-    leaving edge; ``full_potential_recompute`` recomputes them from
-    scratch instead, as a cross-check mode.
-    """
-    if flow is None:
-        flow = tree_flow(net, s)
-    pot = s.potentials if s.potentials is not None else compute_potentials(net, s)
-    ent = net.edges[entering]
-    rc = ent.cost - pot[ent.tail] + pot[ent.head]
-    adj = _tree_adjacency(net, s.tree_edges)
-    if entering in s.lower:
-        cycle = [(entering, True)] + _tree_path(net, adj, ent.head, ent.tail)
-    elif entering in s.upper:
-        cycle = [(entering, False)] + _tree_path(net, adj, ent.tail, ent.head)
-    else:
-        raise ValueError("entering edge %d is already in the tree" % entering)
-
-    rooms: list[Optional[Fraction]] = []
-    delta: Optional[Fraction] = None
-    for idx, fwd in cycle:
-        edge = net.edges[idx]
-        if fwd:
-            room = None if edge.capacity is None else edge.capacity - flow[idx]
-        else:
-            room = flow[idx]
-        rooms.append(room)
-        if room is not None and (delta is None or room < delta):
-            delta = room
-    if delta is None:
-        raise UnboundedCycleError("pivot cycle has unlimited headroom; cost is unbounded")
-
-    blocking = [pos for pos, room in enumerate(rooms) if room == delta]
-    if strongly_feasible:
-        order, parent_edge = _bfs_order(net, adj, s.root)
-        depth = [0] * net.node_count
-        for v in order:
-            if parent_edge[v] is not None:
-                e = net.edges[parent_edge[v]]
-                other = e.head if e.tail == v else e.tail
-                depth[v] = depth[other] + 1
-        starts = [net.edges[idx].tail if fwd else net.edges[idx].head for idx, fwd in cycle]
-        apex_pos = min(range(len(cycle)), key=lambda i: depth[starts[i]])
-        rotation = list(range(apex_pos, len(cycle))) + list(range(apex_pos))
-        blocking_set = set(blocking)
-        leaving_pos = [pos for pos in rotation if pos in blocking_set][-1]
-    else:
-        leaving_pos = min(
-            blocking, key=lambda pos: (net.edges[cycle[pos][0]].leaving_rank, cycle[pos][0])
-        )
-    leaving, leaving_fwd = cycle[leaving_pos]
-
-    if delta != 0:
-        new_values = list(flow.values)
-        for idx, fwd in cycle:
-            if fwd:
-                new_values[idx] += delta
-            else:
-                new_values[idx] -= delta
-        new_flow = Flow(tuple(new_values))
-    else:
-        new_flow = flow
-
-    lower = set(s.lower)
-    upper = set(s.upper)
-    lower.discard(entering)
-    upper.discard(entering)
-    if leaving == entering:
-        # bounced straight back out at its other bound
-        if cycle[0][1]:
-            upper.add(entering)
-        else:
-            lower.add(entering)
-        new_structure = SpanningTreeStructure(
-            tree_edges=s.tree_edges,
-            lower=frozenset(lower),
-            upper=frozenset(upper),
-            root=s.root,
-            potentials=pot,
-        )
-    else:
-        tree = set(s.tree_edges)
-        tree.remove(leaving)
-        tree.add(entering)
-        # a forward-traversed blocker filled up, a backward one drained
-        if leaving_fwd:
-            upper.add(leaving)
-        else:
-            lower.add(leaving)
-        new_structure = SpanningTreeStructure(
-            tree_edges=frozenset(tree),
-            lower=frozenset(lower),
-            upper=frozenset(upper),
-            root=s.root,
-        )
-        if full_potential_recompute:
-            new_pot = compute_potentials(net, new_structure)
-        else:
-            # removing the leaving edge splits the old tree; the side away
-            # from the root shifts by a constant fixed by the entering edge
-            far = _far_side(net, s.tree_edges, leaving, s.root)
-            if far[ent.tail]:
-                shift = (pot[ent.head] + ent.cost) - pot[ent.tail]
-            else:
-                shift = (pot[ent.tail] - ent.cost) - pot[ent.head]
-            new_pot = tuple(
-                pot[v] + shift if far[v] else pot[v] for v in range(net.node_count)
-            )
-        new_structure = replace(new_structure, potentials=new_pot)
-
-    return PivotResult(
-        structure=new_structure,
-        flow=new_flow,
-        leaving=leaving,
-        amount=delta,
-        degenerate=(delta == 0),
-        cycle=tuple(cycle),
-        entering_reduced_cost=rc,
-    )
-
-
-def _far_side(net: FlowNetwork, tree_edges, removed: int, root: int):
-    """Membership mask of the component not containing the root after
-    deleting ``removed`` from the tree."""
-    adj = _tree_adjacency(net, (idx for idx in tree_edges if idx != removed))
-    reachable = [False] * net.node_count
-    reachable[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for _, w in adj[v]:
-            if not reachable[w]:
-                reachable[w] = True
-                queue.append(w)
-    return [not r for r in reachable]
-
-
 @dataclass(frozen=True)
 class NsPivot:
     entering: int
@@ -447,7 +216,6 @@ def ns_solve(
     *,
     iteration_cap: Optional[int] = None,
     strongly_feasible: bool = False,
-    full_potential_recompute: bool = False,
 ) -> NsTrace:
     """Pivot until no off-tree edge violates its optimality condition.
 
@@ -455,8 +223,9 @@ def ns_solve(
     augmentations can be replayed or compared.  Hitting the safety cap
     raises ``IterationCapExceeded`` with the partial trace attached.
 
-    The run is exactly a loop of ``entering_edge`` and ``pivot`` with
-    the same options, pivot for pivot.  It is carried out on integers:
+    The run is exactly the ``Fraction`` loop of ``entering_edge`` and
+    ``pivot`` that ``tests/reference.py`` holds, with the same options,
+    pivot for pivot.  It is carried out on integers:
     costs and potentials are scaled once by the common denominator of
     the costs (and of any given potentials), flows by that of the
     capacities and the starting tree flow, and the spanning tree is
@@ -470,9 +239,7 @@ def ns_solve(
     flow = tree_flow(net, structure)
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
-    return _ns_kernel(
-        net, structure, flow, iteration_cap, strongly_feasible, full_potential_recompute
-    )
+    return _ns_kernel(net, structure, flow, iteration_cap, strongly_feasible)
 
 
 def _tree_potentials(root, children, parent_edge, tail, cost, pot) -> None:
@@ -494,7 +261,6 @@ def _ns_kernel(
     start: Flow,
     iteration_cap: int,
     strongly_feasible: bool,
-    full_potential_recompute: bool,
 ) -> NsTrace:
     """The pivot loop of ``ns_solve`` on integer-scaled flat arrays."""
     n, m, root = net.node_count, net.edge_count, structure.root
@@ -669,8 +435,6 @@ def _ns_kernel(
                 for y in children[x]:
                     depth[y] = below
                     stack.append(y)
-            if full_potential_recompute:
-                _tree_potentials(root, children, parent_edge, tail, cost, pot)
             mags = None
 
         pivots.append(

@@ -23,8 +23,6 @@ from .core import (
     FlowNetwork,
     InfeasibleError,
     IterationCapExceeded,
-    ResidualEdge,
-    ResidualNetwork,
     _ResidualArcs,
     _scaled,
     default_iteration_cap,
@@ -35,8 +33,6 @@ __all__ = [
     "NegativeCycleError",
     "SspStep",
     "SspTrace",
-    "distances_to_sink",
-    "cheapest_path",
     "ssp_solve",
     "concentrate_budgets",
     "zero_budget_copy",
@@ -67,94 +63,6 @@ class SspTrace:
         return [s.cost for s in self.steps]
 
 
-def distances_to_sink(r: ResidualNetwork, sink: int) -> list[Optional[Fraction]]:
-    """Cheapest residual cost from each node to the sink, None when the
-    sink cannot be reached.
-
-    Raises ``NegativeCycleError`` when relaxation still improves after
-    node-count rounds, which can only happen on a negative cycle whose
-    nodes reach the sink.
-    """
-    dist: list[Optional[Fraction]] = [None] * r.node_count
-    dist[sink] = Fraction(0)
-    for round_no in range(r.node_count):
-        changed = False
-        for e in r.edges:
-            d = dist[e.head]
-            if d is None:
-                continue
-            candidate = d + e.cost
-            if dist[e.tail] is None or candidate < dist[e.tail]:
-                dist[e.tail] = candidate
-                changed = True
-        if not changed:
-            return dist
-    raise NegativeCycleError("path costs keep dropping; negative residual cycle")
-
-
-def _tight_adjacency(r: ResidualNetwork, dist):
-    """Outgoing residual edges lying on some cheapest path, keyed by
-    tail and sorted by head."""
-    adj: list[list[tuple[int, ResidualEdge]]] = [[] for _ in range(r.node_count)]
-    for e in r.edges:
-        if dist[e.tail] is None or dist[e.head] is None:
-            continue
-        if e.cost + dist[e.head] == dist[e.tail]:
-            adj[e.tail].append((e.head, e))
-    for lst in adj:
-        lst.sort(key=lambda pair: pair[0])
-    return adj
-
-
-def _reaches(adj, start: int, goal: int, blocked: set[int]) -> bool:
-    if start == goal:
-        return True
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w, _ in adj[v]:
-            if w == goal:
-                return True
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
-def cheapest_path(
-    r: ResidualNetwork, source: int, sink: int
-) -> Optional[list[ResidualEdge]]:
-    """A cheapest residual path from source to sink, or None.
-
-    Among all cheapest paths the one whose node sequence is
-    lexicographically smallest is returned; it is built greedily by
-    always stepping to the smallest next node that still has a cheapest
-    path onward to the sink through unused nodes.
-    """
-    dist = distances_to_sink(r, sink)
-    if dist[source] is None:
-        return None
-    adj = _tight_adjacency(r, dist)
-    path: list[ResidualEdge] = []
-    visited = {source}
-    node = source
-    while node != sink:
-        step = None
-        for w, e in adj[node]:
-            if w in visited:
-                continue
-            if _reaches(adj, w, sink, visited):
-                step = e
-                break
-        if step is None:
-            raise FlowLabError("internal error: cheapest path search got stuck")
-        path.append(step)
-        visited.add(step.head)
-        node = step.head
-    return path
-
-
 def ssp_solve(
     net: FlowNetwork,
     source: int,
@@ -173,8 +81,9 @@ def ssp_solve(
     smaller.  Runs out of paths before the demand is met raises
     ``InfeasibleError``.
 
-    The run is exactly a loop of ``residual`` and ``cheapest_path``,
-    step for step.  It is carried out on integers: costs are scaled
+    The run is exactly the ``Fraction`` loop of ``residual`` and
+    ``cheapest_path`` that ``tests/reference.py`` holds, step for step.
+    It is carried out on integers: costs are scaled
     once by their common denominator, flows by that of the capacities
     and the demand, and the residual network is kept as paired arcs
     whose room each augmentation updates in place.  The first labels
@@ -198,9 +107,9 @@ def ssp_solve(
 
 
 def _bellman_ford_labels(n, sink, tail, head, cost, room, nxt):
-    """``distances_to_sink`` on the paired arcs: the same relaxation
-    order, rounds and ``NegativeCycleError``.  ``nxt[v]`` is set to the
-    arc that last lowered ``v``'s label."""
+    """The reference ``distances_to_sink`` on the paired arcs: the same
+    relaxation order, rounds and ``NegativeCycleError``.  ``nxt[v]`` is
+    set to the arc that last lowered ``v``'s label."""
     live = [(a, tail[a], head[a], cost[a]) for a in range(len(tail)) if room[a] != 0]
     dist: list[Optional[int]] = [None] * n
     dist[sink] = 0

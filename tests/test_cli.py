@@ -188,6 +188,8 @@ def test_experiment_spec_requires_phi():
     # the large-phi family fixes its own phi, and the power-of-two rule
     # belongs to the command line only
     ExperimentSpec("mmcc_large_phi", 4, 9, None, (0,))
+    with pytest.raises(ValueError, match="phi is fixed by the mmcc_large_phi family"):
+        ExperimentSpec("mmcc_large_phi", 4, 9, Fraction(3), (0,))
     ExperimentSpec("ns_lower", 6, 10, Fraction(129, 2), (0,))
 
 

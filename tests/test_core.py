@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 import pytest
 
@@ -13,12 +12,9 @@ from flowlab.core import (
     Edge,
     EmptyCycleError,
     Flow,
-    FlowLabError,
     FlowNetwork,
     ResidualEdge,
     SmoothedInstance,
-    ZeroResidualCapacityError,
-    augment_cycle,
     check_feasible,
     flow_cost,
     rational,
@@ -35,6 +31,11 @@ from conftest import (
     find_any_cycle,
     random_capacity_respecting_flow,
     random_network,
+)
+from reference import (
+    ZeroResidualCapacityError,
+    augment_cycle,
+    reference_verify_optimality,
 )
 
 
@@ -280,45 +281,6 @@ def test_verify_optimality_witness_is_valid_cycle():
         _, delta = augment_cycle(net, flow, witness)
         assert delta > 0
     assert witnesses > 5
-
-
-def reference_verify_optimality(net, flow):
-    """``verify_optimality`` as it was over ``Fraction`` labels on the
-    built residual network: the reference for the integer version."""
-    r = residual(net, flow)
-    n = r.node_count
-    if n == 0:
-        return None
-    dist = [Fraction(0)] * n
-    pred: list[Optional[ResidualEdge]] = [None] * n
-    touched = None
-    for _ in range(n):
-        changed = False
-        for e in r.edges:
-            candidate = dist[e.tail] + e.cost
-            if candidate < dist[e.head]:
-                dist[e.head] = candidate
-                pred[e.head] = e
-                changed = True
-                touched = e.head
-        if not changed:
-            return None
-    node = touched
-    for _ in range(n):
-        node = pred[node].tail
-    edges = []
-    cursor = node
-    while True:
-        e = pred[cursor]
-        edges.append(e)
-        cursor = e.tail
-        if cursor == node:
-            break
-    edges.reverse()
-    witness = Cycle.from_edges(edges)
-    if witness.total_cost >= 0:
-        raise FlowLabError("internal error: witness cycle is not negative")
-    return witness
 
 
 def test_verify_optimality_matches_reference_on_mmcc_starting_flows():

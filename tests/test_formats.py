@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowlab.core import Flow, FlowNetwork
+from flowlab.core import CostInterval, Edge, Flow, FlowNetwork, SmoothedInstance
 from flowlab.formats import (
     ParseError,
+    format_flow,
     format_network,
     format_smoothed,
+    parse_flow,
     parse_network,
     parse_smoothed,
     read_dimacs,
@@ -24,6 +27,7 @@ from flowlab.generators import (
     gen_ns_lower_bound,
     gen_random_smoothed,
 )
+from flowlab.netsimplex import SpanningTreeStructure
 
 
 def test_minimal_network_parses():
@@ -86,8 +90,6 @@ def test_smoothed_round_trip_with_structure(tmp_path):
 
 def test_zero_flow_distinct_from_missing_flow():
     net = FlowNetwork.from_data(2, [(0, 1, 1, 0)])
-    from flowlab.core import CostInterval, SmoothedInstance
-
     bare = SmoothedInstance(
         network=net,
         intervals=(CostInterval(Fraction(0), Fraction(1)),),
@@ -175,3 +177,82 @@ def test_comments_are_ignored_but_names_harvested():
     net = parse_network(text)
     assert net.node_names == ("source node", "sink")
     assert net.edge_labels == ("main",)
+
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+amounts = st.builds(Fraction, st.integers(0, 40), st.integers(1, 12))
+# display names are whitespace-separated words, as the comment lines
+# that carry them are read back
+words = st.text("abcxyz019_-/", min_size=1, max_size=5)
+display_names = st.lists(words, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def networks(draw, min_edges=0):
+    """A network with rational budgets and costs, ``inf`` capacities,
+    leaving ranks, and optional node names and edge labels."""
+    n = draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=min_edges, max_size=10, unique=True))
+    edges = tuple(
+        Edge(tail, head, draw(st.none() | amounts), draw(rationals), draw(st.integers(-2, 3)))
+        for tail, head in chosen
+    )
+    names = draw(st.none() | st.lists(display_names, min_size=n, max_size=n).map(tuple))
+    labels = None
+    if edges:
+        labels = draw(
+            st.none() | st.lists(display_names, min_size=len(edges), max_size=len(edges)).map(tuple)
+        )
+    budgets = tuple(draw(st.lists(rationals, min_size=n, max_size=n)))
+    return FlowNetwork(n, edges, budgets, names, labels)
+
+
+def flows(net):
+    return st.lists(amounts, min_size=net.edge_count, max_size=net.edge_count).map(
+        lambda values: Flow(tuple(values))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks())
+def test_network_round_trip_property(net):
+    back = parse_network(format_network(net))
+    assert back == net
+    assert back.node_names == net.node_names
+    assert back.edge_labels == net.edge_labels
+
+
+@st.composite
+def smoothed_documents(draw):
+    """A smoothed instance with a starting flow, and a structure that
+    splits the edges into tree, lower and upper sets."""
+    net = draw(networks(min_edges=1))
+    intervals = tuple(
+        CostInterval(draw(rationals), draw(amounts)) for _ in range(net.edge_count)
+    )
+    phi = draw(st.builds(Fraction, st.integers(1, 4096), st.integers(1, 4)))
+    inst = SmoothedInstance(net, intervals, phi, draw(flows(net)))
+    sets = draw(st.lists(st.sampled_from("tlu"), min_size=net.edge_count, max_size=net.edge_count))
+    structure = SpanningTreeStructure(
+        *(frozenset(e for e, kind in enumerate(sets) if kind == wanted) for wanted in "tlu"),
+        root=draw(st.integers(0, net.node_count - 1)),
+    )
+    return inst, structure
+
+
+@settings(max_examples=150, deadline=None)
+@given(smoothed_documents())
+def test_smoothed_round_trip_property(document):
+    inst, structure = document
+    back = parse_smoothed(format_smoothed(inst, structure))
+    assert back == (inst, structure)
+    assert back[0].network.node_names == inst.network.node_names
+    assert back[0].network.edge_labels == inst.network.edge_labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks().flatmap(lambda net: st.tuples(st.just(net), flows(net))))
+def test_flow_round_trip_property(net_and_flow):
+    net, flow = net_and_flow
+    assert parse_flow(format_flow(net, flow), net) == flow

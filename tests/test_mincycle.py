@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowlab.core import Cycle, Flow, ResidualEdge, ResidualNetwork, residual
+from flowlab.core import ResidualEdge, ResidualNetwork, residual
 from flowlab.mincycle import (
     GraphTooLargeError,
     brute_force_min_mean,
@@ -17,6 +17,7 @@ from flowlab.mincycle import (
 )
 
 from conftest import random_capacity_respecting_flow, random_network
+from reference import reference_karp
 
 
 def residual_net(node_count, arcs):
@@ -198,48 +199,6 @@ def test_brute_force_guard():
         brute_force_min_mean(r)
     cycle = brute_force_min_mean(r, node_limit=13)
     assert cycle is not None and cycle.mean_cost == 1
-
-
-def reference_karp(r):
-    """Karp's table over ``Fraction`` costs with a predecessor link per
-    entry, ties to the lowest residual-edge index and then the lowest
-    node: the cycle, or None."""
-    n = r.node_count
-    if n == 0 or not r.edges:
-        return None
-    table = [[Fraction(0)] * n]
-    preds = [[None] * n]
-    for _ in range(n):
-        prev, row, pred_row = table[-1], [None] * n, [None] * n
-        for e in r.edges:
-            if prev[e.tail] is None:
-                continue
-            candidate = prev[e.tail] + e.cost
-            if row[e.head] is None or candidate < row[e.head]:
-                row[e.head], pred_row[e.head] = candidate, e
-        table.append(row)
-        preds.append(pred_row)
-    best = best_node = None
-    for v in range(n):
-        if table[n][v] is None:
-            continue
-        worst = max(
-            (table[n][v] - table[k][v]) / (n - k) for k in range(n) if table[k][v] is not None
-        )
-        if best is None or worst < best:
-            best, best_node = worst, v
-    if best_node is None:
-        return None
-    walk, node = [], best_node
-    for k in range(n, 0, -1):
-        walk.append(preds[k][node])
-        node = walk[-1].tail
-    # walk runs backwards from the end; cut at the first repeated node
-    seen_at = {best_node: 0}
-    for i, e in enumerate(walk):
-        if e.tail in seen_at:
-            return Cycle.from_edges(walk[seen_at[e.tail]:i + 1][::-1])
-        seen_at[e.tail] = i + 1
 
 
 def scaled_costs(r, factor):

@@ -14,10 +14,8 @@ from flowlab.core import (
     InfeasibleError,
     IterationCapExceeded,
     UnboundedCycleError,
-    augment_cycle,
     check_feasible,
     flow_cost,
-    residual,
     verify_optimality,
 )
 from flowlab.generators import (
@@ -26,9 +24,7 @@ from flowlab.generators import (
     gen_mmcc_large_phi,
     sample_costs,
 )
-from flowlab.mincycle import karp_min_mean
 from flowlab.mmcc import (
-    MmccIteration,
     default_iteration_cap,
     halving_violation,
     initial_feasible_flow,
@@ -36,6 +32,7 @@ from flowlab.mmcc import (
 )
 
 from conftest import random_network
+from reference import augment_cycle, reference_mmcc, reference_run
 
 
 def net_from(node_count, edges, budgets=None):
@@ -129,8 +126,6 @@ def test_mmcc_cost_strictly_decreases_each_iteration():
             continue
         # replay and watch the cost drop
         flow = initial_feasible_flow(net)
-        from flowlab.core import augment_cycle
-
         cost = flow_cost(net, flow)
         for it in trace.iterations:
             flow, amount = augment_cycle(net, flow, it.cycle)
@@ -181,24 +176,6 @@ def test_smoothed_instance_requires_costs():
         mmcc_solve(inst)
     with pytest.raises(ValueError):
         mmcc_solve(net, costs=[Fraction(1, 2)])
-
-
-def reference_mmcc(net, flow, limit=None):
-    """``mmcc_solve`` spelled out as a loop of ``karp_min_mean`` over
-    ``residual`` and ``augment_cycle``: the iterations and the flow
-    after them."""
-    iterations = []
-    while limit is None or len(iterations) < limit:
-        cycle = karp_min_mean(residual(net, flow))
-        if cycle is None or cycle.mean_cost >= 0:
-            break
-        flow, amount = augment_cycle(net, flow, cycle)
-        iterations.append(MmccIteration(cycle=cycle, mean_cost=cycle.mean_cost, amount=amount))
-    return iterations, flow
-
-
-def reference_run(net):
-    return reference_mmcc(net, initial_feasible_flow(net))
 
 
 def outcome(solve, *args):

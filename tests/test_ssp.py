@@ -21,15 +21,13 @@ from flowlab.generators import (
 from flowlab.mmcc import mmcc_solve
 from flowlab.ssp import (
     NegativeCycleError,
-    SspStep,
-    cheapest_path,
     concentrate_budgets,
-    distances_to_sink,
     ssp_solve,
     zero_budget_copy,
 )
 
 from conftest import random_simple_digraph
+from reference import cheapest_path, distances_to_sink, reference_ssp
 
 
 def test_distances_to_sink_simple_chain():
@@ -219,30 +217,6 @@ def test_ssp_on_concentrated_network_matches_cycle_canceling():
         assert verify_optimality(net, restricted) is None
         solved += 1
     assert solved > 15
-
-
-def reference_ssp(net, source, sink, demand, limit=None):
-    """``ssp_solve`` spelled out as a loop of ``residual`` and
-    ``cheapest_path``: the steps and the flow after them."""
-    demand = Fraction(demand)
-    values = [Fraction(0)] * net.edge_count
-    steps = []
-    remaining = demand
-    while remaining > 0 and (limit is None or len(steps) < limit):
-        path = cheapest_path(residual(net, Flow(tuple(values))), source, sink)
-        if path is None:
-            raise InfeasibleError(
-                "no residual path left with %s of %s still to ship" % (remaining, demand)
-            )
-        rooms = [e.capacity for e in path if e.capacity is not None]
-        amount = min(rooms + [remaining])
-        for e in path:
-            values[e.edge_id] += amount if e.forward else -amount
-        nodes = (source,) + tuple(e.head for e in path)
-        cost = sum((e.cost for e in path), Fraction(0))
-        steps.append(SspStep(path=nodes, cost=cost, amount=amount))
-        remaining -= amount
-    return steps, Flow(tuple(values))
 
 
 def outcome(solve, *args):
