@@ -454,10 +454,9 @@ class _ResidualArcs:
     ``cost_scale``, the lcm of the cost denominators, and room (residual
     capacity) by ``flow_scale``, the lcm of the capacity, flow and
     ``extra`` denominators; room is ``None`` when unbounded.  The flow
-    of edge ``e`` is the room of arc ``2e + 1``, and the arcs with room,
-    in ascending arc id, are the edges ``residual`` builds, in its
-    order.  ``flow`` defaults to zero; one outside its capacities raises
-    as in ``residual``.
+    of edge ``e`` is the room of arc ``2e + 1``, and ``residual`` is
+    read off the arcs with room, in ascending arc id.  ``flow`` defaults
+    to zero; one outside its capacities raises as in ``residual``.
     """
 
     def __init__(self, net: FlowNetwork, flow: Optional[Flow] = None, extra=()):
@@ -518,17 +517,10 @@ def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
 
     Raises ``CapacityViolation`` if the flow breaks a capacity bound.
     """
-    _check_capacities(net, flow)
-    out = []
-    for idx, e in enumerate(net.edges):
-        f = flow[idx]
-        if e.capacity is None:
-            out.append(ResidualEdge(e.tail, e.head, None, e.cost, idx, True))
-        elif f < e.capacity:
-            out.append(ResidualEdge(e.tail, e.head, e.capacity - f, e.cost, idx, True))
-        if f > 0:
-            out.append(ResidualEdge(e.head, e.tail, f, -e.cost, idx, False))
-    return ResidualNetwork(node_count=net.node_count, edges=tuple(out))
+    res = _ResidualArcs(net, flow)
+    return ResidualNetwork(
+        net.node_count, tuple(res.residual_edge(a) for a, r in enumerate(res.room) if r != 0)
+    )
 
 
 def flow_cost(net: FlowNetwork, flow: Flow) -> Fraction:

@@ -72,8 +72,30 @@ def floor_log2(q) -> int:
     return e
 
 
+def _check_size(n: int, m: int, least_n: int = 1) -> None:
+    """Raise unless ``n >= least_n`` and the core's ``m`` edges fit
+    between ``n`` and ``n**2``."""
+    if n < least_n:
+        raise ParamViolation("n must be at least %d" % least_n)
+    if not (n <= m <= n * n):
+        raise ParamViolation("m must lie between n and n**2")
+
+
 @dataclass(frozen=True)
-class MmccGeneralParams:
+class _SizeParams:
+    n: int
+    m: int
+    phi: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", rational(self.phi))
+        _check_size(self.n, self.m)
+        if self.phi < 64:
+            raise ParamViolation("phi must be at least 64")
+
+
+@dataclass(frozen=True)
+class MmccGeneralParams(_SizeParams):
     """Size knobs for ``gen_mmcc_general``.
 
     ``n`` is the side of the bipartite core, ``m`` the number of its
@@ -81,19 +103,6 @@ class MmccGeneralParams:
     parameter, at least 64 so that each ladder has at least one rung on
     the wider side.
     """
-
-    n: int
-    m: int
-    phi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", rational(self.phi))
-        if self.n < 1:
-            raise ParamViolation("n must be at least 1")
-        if not (self.n <= self.m <= self.n * self.n):
-            raise ParamViolation("m must lie between n and n**2")
-        if self.phi < 64:
-            raise ParamViolation("phi must be at least 64")
 
     @property
     def w_count(self) -> int:
@@ -105,25 +114,14 @@ class MmccGeneralParams:
 
 
 @dataclass(frozen=True)
-class NsParams:
+class NsParams(_SizeParams):
     """Size knobs for ``gen_ns_lower_bound``.
 
     ``level_count`` recursion depth and ``chain_length`` both grow with
     ``log2(phi)``; ``chain_length`` is additionally capped by ``n``.
+    The ranges of ``n``, ``m`` and ``phi`` are those of
+    ``MmccGeneralParams``.
     """
-
-    n: int
-    m: int
-    phi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", rational(self.phi))
-        if self.n < 1:
-            raise ParamViolation("n must be at least 1")
-        if not (self.n <= self.m <= self.n * self.n):
-            raise ParamViolation("m must lie between n and n**2")
-        if self.phi < 64:
-            raise ParamViolation("phi must be at least 64")
 
     @property
     def level_count(self) -> int:
@@ -151,116 +149,27 @@ def _self_check(inst: SmoothedInstance) -> SmoothedInstance:
     return inst
 
 
-def gen_mmcc_general(params: MmccGeneralParams, pair_seed: int = 0) -> SmoothedInstance:
-    """Cycle-canceling stress instance with two absorbing ladders.
-
-    A bipartite core of ``m`` unit edges sits between distribution
-    nodes ``a, b, c, d``.  Ladder nodes ``w1, w2, ...`` hang off ``a``
-    (fed back from ``d``) and ``x1, x2, ...`` off ``c`` (fed from
-    ``b``), with expensive direct edges whose cost intervals drop by a
-    factor of four per rung.  The starting flow parks everything on the
-    expensive edges; every cancellation then reroutes one unit through
-    the core, and each rung takes exactly ``m`` cancellations.
+def _ladders(n, m, phi, pair_seed, w_tops, x_tops, split) -> SmoothedInstance:
+    """The two-ladder instance of both MMCC families, as described in
+    ``gen_mmcc_general``: the expensive edge of rung ``i`` tops out at
+    ``w_tops[i]`` on the ``w`` side and at ``x_tops[i]`` on the ``x``
+    side.  With ``split`` the heads ``a`` and ``c`` become ``a1 ... a2``
+    and ``c1 ... c2``, joined by ``n``-edge paths: the ladders hang off
+    ``a1`` and ``c1``, and the core is fed from ``a2`` and ``c2``.
     """
-    n, m, phi = params.n, params.m, params.phi
-    k_w, k_x = params.w_count, params.x_count
     unit = 1 / phi
+    names = ["a1", "a2", "b", "c1", "c2", "d"] if split else ["a", "b", "c", "d"]
+    a1, a2, b, c1, c2, d = range(6) if split else (0, 0, 1, 2, 2, 3)
 
-    a, b, c, d = 0, 1, 2, 3
-    u = [4 + i for i in range(n)]
-    v = [4 + n + i for i in range(n)]
-    w = [4 + 2 * n + i for i in range(k_w)]
-    x = [4 + 2 * n + k_w + i for i in range(k_x)]
-    names = (
-        ["a", "b", "c", "d"]
-        + ["u%d" % (i + 1) for i in range(n)]
-        + ["v%d" % (i + 1) for i in range(n)]
-        + ["w%d" % (i + 1) for i in range(k_w)]
-        + ["x%d" % (i + 1) for i in range(k_x)]
-    )
-    node_count = 4 + 2 * n + k_w + k_x
+    def block(prefix, count):
+        first = len(names)
+        names.extend("%s%d" % (prefix, i + 1) for i in range(count))
+        return list(range(first, len(names)))
 
-    arcs = []
-    intervals = []
-    labels = []
-
-    def add(tail, head, cap, lo, width, label):
-        arcs.append((tail, head, cap, lo))
-        intervals.append(CostInterval(rational(lo), rational(width)))
-        labels.append(label)
-
-    for i, j in _bipartite_pairs(n, m, pair_seed):
-        add(u[i], v[j], 1, 0, unit, "uv")
-    for i in range(n):
-        add(a, u[i], None, 0, unit, "a_u")
-    for i in range(n):
-        add(u[i], b, None, 0, unit, "u_b")
-    for j in range(n):
-        add(c, v[j], None, 0, unit, "c_v")
-    for j in range(n):
-        add(v[j], d, None, 0, unit, "v_d")
-    start_edges = []
-    for i in range(1, k_w + 1):
-        add(d, w[i - 1], m, 0, unit, "d_w")
-        start_edges.append(len(arcs))
-        add(a, w[i - 1], m, Fraction(2) ** (2 - 2 * i) - unit, unit, "a_w")
-    for i in range(1, k_x + 1):
-        add(b, x[i - 1], m, 0, unit, "b_x")
-        start_edges.append(len(arcs))
-        add(c, x[i - 1], m, Fraction(2) ** (1 - 2 * i) - unit, unit, "c_x")
-
-    budgets = [Fraction(0)] * node_count
-    budgets[a] = Fraction(k_w * m)
-    budgets[c] = Fraction(k_x * m)
-    for node in w + x:
-        budgets[node] = Fraction(-m)
-
-    net = FlowNetwork.from_data(
-        node_count, arcs, budgets=budgets, node_names=names, edge_labels=labels
-    )
-    values = [Fraction(0)] * net.edge_count
-    for idx in start_edges:
-        values[idx] = Fraction(m)
-    inst = SmoothedInstance(
-        network=net, intervals=tuple(intervals), phi=phi, starting_flow=Flow(tuple(values))
-    )
-    return _self_check(inst)
-
-
-def gen_mmcc_large_phi(n: int, m: int, pair_seed: int = 0) -> SmoothedInstance:
-    """Variant with ``n`` ladder rungs per side under a huge fixed phi.
-
-    ``phi`` is pinned to ``400000 * n**2`` and the rung costs shrink
-    geometrically with ratio ``(n - 3) / n``, so ``n`` must be at least
-    4.  Both distribution heads are split in two joined by an
-    ``n``-edge path, which pads the cycle length without changing what
-    gets canceled: ``2 * m * n`` cancellations, alternating sides.
-    """
-    if n < 4:
-        raise ParamViolation("n must be at least 4")
-    if not (n <= m <= n * n):
-        raise ParamViolation("m must lie between n and n**2")
-    phi = Fraction(400000 * n * n)
-    ratio = Fraction(n - 3, n)
-    unit = 1 / phi
-
-    a1, a2, b, c1, c2, d = 0, 1, 2, 3, 4, 5
-    u = [6 + i for i in range(n)]
-    v = [6 + n + i for i in range(n)]
-    w = [6 + 2 * n + i for i in range(n)]
-    x = [6 + 3 * n + i for i in range(n)]
-    ap = [6 + 4 * n + i for i in range(n - 1)]
-    cp = [6 + 5 * n - 1 + i for i in range(n - 1)]
-    names = (
-        ["a1", "a2", "b", "c1", "c2", "d"]
-        + ["u%d" % (i + 1) for i in range(n)]
-        + ["v%d" % (i + 1) for i in range(n)]
-        + ["w%d" % (i + 1) for i in range(n)]
-        + ["x%d" % (i + 1) for i in range(n)]
-        + ["ap%d" % (i + 1) for i in range(n - 1)]
-        + ["cp%d" % (i + 1) for i in range(n - 1)]
-    )
-    node_count = 6 + 4 * n + 2 * (n - 1)
+    u, v = block("u", n), block("v", n)
+    w, x = block("w", len(w_tops)), block("x", len(x_tops))
+    if split:
+        ap, cp = block("ap", n - 1), block("cp", n - 1)
 
     arcs = []
     intervals = []
@@ -282,29 +191,27 @@ def gen_mmcc_large_phi(n: int, m: int, pair_seed: int = 0) -> SmoothedInstance:
     for j in range(n):
         add(v[j], d, None, 0, unit, "v_d")
     start_edges = []
-    for i in range(1, n + 1):
-        add(d, w[i - 1], m, 0, unit, "d_w")
+    for node, top in zip(w, w_tops):
+        add(d, node, m, 0, unit, "d_w")
         start_edges.append(len(arcs))
-        add(a1, w[i - 1], m, ratio ** (2 * i - 2) - unit, unit, "a_w")
-    for i in range(1, n + 1):
-        add(b, x[i - 1], m, 0, unit, "b_x")
+        add(a1, node, m, top - unit, unit, "a_w")
+    for node, top in zip(x, x_tops):
+        add(b, node, m, 0, unit, "b_x")
         start_edges.append(len(arcs))
-        add(c1, x[i - 1], m, ratio ** (2 * i - 1) - unit, unit, "c_x")
-    path_a = [a1] + ap + [a2]
-    for fr, to in zip(path_a, path_a[1:]):
-        add(fr, to, None, 0, unit, "a_path")
-    path_c = [c1] + cp + [c2]
-    for fr, to in zip(path_c, path_c[1:]):
-        add(fr, to, None, 0, unit, "c_path")
+        add(c1, node, m, top - unit, unit, "c_x")
+    if split:
+        for label, path in (("a_path", [a1] + ap + [a2]), ("c_path", [c1] + cp + [c2])):
+            for fr, to in zip(path, path[1:]):
+                add(fr, to, None, 0, unit, label)
 
-    budgets = [Fraction(0)] * node_count
-    budgets[a1] = Fraction(n * m)
-    budgets[c1] = Fraction(n * m)
+    budgets = [Fraction(0)] * len(names)
+    budgets[a1] = Fraction(len(w_tops) * m)
+    budgets[c1] = Fraction(len(x_tops) * m)
     for node in w + x:
         budgets[node] = Fraction(-m)
 
     net = FlowNetwork.from_data(
-        node_count, arcs, budgets=budgets, node_names=names, edge_labels=labels
+        len(names), arcs, budgets=budgets, node_names=names, edge_labels=labels
     )
     values = [Fraction(0)] * net.edge_count
     for idx in start_edges:
@@ -313,6 +220,38 @@ def gen_mmcc_large_phi(n: int, m: int, pair_seed: int = 0) -> SmoothedInstance:
         network=net, intervals=tuple(intervals), phi=phi, starting_flow=Flow(tuple(values))
     )
     return _self_check(inst)
+
+
+def gen_mmcc_general(params: MmccGeneralParams, pair_seed: int = 0) -> SmoothedInstance:
+    """Cycle-canceling stress instance with two absorbing ladders.
+
+    A bipartite core of ``m`` unit edges sits between distribution
+    nodes ``a, b, c, d``.  Ladder nodes ``w1, w2, ...`` hang off ``a``
+    (fed back from ``d``) and ``x1, x2, ...`` off ``c`` (fed from
+    ``b``), with expensive direct edges whose cost intervals drop by a
+    factor of four per rung.  The starting flow parks everything on the
+    expensive edges; every cancellation then reroutes one unit through
+    the core, and each rung takes exactly ``m`` cancellations.
+    """
+    w_tops = [Fraction(2) ** (2 - 2 * i) for i in range(1, params.w_count + 1)]
+    x_tops = [Fraction(2) ** (1 - 2 * i) for i in range(1, params.x_count + 1)]
+    return _ladders(params.n, params.m, params.phi, pair_seed, w_tops, x_tops, split=False)
+
+
+def gen_mmcc_large_phi(n: int, m: int, pair_seed: int = 0) -> SmoothedInstance:
+    """Variant with ``n`` ladder rungs per side under a huge fixed phi.
+
+    ``phi`` is pinned to ``400000 * n**2`` and the rung costs shrink
+    geometrically with ratio ``(n - 3) / n``, so ``n`` must be at least
+    4.  Both distribution heads are split in two joined by an
+    ``n``-edge path, which pads the cycle length without changing what
+    gets canceled: ``2 * m * n`` cancellations, alternating sides.
+    """
+    _check_size(n, m, least_n=4)
+    ratio = Fraction(n - 3, n)
+    w_tops = [ratio ** (2 * i - 2) for i in range(1, n + 1)]
+    x_tops = [ratio ** (2 * i - 1) for i in range(1, n + 1)]
+    return _ladders(n, m, Fraction(400000 * n * n), pair_seed, w_tops, x_tops, split=True)
 
 
 def gen_ns_lower_bound(

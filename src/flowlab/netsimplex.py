@@ -10,7 +10,6 @@ edge.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -51,7 +50,10 @@ class SpanningTreeStructure:
     """Partition of the edge ids into tree, lower, and upper sets.
 
     ``potentials`` is derived data (cached after computation) and is
-    excluded from equality.
+    excluded from equality.  ``ns_solve`` reads only the root's entry,
+    the constant its final potentials are shifted by; the rest it
+    derives from the tree, so a structure whose cached potentials belong
+    to other costs is still solved correctly.
     """
 
     tree_edges: frozenset[int]
@@ -87,33 +89,41 @@ def validate_structure(net: FlowNetwork, s: SpanningTreeStructure) -> Optional[V
     return None
 
 
-def _tree_adjacency(net: FlowNetwork, tree_edges: Iterable[int]):
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
-    for idx in tree_edges:
-        e = net.edges[idx]
-        adj[e.tail].append((idx, e.head))
-        adj[e.head].append((idx, e.tail))
-    return adj
+def _hang(n: int, tail, head, tree_edges, root: int):
+    """The tree hung from ``root`` in breadth-first order: the visit
+    order, and the parent node and parent edge of every node, ``-1`` at
+    the root.
 
-
-def _bfs_order(net: FlowNetwork, adj, root: int):
-    """Visit order and per-node parent edge id (None at the root)."""
-    order = [root]
-    parent_edge: list[Optional[int]] = [None] * net.node_count
-    seen = [False] * net.node_count
+    Raises ``InfeasibleStructureError`` unless the edges form a
+    spanning tree: ``n - 1`` of them, reaching every node.
+    """
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for e in tree_edges:
+        incident[tail[e]].append(e)
+        incident[head[e]].append(e)
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    seen = [False] * n
     seen[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for idx, w in adj[v]:
+    order = [root]
+    for v in order:
+        for e in incident[v]:
+            w = head[e] if tail[e] == v else tail[e]
             if not seen[w]:
                 seen[w] = True
-                parent_edge[w] = idx
+                parent[w], parent_edge[w] = v, e
                 order.append(w)
-                queue.append(w)
-    if len(order) != net.node_count:
+    if len(order) != n or len(tree_edges) != n - 1:
         raise InfeasibleStructureError("tree edges do not span every node")
-    return order, parent_edge
+    return order, parent, parent_edge
+
+
+def _potentials(order, parent, parent_edge, tail, cost, pot) -> None:
+    """Fill ``pot`` down the hung tree so that every tree edge has
+    reduced cost zero; the root keeps the value it has."""
+    for w in order[1:]:
+        v, e = parent[w], parent_edge[w]
+        pot[w] = pot[v] - cost[e] if tail[e] == v else pot[v] + cost[e]
 
 
 def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
@@ -123,8 +133,9 @@ def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
     Raises ``InfeasibleStructureError`` when a tree edge would have to
     carry a negative amount or exceed its capacity.
     """
-    adj = _tree_adjacency(net, s.tree_edges)
-    order, parent_edge = _bfs_order(net, adj, s.root)
+    tail = [e.tail for e in net.edges]
+    head = [e.head for e in net.edges]
+    order, parent, parent_edge = _hang(net.node_count, tail, head, s.tree_edges, s.root)
     values: list[Optional[Fraction]] = [None] * net.edge_count
     # surplus[v]: amount that must still leave v through unresolved edges
     surplus = list(net.budgets)
@@ -135,19 +146,12 @@ def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
         if cap is None:
             raise InfeasibleStructureError("edge %d in upper set has no capacity" % idx)
         values[idx] = cap
-        surplus[net.edges[idx].tail] -= cap
-        surplus[net.edges[idx].head] += cap
-    for v in reversed(order):
+        surplus[tail[idx]] -= cap
+        surplus[head[idx]] += cap
+    for v in reversed(order[1:]):
         idx = parent_edge[v]
-        if idx is None:
-            continue
-        e = net.edges[idx]
-        if e.tail == v:
-            f = surplus[v]
-            surplus[e.head] += f
-        else:
-            f = -surplus[v]
-            surplus[e.tail] -= f
+        f = surplus[v] if tail[idx] == v else -surplus[v]
+        surplus[parent[v]] += surplus[v]
         values[idx] = f
     if surplus[s.root] != 0:
         raise InfeasibleStructureError("budgets do not balance through the tree")
@@ -164,19 +168,11 @@ def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
 def compute_potentials(net: FlowNetwork, s: SpanningTreeStructure) -> tuple[Fraction, ...]:
     """Node potentials making every tree edge's reduced cost zero, with
     the root pinned at zero."""
-    adj = _tree_adjacency(net, s.tree_edges)
-    pot: list[Optional[Fraction]] = [None] * net.node_count
-    pot[s.root] = Fraction(0)
-    queue = deque([s.root])
-    while queue:
-        v = queue.popleft()
-        for idx, w in adj[v]:
-            if pot[w] is None:
-                e = net.edges[idx]
-                pot[w] = pot[v] - e.cost if e.tail == v else pot[v] + e.cost
-                queue.append(w)
-    if any(p is None for p in pot):
-        raise InfeasibleStructureError("tree edges do not span every node")
+    tail = [e.tail for e in net.edges]
+    head = [e.head for e in net.edges]
+    hung = _hang(net.node_count, tail, head, s.tree_edges, s.root)
+    pot = [Fraction(0)] * net.node_count
+    _potentials(*hung, tail, [e.cost for e in net.edges], pot)
     return tuple(pot)
 
 
@@ -224,10 +220,10 @@ def ns_solve(
     raises ``IterationCapExceeded`` with the partial trace attached.
 
     The run is exactly the ``Fraction`` loop of ``entering_edge`` and
-    ``pivot`` that ``tests/reference.py`` holds, with the same options,
-    pivot for pivot.  It is carried out on integers:
-    costs and potentials are scaled once by the common denominator of
-    the costs (and of any given potentials), flows by that of the
+    ``pivot`` that ``tests/reference.py`` holds, started from the
+    tree's potentials, with the same options, pivot for pivot.  It is
+    carried out on integers: costs and potentials are scaled once by
+    the common denominator of the costs, flows by that of the
     capacities and the starting tree flow, and the spanning tree is
     kept as parent pointers with depths that each pivot updates in
     place.  ``Fraction`` values are built only for the trace and the
@@ -240,19 +236,6 @@ def ns_solve(
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
     return _ns_kernel(net, structure, flow, iteration_cap, strongly_feasible)
-
-
-def _tree_potentials(root, children, parent_edge, tail, cost, pot) -> None:
-    """Fill ``pot`` from the tree with the root pinned at zero, as
-    ``compute_potentials`` does."""
-    pot[root] = 0
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in children[v]:
-            e = parent_edge[w]
-            pot[w] = pot[v] - cost[e] if tail[e] == v else pot[v] + cost[e]
-            stack.append(w)
 
 
 def _ns_kernel(
@@ -268,10 +251,7 @@ def _ns_kernel(
     tail = [e.tail for e in edges]
     head = [e.head for e in edges]
     rank = [e.leaving_rank for e in edges]
-    given = structure.potentials
-    cost_scale = lcm(
-        *(e.cost.denominator for e in edges), *(p.denominator for p in given or ())
-    )
+    cost_scale = lcm(*(e.cost.denominator for e in edges))
     flow_scale = lcm(
         *(e.capacity.denominator for e in edges if e.capacity is not None),
         *(f.denominator for f in start.values),
@@ -289,30 +269,21 @@ def _ns_kernel(
     # the spanning tree hung from the root: parent node, the tree edge to
     # it, depth and children of every node, and the cycle steps that
     # climb from a node to its parent and descend from the parent to it
-    parent = [-1] * n
-    parent_edge = [-1] * n
+    order, parent, parent_edge = _hang(n, tail, head, structure.tree_edges, root)
     depth = [0] * n
     children: list[list[int]] = [[] for _ in range(n)]
     up_step: list[Optional[tuple[int, bool]]] = [None] * n
     down_step: list[Optional[tuple[int, bool]]] = [None] * n
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for e in structure.tree_edges:
-        incident[tail[e]].append(e)
-        incident[head[e]].append(e)
-    order = [root]
-    for v in order:
-        for e in incident[v]:
-            if e != parent_edge[v]:
-                w = head[e] if tail[e] == v else tail[e]
-                parent[w], parent_edge[w], depth[w] = v, e, depth[v] + 1
-                up_step[w], down_step[w] = (e, tail[e] == w), (e, head[e] == w)
-                children[v].append(w)
-                order.append(w)
+    for w in order[1:]:
+        v, e = parent[w], parent_edge[w]
+        depth[w] = depth[v] + 1
+        up_step[w], down_step[w] = (e, tail[e] == w), (e, head[e] == w)
+        children[v].append(w)
+    # potentials come from the tree with the root at zero; the root's
+    # given potential, if any, only shifts the final ones
     pot = [0] * n
-    if given is None:
-        _tree_potentials(root, children, parent_edge, tail, cost, pot)
-    else:
-        pot = [_scaled(p, cost_scale) for p in given]
+    _potentials(order, parent, parent_edge, tail, cost, pot)
+    offset = 0 if structure.potentials is None else structure.potentials[root]
 
     trace = NsTrace()
     pivots = trace.pivots
@@ -325,7 +296,7 @@ def _ns_kernel(
             lower=frozenset(e for e in range(m) if state[e] == 1),
             upper=frozenset(e for e in range(m) if state[e] == -1),
             root=root,
-            potentials=tuple(Fraction(p, cost_scale) for p in pot),
+            potentials=tuple(Fraction(p, cost_scale) + offset for p in pot),
         )
         return trace
 

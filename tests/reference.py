@@ -33,12 +33,20 @@ from flowlab.netsimplex import (
     InfeasibleStructureError,
     NsPivot,
     SpanningTreeStructure,
-    _bfs_order,
-    _tree_adjacency,
+    _hang,
     compute_potentials,
     tree_flow,
 )
 from flowlab.ssp import NegativeCycleError, SspStep
+
+
+def _tree_adjacency(net: FlowNetwork, tree_edges):
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
+    for idx in tree_edges:
+        e = net.edges[idx]
+        adj[e.tail].append((idx, e.head))
+        adj[e.head].append((idx, e.tail))
+    return adj
 
 
 def reduced_cost(net: FlowNetwork, potentials, edge_id: int) -> Fraction:
@@ -154,13 +162,12 @@ def pivot(
 
     blocking = [pos for pos, room in enumerate(rooms) if room == delta]
     if strongly_feasible:
-        order, parent_edge = _bfs_order(net, adj, s.root)
+        tails = [e.tail for e in net.edges]
+        heads = [e.head for e in net.edges]
+        order, parent, _ = _hang(net.node_count, tails, heads, s.tree_edges, s.root)
         depth = [0] * net.node_count
-        for v in order:
-            if parent_edge[v] is not None:
-                e = net.edges[parent_edge[v]]
-                other = e.head if e.tail == v else e.tail
-                depth[v] = depth[other] + 1
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
         starts = [net.edges[idx].tail if fwd else net.edges[idx].head for idx, fwd in cycle]
         apex_pos = min(range(len(cycle)), key=lambda i: depth[starts[i]])
         rotation = list(range(apex_pos, len(cycle))) + list(range(apex_pos))

@@ -1,5 +1,6 @@
 """Instance family construction: shapes, intervals, budgets, trees."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from flowlab.generators import (
     strip_q_chain,
 )
 from flowlab.core import CostInterval, SmoothedInstance, FlowNetwork
+from flowlab.formats import format_smoothed
 from flowlab.netsimplex import tree_flow, validate_structure
 
 
@@ -120,6 +122,27 @@ def test_gen_mmcc_large_phi_shape():
         gen_mmcc_large_phi(3, 9)
     with pytest.raises(ParamViolation):
         gen_mmcc_large_phi(4, 17)
+
+
+def test_mmcc_family_bytes_are_pinned():
+    # node ids, names, labels, edge order, intervals, budgets and
+    # starting flows of both two-ladder families, over a grid of sizes
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for m in sorted({n, n + 1, 2 * n, n * n}):
+            if not n <= m <= n * n:
+                continue
+            for phi in (64, 128, 256, 1000, 4096, 2 ** 14):
+                for seed in range(3):
+                    inst = gen_mmcc_general(MmccGeneralParams(n, m, phi), seed)
+                    digest.update(format_smoothed(inst).encode())
+    for n in range(4, 8):
+        for m in sorted({n, 2 * n, n * n}):
+            for seed in range(3):
+                digest.update(format_smoothed(gen_mmcc_large_phi(n, m, seed)).encode())
+    assert digest.hexdigest() == (
+        "d1dd90f3d1e2811674fb447e281a845e76c499bf843e42b4d0f32a37ffde89e5"
+    )
 
 
 def test_ns_params_and_structure():

@@ -119,6 +119,16 @@ def test_tree_flow_rejects_negative_or_overfull_tree_edges():
     with pytest.raises(InfeasibleStructureError):
         tree_flow(overfull, s)
 
+    # every node is reached, but the three "tree" edges close a cycle
+    triangle = FlowNetwork.from_data(
+        3, [(0, 1, 5, 1), (1, 2, 5, 1), (0, 2, 5, 3)], budgets=[2, 0, -2]
+    )
+    cyclic = SpanningTreeStructure(frozenset({0, 1, 2}), frozenset(), frozenset())
+    with pytest.raises(InfeasibleStructureError, match="do not span"):
+        tree_flow(triangle, cyclic)
+    with pytest.raises(InfeasibleStructureError, match="do not span"):
+        compute_potentials(triangle, cyclic)
+
 
 def test_compute_potentials_follows_tree_costs():
     net = FlowNetwork.from_data(3, [(0, 1, None, 5), (1, 2, None, -2)])
@@ -483,6 +493,23 @@ def test_ns_solve_replays_reference_through_ties_and_ranks(options):
         assert final.potentials == tuple(p + pinned for p in compute_potentials(net, final))
         replayed += 1
     assert replayed > 25
+
+
+def test_ns_solve_warm_start_ignores_stale_potentials():
+    # the final structure of one cost draw caches potentials of those
+    # costs; solving another draw from it must price with the new costs
+    inst = gen_random_smoothed(10, 25, 4, 0)
+    net0 = inst.realize(sample_costs(inst, 0))
+    net = inst.realize(sample_costs(inst, 2))
+    start, _ = basic_structure_from_flow(net0, initial_feasible_flow(net0))
+    warm = ns_solve(net0, start).final_structure
+    trace = ns_solve(net, warm)
+    assert trace.termination == "optimal"
+    assert verify_optimality(net, trace.final_flow) is None
+    fresh = ns_solve(net, replace(warm, potentials=None))
+    assert trace.pivots == fresh.pivots
+    cold, _ = basic_structure_from_flow(net, initial_feasible_flow(net))
+    assert flow_cost(net, trace.final_flow) == flow_cost(net, ns_solve(net, cold).final_flow)
 
 
 def test_ns_solve_scales_rational_capacities_and_budgets():
