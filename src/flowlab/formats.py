@@ -103,8 +103,6 @@ class _Document:
         self.phi = None
         self.intervals = {}
         self.flow = {}
-        self.has_flow_lines = False
-        self.has_structure_lines = False
         self.root = None
         self.tree = set()
         self.upper = set()
@@ -230,21 +228,17 @@ def _parse(text: str, allowed: frozenset) -> _Document:
             if idx in doc.flow:
                 raise ParseError(number, "duplicate flow line")
             doc.flow[idx] = _fraction(tokens[3], number, "flow value")
-            doc.has_flow_lines = True
         elif tag == "root":
             _expect(tokens, 2, number)
             if doc.root is not None:
                 raise ParseError(number, "duplicate root line")
             doc.root = _node_id(tokens[1], number, doc)
-            doc.has_structure_lines = True
         elif tag == "t":
             _expect(tokens, 3, number)
             doc.tree.add(_arc_ref(tokens[1:3], number, doc))
-            doc.has_structure_lines = True
         elif tag == "u":
             _expect(tokens, 3, number)
             doc.upper.add(_arc_ref(tokens[1:3], number, doc))
-            doc.has_structure_lines = True
     if doc.node_count is None:
         raise ParseError(doc.last_line, "missing problem line")
     if len(doc.arcs) != doc.edge_count:
@@ -290,12 +284,12 @@ def parse_smoothed(text: str):
         lo, width = doc.intervals[idx]
         intervals.append(CostInterval(lo, width))
     starting_flow = None
-    if doc.has_flow_lines:
+    if doc.flow:
         starting_flow = Flow(
             tuple(doc.flow.get(i, Fraction(0)) for i in range(len(doc.arcs)))
         )
     structure = None
-    if doc.has_structure_lines:
+    if doc.root is not None or doc.tree or doc.upper:
         tree = frozenset(doc.tree)
         upper = frozenset(doc.upper)
         lower = frozenset(range(len(doc.arcs))) - tree - upper

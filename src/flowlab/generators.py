@@ -325,19 +325,17 @@ def gen_ns_lower_bound(
         add(wn[j], t_lvl[0], in_deg[j], 0, unit, "drain_w", in_tree=True)
 
     # each level's edge capacity is the routable amount one level down
-    maxflow_arcs = [(tail, head, cap) for tail, head, cap, *_ in arcs]
-    level_flow = [solve_max_flow(node_count, maxflow_arcs, s_lvl[0], t_lvl[0])[0]]
+    def level_flow(i):
+        return solve_max_flow(FlowNetwork.from_data(node_count, arcs), s_lvl[i], t_lvl[i])[0]
+
+    flow_f = level_flow(0)
     for i in range(1, k):
-        cap = level_flow[-1]
         shortcut_lo = (2 ** (i + 3) - 1) * unit
-        add(s_lvl[i], s_lvl[i - 1], cap, 0, unit, "rail_s", in_tree=True)
-        add(t_lvl[i - 1], t_lvl[i], cap, 0, unit, "rail_t", in_tree=True)
-        add(s_lvl[i], t_lvl[i - 1], cap, shortcut_lo, 2 * unit, "shortcut_down")
-        add(s_lvl[i - 1], t_lvl[i], cap, shortcut_lo, 2 * unit, "shortcut_up")
-        for tail, head, cap_, lo_, rank_ in arcs[-4:]:
-            maxflow_arcs.append((tail, head, cap_))
-        level_flow.append(solve_max_flow(node_count, maxflow_arcs, s_lvl[i], t_lvl[i])[0])
-    flow_f = level_flow[-1]
+        add(s_lvl[i], s_lvl[i - 1], flow_f, 0, unit, "rail_s", in_tree=True)
+        add(t_lvl[i - 1], t_lvl[i], flow_f, 0, unit, "rail_t", in_tree=True)
+        add(s_lvl[i], t_lvl[i - 1], flow_f, shortcut_lo, 2 * unit, "shortcut_down")
+        add(s_lvl[i - 1], t_lvl[i], flow_f, shortcut_lo, 2 * unit, "shortcut_up")
+        flow_f = level_flow(i)
 
     expensive_lo = (2 ** (k + 5) - 1) * unit
     bridge_lo = (2 ** (k + 4) - 1) * unit

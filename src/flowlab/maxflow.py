@@ -1,80 +1,59 @@
 """Exact maximum flow via shortest augmenting paths.
 
 Internal plumbing shared by the feasibility transform and the instance
-generators.  Capacities are Fractions or ``None`` for uncapacitated
-arcs; breadth-first augmentation keeps the iteration count bounded by
-the graph size regardless of capacity magnitudes.
+generators.  It runs on the paired integer arcs of ``_ResidualArcs``,
+with costs and budgets ignored; breadth-first augmentation keeps the
+iteration count bounded by the graph size regardless of capacity
+magnitudes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Optional, Sequence
+
+from .core import Flow, FlowNetwork, _ResidualArcs
 
 __all__ = ["solve_max_flow"]
 
 
-def solve_max_flow(
-    node_count: int,
-    arcs: Sequence[tuple[int, int, Optional[Fraction]]],
-    source: int,
-    sink: int,
-) -> tuple[Fraction, list[Fraction]]:
-    """Maximum flow value and per-arc flows for ``arcs``.
+def solve_max_flow(net: FlowNetwork, source: int, sink: int) -> tuple[Fraction, Flow]:
+    """Maximum flow value from ``source`` to ``sink`` and its edge flows.
 
-    Each arc is (tail, head, capacity) with capacity ``None`` meaning
-    uncapacitated.  The flow value is always finite when every path
-    from the source crosses at least one capacitated arc; an unbounded
-    flow raises ``ValueError``.
+    The flow value is always finite when every path from the source
+    crosses at least one capacitated edge; an unbounded flow raises
+    ``ValueError``.
     """
     if source == sink:
         raise ValueError("source and sink must differ")
-    # paired forward/backward entries: even index forward, odd backward
-    head = []
-    room: list[Optional[Fraction]] = []
-    adjacency: list[list[int]] = [[] for _ in range(node_count)]
-    for tail, to, cap in arcs:
-        adjacency[tail].append(len(head))
-        head.append(to)
-        room.append(None if cap is None else Fraction(cap))
-        adjacency[to].append(len(head))
-        head.append(tail)
-        room.append(Fraction(0))
+    res = _ResidualArcs(net)
+    head, room = res.head, res.room
+    out: list[list[int]] = [[] for _ in range(net.node_count)]
+    for a, v in enumerate(res.tail):
+        out[v].append(a)
 
-    value = Fraction(0)
+    value = 0
     while True:
-        parent_arc = [-1] * node_count
+        parent_arc = [-1] * net.node_count
         parent_arc[source] = -2
         queue = deque([source])
         while queue and parent_arc[sink] == -1:
-            v = queue.popleft()
-            for arc in adjacency[v]:
-                w = head[arc]
-                if parent_arc[w] == -1 and (room[arc] is None or room[arc] > 0):
-                    parent_arc[w] = arc
+            for a in out[queue.popleft()]:
+                w = head[a]
+                if parent_arc[w] == -1 and room[a] != 0:
+                    parent_arc[w] = a
                     queue.append(w)
         if parent_arc[sink] == -1:
             break
-        bottleneck: Optional[Fraction] = None
+        path = []
         v = sink
         while v != source:
-            arc = parent_arc[v]
-            if room[arc] is not None and (bottleneck is None or room[arc] < bottleneck):
-                bottleneck = room[arc]
-            v = head[arc ^ 1]
+            a = parent_arc[v]
+            path.append(a)
+            v = head[a ^ 1]
+        bottleneck = min((room[a] for a in path if room[a] is not None), default=None)
         if bottleneck is None:
             raise ValueError("augmenting path with unbounded capacity; flow is infinite")
-        v = sink
-        while v != source:
-            arc = parent_arc[v]
-            if room[arc] is not None:
-                room[arc] -= bottleneck
-            if room[arc ^ 1] is not None:
-                room[arc ^ 1] += bottleneck
-            v = head[arc ^ 1]
+        res.push(path, bottleneck)
         value += bottleneck
-
-    # the backward half of each pair accumulates exactly the pushed flow
-    flows = [room[2 * i + 1] for i in range(len(arcs))]
-    return value, flows
+    return Fraction(value, res.flow_scale), res.flow()

@@ -31,6 +31,7 @@ from .core import (
 )
 from .maxflow import solve_max_flow
 from .mincycle import _min_mean_cycle
+from .ssp import concentrate_budgets
 
 __all__ = [
     "MmccIteration",
@@ -68,31 +69,20 @@ class MmccTrace:
 def initial_feasible_flow(net: FlowNetwork) -> Flow:
     """A feasible flow for ``net``, or ``InfeasibleError``.
 
-    Standard transform: route every positive budget from a virtual
-    source and every negative budget into a virtual sink with a maximum
-    flow; the budgets are satisfiable exactly when all virtual arcs
-    saturate.
+    Standard transform: a maximum flow on ``concentrate_budgets(net)``
+    routes every positive budget from its virtual source and every
+    negative budget into its virtual sink; the budgets are satisfiable
+    exactly when all virtual arcs saturate.
     """
-    n = net.node_count
-    source, sink = n, n + 1
-    arcs: list[tuple[int, int, Optional[Fraction]]] = [
-        (e.tail, e.head, e.capacity) for e in net.edges
-    ]
-    required = Fraction(0)
-    for v, b in enumerate(net.budgets):
-        if b > 0:
-            arcs.append((source, v, b))
-            required += b
-        elif b < 0:
-            arcs.append((v, sink, -b))
+    wide, source, sink, required = concentrate_budgets(net)
     if required == 0:
         return Flow.zero(net.edge_count)
-    value, flows = solve_max_flow(n + 2, arcs, source, sink)
+    value, flow = solve_max_flow(wide, source, sink)
     if value != required:
         raise InfeasibleError(
             "budgets require %s units but only %s can be routed" % (required, value)
         )
-    return Flow(tuple(flows[: net.edge_count]))
+    return Flow(flow.values[: net.edge_count])
 
 
 def mmcc_solve(

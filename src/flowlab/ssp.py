@@ -18,6 +18,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .core import (
+    Edge,
     Flow,
     FlowLabError,
     FlowNetwork,
@@ -284,25 +285,25 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     """
     n = net.node_count
     source, sink = n, n + 1
-    arcs = [(e.tail, e.head, e.capacity, e.cost, e.leaving_rank) for e in net.edges]
+    edges = list(net.edges)
     labels = list(net.edge_labels) if net.edge_labels else ["" for _ in net.edges]
     for v, b in enumerate(net.budgets):
         if b > 0:
-            arcs.append((source, v, b, Fraction(0), 1))
+            edges.append(Edge(source, v, b, Fraction(0)))
             labels.append("supply")
         elif b < 0:
-            arcs.append((v, sink, -b, Fraction(0), 1))
+            edges.append(Edge(v, sink, -b, Fraction(0)))
             labels.append("drain")
     names = None
     if net.node_names is not None:
-        names = list(net.node_names) + ["super_source", "super_sink"]
+        names = (*net.node_names, "super_source", "super_sink")
     demand = sum((b for b in net.budgets if b > 0), Fraction(0))
-    widened = FlowNetwork.from_data(
+    widened = FlowNetwork(
         n + 2,
-        arcs,
-        budgets=None,
+        tuple(edges),
+        (Fraction(0),) * (n + 2),
         node_names=names,
-        edge_labels=labels if net.edge_labels else None,
+        edge_labels=tuple(labels) if net.edge_labels else None,
     )
     return widened, source, sink, demand
 

@@ -262,10 +262,17 @@ def _far_side(net: FlowNetwork, tree_edges, removed: int, root: int):
 
 def reference_solve(net, structure, limit=None, **options):
     """``ns_solve`` spelled out as a loop of ``entering_edge`` and
-    ``pivot``: the pivots, the final flow and the final structure."""
+    ``pivot``: the pivots, the final flow and the final structure.
+
+    As in ``ns_solve``, the potentials come from the tree, shifted by
+    the cached root entry when there is one; the rest of a cached
+    ``potentials`` may belong to other costs and is not read."""
     flow = tree_flow(net, structure)
-    if structure.potentials is None:
-        structure = replace(structure, potentials=compute_potentials(net, structure))
+    pot = compute_potentials(net, structure)
+    if structure.potentials is not None:
+        shift = structure.potentials[structure.root]
+        pot = tuple(p + shift for p in pot)
+    structure = replace(structure, potentials=pot)
     pivots = []
     while limit is None or len(pivots) < limit:
         entering = entering_edge(net, structure)

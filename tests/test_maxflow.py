@@ -3,11 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from flowlab.core import FlowNetwork
 from flowlab.maxflow import solve_max_flow
 
 
+def max_flow(node_count, arcs, source, sink):
+    """``solve_max_flow`` on cost-free ``(tail, head, capacity)`` arcs,
+    with the edge flows as a list."""
+    net = FlowNetwork.from_data(node_count, [(t, h, c, 0) for t, h, c in arcs])
+    value, flow = solve_max_flow(net, source, sink)
+    return value, list(flow.values)
+
+
 def test_single_arc():
-    value, flows = solve_max_flow(2, [(0, 1, Fraction(3))], 0, 1)
+    value, flows = max_flow(2, [(0, 1, Fraction(3))], 0, 1)
     assert value == 3 and flows == [3]
 
 
@@ -19,26 +28,31 @@ def test_classic_diamond():
         (1, 3, Fraction(2)),
         (2, 3, Fraction(3)),
     ]
-    value, flows = solve_max_flow(4, arcs, 0, 3)
+    value, flows = max_flow(4, arcs, 0, 3)
     assert value == 5
 
 
 def test_uncapacitated_middle_edge():
     arcs = [(0, 1, Fraction(4)), (1, 2, None), (2, 3, Fraction(3))]
-    value, flows = solve_max_flow(4, arcs, 0, 3)
+    value, flows = max_flow(4, arcs, 0, 3)
     assert value == 3
     assert flows == [3, 3, 3]
 
 
 def test_unbounded_path_rejected():
     with pytest.raises(ValueError):
-        solve_max_flow(3, [(0, 1, None), (1, 2, None)], 0, 2)
+        max_flow(3, [(0, 1, None), (1, 2, None)], 0, 2)
+
+
+def test_source_equal_to_sink_rejected():
+    with pytest.raises(ValueError, match="source and sink must differ"):
+        max_flow(2, [(0, 1, Fraction(1))], 1, 1)
 
 
 def test_fractional_capacities():
     arcs = [(0, 1, Fraction(1, 3)), (0, 1, Fraction(1, 6))]
     # parallel arcs are fine at this layer
-    value, flows = solve_max_flow(2, arcs, 0, 1)
+    value, flows = max_flow(2, arcs, 0, 1)
     assert value == Fraction(1, 2)
 
 
@@ -86,7 +100,7 @@ def test_random_flows_carry_min_cut_certificates():
         for _ in range(rng.randint(2, 14)):
             t, h = rng.sample(range(n), 2)
             arcs.append((t, h, Fraction(rng.randint(1, 8))))
-        value, flows = solve_max_flow(n, arcs, 0, n - 1)
+        value, flows = max_flow(n, arcs, 0, n - 1)
         _flow_is_valid(n, arcs, flows, 0, n - 1, value)
         side = _reachable_in_residual(n, arcs, flows, 0)
         assert (n - 1) not in side

@@ -1,5 +1,6 @@
 """Cycle-canceling solver tests."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -18,10 +19,14 @@ from flowlab.core import (
     flow_cost,
     verify_optimality,
 )
+from flowlab.formats import format_flow, format_smoothed
 from flowlab.generators import (
     MmccGeneralParams,
+    NsParams,
     gen_mmcc_general,
     gen_mmcc_large_phi,
+    gen_ns_lower_bound,
+    gen_random_smoothed,
     sample_costs,
 )
 from flowlab.mmcc import (
@@ -30,6 +35,7 @@ from flowlab.mmcc import (
     initial_feasible_flow,
     mmcc_solve,
 )
+from flowlab.netsimplex import basic_structure_from_flow
 
 from conftest import random_network
 from reference import augment_cycle, reference_mmcc, reference_run
@@ -67,6 +73,82 @@ def test_initial_flow_respects_feasibility_on_random_instances():
         assert check_feasible(net, flow) is None
         feasible += 1
     assert feasible > 10
+
+
+def scaled_graph(net):
+    """The networkx copy of a capacitated ``net``: costs scaled to
+    integers by their common denominator, capacities and budgets by
+    theirs.  Returns the graph, the cost scale and the flow scale."""
+    cost_scale = lcm(*(e.cost.denominator for e in net.edges))
+    flow_scale = lcm(
+        *(e.capacity.denominator for e in net.edges), *(b.denominator for b in net.budgets)
+    )
+    graph = nx.DiGraph()
+    for v, b in enumerate(net.budgets):
+        graph.add_node(v, demand=-int(b * flow_scale))
+    for e in net.edges:
+        graph.add_edge(
+            e.tail,
+            e.head,
+            weight=int(e.cost * cost_scale),
+            capacity=int(e.capacity * flow_scale),
+        )
+    return graph, cost_scale, flow_scale
+
+
+def feasible_start_grid():
+    """``(net, flow or InfeasibleError)`` for every random smoothed draw
+    of the grid, realized at a cost seed equal to its pair seed."""
+    for n in range(2, 17, 2):
+        top = n * (n - 1) // 2
+        for m in sorted({n - 1, n, 2 * n, top}):
+            if not 1 <= m <= top:
+                continue
+            for phi in (4, 64):
+                for seed in range(4):
+                    inst = gen_random_smoothed(n, m, phi, seed)
+                    net = inst.realize(sample_costs(inst, seed))
+                    try:
+                        yield net, initial_feasible_flow(net)
+                    except InfeasibleError as exc:
+                        yield net, exc
+
+
+def test_feasible_starts_are_pinned():
+    # starting flows and infeasibility messages over the random grid,
+    # the tree structures hung from the feasible ones, and the
+    # ns_lower instances whose rail capacities come from max flow
+    digest = hashlib.sha256()
+    feasible = infeasible = 0
+    for net, start in feasible_start_grid():
+        if isinstance(start, InfeasibleError):
+            digest.update(str(start).encode())
+            infeasible += 1
+            continue
+        digest.update(format_flow(net, start).encode())
+        structure, flow = basic_structure_from_flow(net, start)
+        digest.update(repr((sorted(structure.tree_edges), sorted(structure.upper))).encode())
+        digest.update(format_flow(net, flow).encode())
+        feasible += 1
+    for k in (6, 8, 10):
+        digest.update(format_smoothed(*gen_ns_lower_bound(NsParams(k, 2 * k, 128))).encode())
+    assert (feasible, infeasible) == (80, 144)
+    assert digest.hexdigest() == (
+        "7b23b7f3572155dcb4f299c6d6be7eb5bbe8ed49531ef2bdd2b192776f8c938d"
+    )
+
+
+def test_initial_flow_infeasible_exactly_when_networkx_is():
+    # every edge of a random smoothed draw is capacitated, so networkx
+    # decides feasibility on the integer-scaled copy without unbounded cases
+    for net, start in feasible_start_grid():
+        graph, _, _ = scaled_graph(net)
+        if isinstance(start, InfeasibleError):
+            with pytest.raises(nx.NetworkXUnfeasible):
+                nx.network_simplex(graph)
+        else:
+            assert check_feasible(net, start) is None
+            nx.network_simplex(graph)
 
 
 def test_mmcc_on_already_optimal_instance():
@@ -306,22 +388,7 @@ def test_mmcc_solve_optimal_cost_matches_networkx():
     checked = 0
     for _ in range(200):
         net = random_net(rng, bounded=True)
-        # integer-scaled copy: costs by their common denominator,
-        # capacities and budgets by theirs
-        cost_scale = lcm(*(e.cost.denominator for e in net.edges))
-        flow_scale = lcm(
-            *(e.capacity.denominator for e in net.edges), *(b.denominator for b in net.budgets)
-        )
-        graph = nx.DiGraph()
-        for v, b in enumerate(net.budgets):
-            graph.add_node(v, demand=-int(b * flow_scale))
-        for e in net.edges:
-            graph.add_edge(
-                e.tail,
-                e.head,
-                weight=int(e.cost * cost_scale),
-                capacity=int(e.capacity * flow_scale),
-            )
+        graph, cost_scale, flow_scale = scaled_graph(net)
         try:
             trace = mmcc_solve(net)
         except InfeasibleError:

@@ -508,6 +508,9 @@ def test_ns_solve_warm_start_ignores_stale_potentials():
     assert verify_optimality(net, trace.final_flow) is None
     fresh = ns_solve(net, replace(warm, potentials=None))
     assert trace.pivots == fresh.pivots
+    pivots, flow, _ = reference_solve(net, warm)
+    assert pivots == trace.pivots
+    assert verify_optimality(net, flow) is None
     cold, _ = basic_structure_from_flow(net, initial_feasible_flow(net))
     assert flow_cost(net, trace.final_flow) == flow_cost(net, ns_solve(net, cold).final_flow)
 

@@ -184,7 +184,15 @@ def test_concentrate_budgets_layout():
         (3, 0, Fraction(2), Fraction(0)),
         (2, 4, Fraction(2), Fraction(0)),
     ]
-    assert widened.node_names[-2:] == ("super_source", "super_sink")
+    assert widened.node_names == ("a", "b", "c", "super_source", "super_sink")
+    assert widened.edges[:2] == net.edges
+    assert widened.edge_labels is None
+    labelled = FlowNetwork.from_data(
+        3, [(0, 1, 3, 1), (1, 2, 3, 1)], budgets=[2, 0, -2], edge_labels=["x", "y"]
+    )
+    widened, *_ = concentrate_budgets(labelled)
+    assert widened.edge_labels == ("x", "y", "supply", "drain")
+    assert widened.node_names is None
 
 
 def test_ssp_on_concentrated_network_matches_cycle_canceling():
