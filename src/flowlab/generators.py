@@ -35,7 +35,6 @@ from .core import (
     rational,
     validate_instance,
 )
-from .maxflow import solve_max_flow
 from .netsimplex import SpanningTreeStructure
 
 __all__ = [
@@ -266,7 +265,7 @@ def gen_ns_lower_bound(
     chains of length ``chain_length`` meter the flow off it one unit of
     path capacity per non-degenerate pivot, giving exactly
     ``2 * chain_length * F`` such pivots where ``F`` is the top-level
-    routable amount.
+    routable amount, ``m * 2 ** (level_count - 1)``.
 
     The bipartite edges carry ``leaving_rank`` 0 so they win ties when
     a pivot has several blocking edges.
@@ -324,18 +323,17 @@ def gen_ns_lower_bound(
     for j in range(n):
         add(wn[j], t_lvl[0], in_deg[j], 0, unit, "drain_w", in_tree=True)
 
-    # each level's edge capacity is the routable amount one level down
-    def level_flow(i):
-        return solve_max_flow(FlowNetwork.from_data(node_count, arcs), s_lvl[i], t_lvl[i])[0]
-
-    flow_f = level_flow(0)
+    # level i routes m * 2**i: every unit pair edge saturates at level
+    # 0, and each level's rail and shortcut pairs carry twice the level
+    # below, which is all the cut at its source lets out
+    flow_f = m
     for i in range(1, k):
         shortcut_lo = (2 ** (i + 3) - 1) * unit
         add(s_lvl[i], s_lvl[i - 1], flow_f, 0, unit, "rail_s", in_tree=True)
         add(t_lvl[i - 1], t_lvl[i], flow_f, 0, unit, "rail_t", in_tree=True)
         add(s_lvl[i], t_lvl[i - 1], flow_f, shortcut_lo, 2 * unit, "shortcut_down")
         add(s_lvl[i - 1], t_lvl[i], flow_f, shortcut_lo, 2 * unit, "shortcut_up")
-        flow_f = level_flow(i)
+        flow_f *= 2
 
     expensive_lo = (2 ** (k + 5) - 1) * unit
     bridge_lo = (2 ** (k + 4) - 1) * unit

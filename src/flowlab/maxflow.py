@@ -1,10 +1,10 @@
 """Exact maximum flow via shortest augmenting paths.
 
-Internal plumbing shared by the feasibility transform and the instance
-generators.  It runs on the paired integer arcs of ``_ResidualArcs``,
-with costs and budgets ignored; breadth-first augmentation keeps the
-iteration count bounded by the graph size regardless of capacity
-magnitudes.
+Internal plumbing of the feasibility transform: ``initial_feasible_flow``
+is its one caller.  It runs on the paired integer arcs of
+``_ResidualArcs``, with costs and budgets ignored; breadth-first
+augmentation keeps the iteration count bounded by the graph size
+regardless of capacity magnitudes.
 """
 
 from __future__ import annotations

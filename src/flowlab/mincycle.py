@@ -162,17 +162,16 @@ def _scaled_arcs(r: ResidualNetwork) -> tuple[list[tuple[int, int, int]], int]:
     return [(e.tail, e.head, _scaled(e.cost, scale)) for e in r.edges], scale
 
 
-def walk_cost_table(r: ResidualNetwork, levels: Optional[int] = None):
+def walk_cost_table(r: ResidualNetwork):
     """Cheapest-walk table D where D[k][v] is the minimum cost of a
     walk with exactly k edges ending at v, over walks starting anywhere.
 
     Row 0 is all zeros (the empty walk at each node); unreachable
-    entries are ``None``.  By default the table has node-count + 1 rows,
-    which is what the minimum-mean formula needs.  It is the table
+    entries are ``None``.  The table has node-count + 1 rows, which is
+    what the minimum-mean formula needs.  It is the table
     ``karp_min_mean`` computes, with entries divided back by the scale.
     """
-    if levels is None:
-        levels = r.node_count
+    levels = r.node_count
     arcs, scale = _scaled_arcs(r)
     limit = levels * max((abs(c) for _, _, c in arcs), default=0)
     return [

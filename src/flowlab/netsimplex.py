@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     UnboundedCycleError,
     Violation,
     _DisjointSets,
+    _ResidualArcs,
     _scaled,
     default_iteration_cap,
 )
@@ -126,6 +126,34 @@ def _potentials(order, parent, parent_edge, tail, cost, pot) -> None:
         pot[w] = pot[v] - cost[e] if tail[e] == v else pot[v] + cost[e]
 
 
+def _fill_flow(order, parent, parent_edge, tail, head, cap, budgets, s, values, scale) -> None:
+    """Fill ``values`` with ``tree_flow``'s flow down the hung tree, in
+    units of ``1 / scale``; lower edges keep the zero they hold, and
+    the errors print amounts as ``Fraction``s."""
+    # surplus[v]: amount that must still leave v through unresolved edges
+    surplus = list(budgets)
+    for idx in s.upper:
+        c = cap[idx]
+        if c is None:
+            raise InfeasibleStructureError("edge %d in upper set has no capacity" % idx)
+        values[idx] = c
+        surplus[tail[idx]] -= c
+        surplus[head[idx]] += c
+    for v in reversed(order[1:]):
+        idx = parent_edge[v]
+        values[idx] = surplus[v] if tail[idx] == v else -surplus[v]
+        surplus[parent[v]] += surplus[v]
+    if surplus[s.root] != 0:
+        raise InfeasibleStructureError("budgets do not balance through the tree")
+    for idx in s.tree_edges:
+        f, c = values[idx], cap[idx]
+        if f < 0 or (c is not None and f > c):
+            raise InfeasibleStructureError(
+                "tree edge %d needs flow %s outside [0, %s]"
+                % (idx, Fraction(f, scale), None if c is None else Fraction(c, scale))
+            )
+
+
 def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
     """The unique flow with lower edges at 0, upper edges at capacity,
     and conservation enforced through the tree.
@@ -135,33 +163,10 @@ def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
     """
     tail = [e.tail for e in net.edges]
     head = [e.head for e in net.edges]
-    order, parent, parent_edge = _hang(net.node_count, tail, head, s.tree_edges, s.root)
-    values: list[Optional[Fraction]] = [None] * net.edge_count
-    # surplus[v]: amount that must still leave v through unresolved edges
-    surplus = list(net.budgets)
-    for idx in s.lower:
-        values[idx] = Fraction(0)
-    for idx in s.upper:
-        cap = net.edges[idx].capacity
-        if cap is None:
-            raise InfeasibleStructureError("edge %d in upper set has no capacity" % idx)
-        values[idx] = cap
-        surplus[tail[idx]] -= cap
-        surplus[head[idx]] += cap
-    for v in reversed(order[1:]):
-        idx = parent_edge[v]
-        f = surplus[v] if tail[idx] == v else -surplus[v]
-        surplus[parent[v]] += surplus[v]
-        values[idx] = f
-    if surplus[s.root] != 0:
-        raise InfeasibleStructureError("budgets do not balance through the tree")
-    for idx in s.tree_edges:
-        f = values[idx]
-        cap = net.edges[idx].capacity
-        if f < 0 or (cap is not None and f > cap):
-            raise InfeasibleStructureError(
-                "tree edge %d needs flow %s outside [0, %s]" % (idx, f, cap)
-            )
+    hung = _hang(net.node_count, tail, head, s.tree_edges, s.root)
+    values = [Fraction(0) if idx in s.lower else None for idx in range(net.edge_count)]
+    cap = [e.capacity for e in net.edges]
+    _fill_flow(*hung, tail, head, cap, net.budgets, s, values, 1)
     return Flow(tuple(values))
 
 
@@ -221,44 +226,33 @@ def ns_solve(
 
     The run is exactly the ``Fraction`` loop of ``entering_edge`` and
     ``pivot`` that ``tests/reference.py`` holds, started from the
-    tree's potentials, with the same options, pivot for pivot.  It is
-    carried out on integers: costs and potentials are scaled once by
-    the common denominator of the costs, flows by that of the
-    capacities and the starting tree flow, and the spanning tree is
-    kept as parent pointers with depths that each pivot updates in
-    place.  ``Fraction`` values are built only for the trace and the
-    final flow and structure.
+    tree's flow and potentials, with the same options, pivot for pivot.
+    It is carried out on integers scaled as ``_ResidualArcs`` scales
+    them: costs by their common denominator, flows by that of the
+    capacities and budgets, since tree flows are sums of those.  The
+    tree is hung once and the start filled down it, with ``tree_flow``'s
+    errors; each pivot updates its parent pointers and depths in place.
+    ``Fraction`` values are built only for the trace and the final
+    flow and structure.
     """
     bad = validate_structure(net, structure)
     if bad is not None:
         raise InfeasibleStructureError("%s: %s" % (bad.kind, bad.detail))
-    flow = tree_flow(net, structure)
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
-    return _ns_kernel(net, structure, flow, iteration_cap, strongly_feasible)
+    return _ns_kernel(net, structure, iteration_cap, strongly_feasible)
 
 
 def _ns_kernel(
-    net: FlowNetwork,
-    structure: SpanningTreeStructure,
-    start: Flow,
-    iteration_cap: int,
-    strongly_feasible: bool,
+    net: FlowNetwork, structure: SpanningTreeStructure, iteration_cap: int, strongly_feasible: bool
 ) -> NsTrace:
     """The pivot loop of ``ns_solve`` on integer-scaled flat arrays."""
     n, m, root = net.node_count, net.edge_count, structure.root
-    edges = net.edges
-    tail = [e.tail for e in edges]
-    head = [e.head for e in edges]
-    rank = [e.leaving_rank for e in edges]
-    cost_scale = lcm(*(e.cost.denominator for e in edges))
-    flow_scale = lcm(
-        *(e.capacity.denominator for e in edges if e.capacity is not None),
-        *(f.denominator for f in start.values),
-    )
-    cost = [_scaled(e.cost, cost_scale) for e in edges]
-    cap = [None if e.capacity is None else _scaled(e.capacity, flow_scale) for e in edges]
-    flow = [_scaled(f, flow_scale) for f in start.values]
+    # edge e's scaled cost and capacity are those of its forward arc 2e
+    res = _ResidualArcs(net, extra=net.budgets)
+    cost_scale, flow_scale = res.cost_scale, res.flow_scale
+    tail, head, cost, cap = res.tail[::2], res.head[::2], res.cost[::2], res.room[::2]
+    rank = [e.leaving_rank for e in net.edges]
     # 0: tree edge, +1: pinned at zero (lower), -1: pinned at capacity (upper)
     state = [0] * m
     for e in structure.lower:
@@ -279,6 +273,10 @@ def _ns_kernel(
         depth[w] = depth[v] + 1
         up_step[w], down_step[w] = (e, tail[e] == w), (e, head[e] == w)
         children[v].append(w)
+    # the start flow and potentials are filled down the same hang
+    flow = [0] * m
+    budgets = [_scaled(b, flow_scale) for b in net.budgets]
+    _fill_flow(order, parent, parent_edge, tail, head, cap, budgets, structure, flow, flow_scale)
     # potentials come from the tree with the root at zero; the root's
     # given potential, if any, only shifts the final ones
     pot = [0] * n
@@ -421,10 +419,9 @@ def _ns_kernel(
     return close("optimal")
 
 
-def basic_structure_from_flow(
-    net: FlowNetwork, flow: Flow, root: int = 0
-) -> tuple[SpanningTreeStructure, Flow]:
-    """Turn a feasible flow into a tree structure inducing it.
+def basic_structure_from_flow(net: FlowNetwork, flow: Flow) -> tuple[SpanningTreeStructure, Flow]:
+    """Turn a feasible flow into a tree structure inducing it, rooted
+    at node 0.
 
     Cycles made of edges strictly between their bounds are pushed flat
     (choosing the direction that does not increase cost) until the
@@ -482,9 +479,7 @@ def basic_structure_from_flow(
             if cap is None or values[idx] != cap:
                 raise FlowLabError("internal error: off-tree edge still strictly inside bounds")
             upper.add(idx)
-    structure = SpanningTreeStructure(
-        tree_edges=tree_set, lower=frozenset(lower), upper=frozenset(upper), root=root
-    )
+    structure = SpanningTreeStructure(tree_set, frozenset(lower), frozenset(upper))
     structure = replace(structure, potentials=compute_potentials(net, structure))
     return structure, Flow(tuple(values))
 

@@ -281,8 +281,12 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     matching edge into the new sink from every node with negative
     budget, plus the source id, sink id, and total demand.  A flow on
     the original network corresponds to a widened flow that saturates
-    all the added edges.
+    all the added edges.  Budgets that do not sum to zero raise
+    ``InfeasibleError``: no flow meets them.
     """
+    total = sum(net.budgets, Fraction(0))
+    if total != 0:
+        raise InfeasibleError("budgets sum to %s, not zero" % total)
     n = net.node_count
     source, sink = n, n + 1
     edges = list(net.edges)

@@ -145,6 +145,23 @@ def test_mmcc_family_bytes_are_pinned():
     )
 
 
+def test_ns_lower_bytes_are_pinned():
+    # names, edges, level capacities, budgets, starting flow and tree of
+    # the pivot-forcing family at 1, 3 and 7 levels
+    digest = hashlib.sha256()
+    for n in range(2, 7):
+        for m in sorted({n, 2 * n, n * n}):
+            if not n <= m <= n * n:
+                continue
+            for phi in (64, 256, 4096):
+                for seed in range(2):
+                    inst = gen_ns_lower_bound(NsParams(n, m, phi), seed)
+                    digest.update(format_smoothed(*inst).encode())
+    assert digest.hexdigest() == (
+        "58bfae34ee76a540f12438e8060268d2b00bc40f35191711239d235c6ace75c1"
+    )
+
+
 def test_ns_params_and_structure():
     p = NsParams(6, 10, 64)
     assert p.level_count == 1

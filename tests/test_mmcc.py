@@ -61,6 +61,16 @@ def test_initial_flow_infeasible():
         initial_feasible_flow(net)
 
 
+@pytest.mark.parametrize("budgets", [(0, -1), (1, -2)], ids=["no_supply", "short_supply"])
+def test_unbalanced_budgets_have_no_start_and_no_optimum(budgets):
+    net = net_from(2, [(0, 1, 1, 1)], budgets)
+    message = "budgets sum to -1, not zero"
+    with pytest.raises(InfeasibleError, match=message):
+        initial_feasible_flow(net)
+    with pytest.raises(InfeasibleError, match=message):
+        mmcc_solve(net)
+
+
 def test_initial_flow_respects_feasibility_on_random_instances():
     rng = random.Random(12)
     feasible = 0

@@ -24,6 +24,7 @@ from flowlab.generators import (
     gen_random_smoothed,
     sample_costs,
 )
+from flowlab import netsimplex
 from flowlab.mmcc import initial_feasible_flow, mmcc_solve
 from flowlab.netsimplex import (
     InfeasibleStructureError,
@@ -574,3 +575,71 @@ def test_basic_structure_from_flow_handles_a_long_interior_cycle():
     assert flat.values == (Fraction(0),) * n
     assert tree_flow(net, s) == flat
     assert s.upper == frozenset() and len(s.lower) == 1
+
+
+def test_ns_solve_hangs_the_tree_once(monkeypatch):
+    calls = []
+    hang = netsimplex._hang
+
+    def counting(*args):
+        calls.append(1)
+        return hang(*args)
+
+    monkeypatch.setattr(netsimplex, "_hang", counting)
+    inst, structure = gen_ns_lower_bound(NsParams(6, 10, 64))
+    ns_solve(inst.realize(sample_costs(inst, 0)), structure)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "budgets, whole, thirds",
+    [
+        (
+            (-1, 1, 0),
+            "tree edge 0 needs flow -1 outside [0, 2]",
+            "tree edge 0 needs flow -1/3 outside [0, 2/3]",
+        ),
+        (
+            (0, -1, 1),
+            "tree edge 1 needs flow -1 outside [0, None]",
+            "tree edge 1 needs flow -1/3 outside [0, None]",
+        ),
+        (
+            (5, 0, -5),
+            "tree edge 0 needs flow 5 outside [0, 2]",
+            "tree edge 0 needs flow 5/3 outside [0, 2/3]",
+        ),
+        (
+            (1, 0, 0),
+            "budgets do not balance through the tree",
+            "budgets do not balance through the tree",
+        ),
+    ],
+    ids=["backwards", "backwards_uncapacitated", "overfull", "unbalanced"],
+)
+def test_ns_solve_rejects_a_start_as_tree_flow_does(budgets, whole, thirds):
+    # the kernel fills the start in integers scaled by the capacities
+    # and budgets, and must print the same Fractions that tree_flow does
+    s = SpanningTreeStructure(frozenset({0, 1}), frozenset(), frozenset())
+    for unit, expected in ((Fraction(1), whole), (Fraction(1, 3), thirds)):
+        net = FlowNetwork.from_data(
+            3, [(0, 1, 2 * unit, 1), (1, 2, None, 1)], budgets=[b * unit for b in budgets]
+        )
+        with pytest.raises(InfeasibleStructureError) as reference:
+            tree_flow(net, s)
+        assert str(reference.value) == expected
+        with pytest.raises(InfeasibleStructureError) as raised:
+            ns_solve(net, s)
+        assert str(raised.value) == expected
+
+
+def test_ns_solve_starts_from_the_tree_flow():
+    inst, lower = gen_ns_lower_bound(NsParams(6, 10, 64))
+    ns_net = inst.realize(sample_costs(inst, 0))
+    rand = gen_random_smoothed(10, 25, 4, 0)
+    rand_net = rand.realize(sample_costs(rand, 0))
+    basic, _ = basic_structure_from_flow(rand_net, initial_feasible_flow(rand_net))
+    for net, s in ((ns_net, lower), (rand_net, basic)):
+        with pytest.raises(IterationCapExceeded) as info:
+            ns_solve(net, s, iteration_cap=0)
+        assert info.value.trace.final_flow == tree_flow(net, s)

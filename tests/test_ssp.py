@@ -195,6 +195,13 @@ def test_concentrate_budgets_layout():
     assert widened.node_names is None
 
 
+@pytest.mark.parametrize("budgets", [(0, -1), (1, -2)], ids=["no_supply", "short_supply"])
+def test_concentrate_budgets_rejects_budgets_that_do_not_sum_to_zero(budgets):
+    net = FlowNetwork.from_data(2, [(0, 1, 1, 1)], budgets=budgets)
+    with pytest.raises(InfeasibleError, match="budgets sum to -1, not zero"):
+        concentrate_budgets(net)
+
+
 def test_ssp_on_concentrated_network_matches_cycle_canceling():
     rng = random.Random(82)
     solved = 0
