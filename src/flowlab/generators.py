@@ -66,8 +66,6 @@ def floor_log2(q) -> int:
     e = q.numerator.bit_length() - q.denominator.bit_length()
     if Fraction(2) ** e > q:
         e -= 1
-    if Fraction(2) ** (e + 1) <= q:
-        e += 1
     return e
 
 

@@ -10,7 +10,7 @@ edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -49,18 +49,15 @@ class InfeasibleStructureError(FlowLabError):
 class SpanningTreeStructure:
     """Partition of the edge ids into tree, lower, and upper sets.
 
-    ``potentials`` is derived data (cached after computation) and is
-    excluded from equality.  ``ns_solve`` reads only the root's entry,
-    the constant its final potentials are shifted by; the rest it
-    derives from the tree, so a structure whose cached potentials belong
-    to other costs is still solved correctly.
+    The structure holds no derived data: the flow and the node
+    potentials follow from the tree, through ``tree_flow`` and
+    ``compute_potentials``.
     """
 
     tree_edges: frozenset[int]
     lower: frozenset[int]
     upper: frozenset[int]
     root: int = 0
-    potentials: Optional[tuple[Fraction, ...]] = field(default=None, compare=False)
 
 
 def validate_structure(net: FlowNetwork, s: SpanningTreeStructure) -> Optional[Violation]:
@@ -158,9 +155,15 @@ def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
     """The unique flow with lower edges at 0, upper edges at capacity,
     and conservation enforced through the tree.
 
-    Raises ``InfeasibleStructureError`` when a tree edge would have to
-    carry a negative amount or exceed its capacity.
+    Raises ``InfeasibleStructureError`` when the three sets do not
+    partition the edge ids, or a tree edge would have to carry a
+    negative amount or exceed its capacity.
     """
+    # validate_structure checks the partition first; the spanning checks
+    # are left to the hang, which reports them all as one error
+    bad = validate_structure(net, s)
+    if bad is not None and bad.kind in ("structure_overlap", "structure_incomplete"):
+        raise InfeasibleStructureError("%s: %s" % (bad.kind, bad.detail))
     tail = [e.tail for e in net.edges]
     head = [e.head for e in net.edges]
     hung = _hang(net.node_count, tail, head, s.tree_edges, s.root)
@@ -226,14 +229,14 @@ def ns_solve(
 
     The run is exactly the ``Fraction`` loop of ``entering_edge`` and
     ``pivot`` that ``tests/reference.py`` holds, started from the
-    tree's flow and potentials, with the same options, pivot for pivot.
-    It is carried out on integers scaled as ``_ResidualArcs`` scales
-    them: costs by their common denominator, flows by that of the
-    capacities and budgets, since tree flows are sums of those.  The
-    tree is hung once and the start filled down it, with ``tree_flow``'s
-    errors; each pivot updates its parent pointers and depths in place.
-    ``Fraction`` values are built only for the trace and the final
-    flow and structure.
+    tree's flow, with the same options, pivot for pivot.  It is carried
+    out on integers scaled as ``_ResidualArcs`` scales them: costs by
+    their common denominator, flows by that of the capacities and
+    budgets, since tree flows are sums of those.  The tree is hung once
+    and the start flow and potentials filled down it, with
+    ``tree_flow``'s errors; each pivot re-hangs one subtree in place
+    and shifts its potentials.  ``Fraction`` values are built only for
+    the trace and the final flow.
     """
     bad = validate_structure(net, structure)
     if bad is not None:
@@ -273,15 +276,13 @@ def _ns_kernel(
         depth[w] = depth[v] + 1
         up_step[w], down_step[w] = (e, tail[e] == w), (e, head[e] == w)
         children[v].append(w)
-    # the start flow and potentials are filled down the same hang
+    # the start flow and potentials, the root's at zero, are filled
+    # down the same hang
     flow = [0] * m
     budgets = [_scaled(b, flow_scale) for b in net.budgets]
     _fill_flow(order, parent, parent_edge, tail, head, cap, budgets, structure, flow, flow_scale)
-    # potentials come from the tree with the root at zero; the root's
-    # given potential, if any, only shifts the final ones
     pot = [0] * n
     _potentials(order, parent, parent_edge, tail, cost, pot)
-    offset = 0 if structure.potentials is None else structure.potentials[root]
 
     trace = NsTrace()
     pivots = trace.pivots
@@ -294,7 +295,6 @@ def _ns_kernel(
             lower=frozenset(e for e in range(m) if state[e] == 1),
             upper=frozenset(e for e in range(m) if state[e] == -1),
             root=root,
-            potentials=tuple(Fraction(p, cost_scale) + offset for p in pot),
         )
         return trace
 
@@ -479,9 +479,7 @@ def basic_structure_from_flow(net: FlowNetwork, flow: Flow) -> tuple[SpanningTre
             if cap is None or values[idx] != cap:
                 raise FlowLabError("internal error: off-tree edge still strictly inside bounds")
             upper.add(idx)
-    structure = SpanningTreeStructure(tree_set, frozenset(lower), frozenset(upper))
-    structure = replace(structure, potentials=compute_potentials(net, structure))
-    return structure, Flow(tuple(values))
+    return SpanningTreeStructure(tree_set, frozenset(lower), frozenset(upper)), Flow(tuple(values))
 
 
 def _cycle_headroom(net, values, cycle):

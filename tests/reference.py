@@ -11,7 +11,6 @@ and ``augment_cycle``), ``reference_karp`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -62,7 +61,7 @@ def entering_edge(net: FlowNetwork, s: SpanningTreeStructure) -> Optional[int]:
     Lower edges violate with negative reduced cost, upper edges with
     positive reduced cost.
     """
-    pot = s.potentials if s.potentials is not None else compute_potentials(net, s)
+    pot = compute_potentials(net, s)
     best_id: Optional[int] = None
     best_mag: Optional[Fraction] = None
     for idx in range(net.edge_count):
@@ -129,13 +128,10 @@ def pivot(
     met when walking the cycle from its apex (the path node nearest the
     root) along the augmentation direction, which is the classic
     anti-cycling choice and overrides the ranks.
-
-    Potentials are updated by shifting the subtree cut off by the
-    leaving edge.
     """
     if flow is None:
         flow = tree_flow(net, s)
-    pot = s.potentials if s.potentials is not None else compute_potentials(net, s)
+    pot = compute_potentials(net, s)
     ent = net.edges[entering]
     rc = ent.cost - pot[ent.tail] + pot[ent.head]
     adj = _tree_adjacency(net, s.tree_edges)
@@ -205,7 +201,6 @@ def pivot(
             lower=frozenset(lower),
             upper=frozenset(upper),
             root=s.root,
-            potentials=pot,
         )
     else:
         tree = set(s.tree_edges)
@@ -216,21 +211,11 @@ def pivot(
             upper.add(leaving)
         else:
             lower.add(leaving)
-        # removing the leaving edge splits the old tree; the side away
-        # from the root shifts by a constant fixed by the entering edge
-        far = _far_side(net, s.tree_edges, leaving, s.root)
-        if far[ent.tail]:
-            shift = (pot[ent.head] + ent.cost) - pot[ent.tail]
-        else:
-            shift = (pot[ent.tail] - ent.cost) - pot[ent.head]
         new_structure = SpanningTreeStructure(
             tree_edges=frozenset(tree),
             lower=frozenset(lower),
             upper=frozenset(upper),
             root=s.root,
-            potentials=tuple(
-                pot[v] + shift if far[v] else pot[v] for v in range(net.node_count)
-            ),
         )
 
     step = NsPivot(
@@ -244,35 +229,14 @@ def pivot(
     return step, new_structure, new_flow
 
 
-def _far_side(net: FlowNetwork, tree_edges, removed: int, root: int):
-    """Membership mask of the component not containing the root after
-    deleting ``removed`` from the tree."""
-    adj = _tree_adjacency(net, (idx for idx in tree_edges if idx != removed))
-    reachable = [False] * net.node_count
-    reachable[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for _, w in adj[v]:
-            if not reachable[w]:
-                reachable[w] = True
-                queue.append(w)
-    return [not r for r in reachable]
-
-
 def reference_solve(net, structure, limit=None, **options):
     """``ns_solve`` spelled out as a loop of ``entering_edge`` and
     ``pivot``: the pivots, the final flow and the final structure.
 
-    As in ``ns_solve``, the potentials come from the tree, shifted by
-    the cached root entry when there is one; the rest of a cached
-    ``potentials`` may belong to other costs and is not read."""
+    Both steps recompute the potentials from the tree they are given,
+    so a replay compares the kernel's incremental update with a full
+    recomputation at every pivot."""
     flow = tree_flow(net, structure)
-    pot = compute_potentials(net, structure)
-    if structure.potentials is not None:
-        shift = structure.potentials[structure.root]
-        pot = tuple(p + shift for p in pot)
-    structure = replace(structure, potentials=pot)
     pivots = []
     while limit is None or len(pivots) < limit:
         entering = entering_edge(net, structure)

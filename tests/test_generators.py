@@ -36,6 +36,11 @@ def test_floor_log2_values():
     assert floor_log2(255) == 7
     assert floor_log2(256) == 8
     assert floor_log2(Fraction(1, 3)) == -2
+    for p in range(1, 65):
+        for r in range(1, 65):
+            q = Fraction(p, r)
+            e = floor_log2(q)
+            assert 2**e <= q < 2 ** (e + 1)
     with pytest.raises(ValueError):
         floor_log2(0)
 

@@ -39,7 +39,7 @@ from flowlab.netsimplex import (
 from flowlab.core import InfeasibleError
 
 from conftest import random_network
-from reference import entering_edge, pivot, reference_solve
+from reference import entering_edge, pivot, reduced_cost, reference_solve
 
 
 def square_network(middle_cap=4):
@@ -89,6 +89,11 @@ def test_validate_structure_rejects_uncapacitated_upper_edge():
     net = FlowNetwork.from_data(3, [(0, 1, 2, 0), (1, 2, 2, 0), (0, 2, None, 0)])
     s = SpanningTreeStructure(frozenset({0, 1}), frozenset(), frozenset({2}))
     assert validate_structure(net, s).kind == "uncapacitated_upper"
+    # tree_flow checks only the partition up front and meets the edge
+    # when it pins the upper set
+    with pytest.raises(InfeasibleStructureError) as raised:
+        tree_flow(net, s)
+    assert str(raised.value) == "edge 2 in upper set has no capacity"
 
 
 def test_tree_flow_on_a_path():
@@ -129,6 +134,26 @@ def test_tree_flow_rejects_negative_or_overfull_tree_edges():
         tree_flow(triangle, cyclic)
     with pytest.raises(InfeasibleStructureError, match="do not span"):
         compute_potentials(triangle, cyclic)
+
+
+def test_tree_flow_rejects_sets_that_do_not_partition_the_edges():
+    # tree_flow refuses with ns_solve's text, before any edge is left
+    # without a flow value
+    triangle = FlowNetwork.from_data(
+        3, [(0, 1, 5, 1), (1, 2, 5, 1), (0, 2, 5, 3)], budgets=[2, 0, -2]
+    )
+    missing = SpanningTreeStructure(frozenset({0, 1}), frozenset(), frozenset())
+    overlap = SpanningTreeStructure(frozenset({0, 1}), frozenset({1, 2}), frozenset())
+    for s, expected in (
+        (missing, "structure_incomplete: some edge belongs to no set"),
+        (overlap, "structure_overlap: tree, lower, and upper sets overlap"),
+    ):
+        with pytest.raises(InfeasibleStructureError) as raised:
+            tree_flow(triangle, s)
+        assert str(raised.value) == expected
+        with pytest.raises(InfeasibleStructureError) as solved:
+            ns_solve(triangle, s)
+        assert str(solved.value) == expected
 
 
 def test_compute_potentials_follows_tree_costs():
@@ -200,7 +225,6 @@ def test_pivot_swaps_cheap_route_into_tree():
     assert structure.tree_edges == frozenset({0, 1, 3})
     assert structure.lower == frozenset({2})
     assert structure.upper == frozenset()
-    assert structure.potentials == compute_potentials(net, structure)
     assert entering_edge(net, structure) is None
 
 
@@ -330,8 +354,9 @@ def test_ns_solve_agrees_with_cycle_canceling_on_random_instances():
 
 
 def test_ns_solve_incremental_and_full_potentials_agree_end_to_end():
-    # after every pivot, the potentials the kernel updates in place equal
-    # those computed afresh from the tree it has reached
+    # after every pivot, the kernel prices the next one with potentials
+    # it updates in place; they must pick the entering edge and reduced
+    # cost that potentials computed afresh from the tree it has reached do
     rng = random.Random(74)
     compared = 0
     for _ in range(40):
@@ -341,14 +366,19 @@ def test_ns_solve_incremental_and_full_potentials_agree_end_to_end():
             s, _ = basic_structure_from_flow(net, f)
         except (InfeasibleError, InfeasibleStructureError):
             continue
-        for cap in range(ns_solve(net, s).pivot_count + 1):
+        pivots = ns_solve(net, s).pivots
+        for cap in range(len(pivots) + 1):
             try:
-                trace = ns_solve(net, s, iteration_cap=cap)
+                reached = ns_solve(net, s, iteration_cap=cap).final_structure
             except IterationCapExceeded as exc:
-                trace = exc.trace
-            assert trace.final_structure.potentials == compute_potentials(
-                net, trace.final_structure
-            )
+                reached = exc.trace.final_structure
+            entering = entering_edge(net, reached)
+            if cap == len(pivots):
+                assert entering is None
+                continue
+            assert entering == pivots[cap].entering
+            pot = compute_potentials(net, reached)
+            assert reduced_cost(net, pot, entering) == pivots[cap].entering_reduced_cost
         compared += 1
     assert compared > 10
 
@@ -394,7 +424,6 @@ def assert_replays_reference(net, structure, **options):
     assert trace.pivots == pivots
     assert trace.final_flow == flow
     assert trace.final_structure == final
-    assert trace.final_structure.potentials == final.potentials
     return trace
 
 
@@ -467,11 +496,8 @@ def test_ns_solve_optimal_cost_matches_networkx(start):
 
 @pytest.mark.parametrize("options", OPTIONS, ids=OPTION_IDS)
 def test_ns_solve_replays_reference_through_ties_and_ranks(options):
-    # costs in {-3, ..., 3} tie in pricing and in the ratio test, random
-    # leaving ranks compete with edge ids, and starting potentials off
-    # by a constant tell incremental updates from full recomputation:
-    # the root keeps its starting potential, and the final potentials
-    # are those of the final tree shifted by it
+    # costs in {-3, ..., 3} tie in pricing and in the ratio test, and
+    # random leaving ranks compete with edge ids
     rng = random.Random(76)
     replayed = 0
     for _ in range(100):
@@ -487,18 +513,14 @@ def test_ns_solve_replays_reference_through_ties_and_ranks(options):
             s, _ = basic_structure_from_flow(net, initial_feasible_flow(net))
         except (InfeasibleError, InfeasibleStructureError):
             continue
-        offset = Fraction(rng.randint(-3, 3), 2)
-        s = replace(s, potentials=tuple(p + offset for p in s.potentials))
-        final = assert_replays_reference(net, s, **options).final_structure
-        pinned = s.potentials[s.root]
-        assert final.potentials == tuple(p + pinned for p in compute_potentials(net, final))
+        assert_replays_reference(net, s, **options)
         replayed += 1
     assert replayed > 25
 
 
 def test_ns_solve_warm_start_ignores_stale_potentials():
-    # the final structure of one cost draw caches potentials of those
-    # costs; solving another draw from it must price with the new costs
+    # a warm start from the final structure of another cost draw must
+    # price with the new costs, end optimal and replay the reference
     inst = gen_random_smoothed(10, 25, 4, 0)
     net0 = inst.realize(sample_costs(inst, 0))
     net = inst.realize(sample_costs(inst, 2))
@@ -507,8 +529,6 @@ def test_ns_solve_warm_start_ignores_stale_potentials():
     trace = ns_solve(net, warm)
     assert trace.termination == "optimal"
     assert verify_optimality(net, trace.final_flow) is None
-    fresh = ns_solve(net, replace(warm, potentials=None))
-    assert trace.pivots == fresh.pivots
     pivots, flow, _ = reference_solve(net, warm)
     assert pivots == trace.pivots
     assert verify_optimality(net, flow) is None
@@ -562,7 +582,6 @@ def test_ns_solve_iteration_cap_trace_holds_the_flow_and_structure_reached():
     assert trace.pivots == pivots
     assert trace.final_flow == flow
     assert trace.final_structure == final
-    assert trace.final_structure.potentials == final.potentials
 
 
 def test_basic_structure_from_flow_handles_a_long_interior_cycle():
@@ -575,6 +594,20 @@ def test_basic_structure_from_flow_handles_a_long_interior_cycle():
     assert flat.values == (Fraction(0),) * n
     assert tree_flow(net, s) == flat
     assert s.upper == frozenset() and len(s.lower) == 1
+
+
+def test_basic_structure_from_flow_on_an_uncapacitated_free_cycle():
+    # a directed 3-cycle of uncapacitated edges, each carrying 1: with a
+    # negative cycle cost nothing bounds the push; with a zero cost the
+    # flow drains the other way, down to zero
+    one = Flow((Fraction(1),) * 3)
+    negative = FlowNetwork.from_data(3, [(0, 1, None, 1), (1, 2, None, 1), (2, 0, None, -3)])
+    with pytest.raises(UnboundedCycleError, match="free cycle with negative cost and no cap"):
+        basic_structure_from_flow(negative, one)
+    zero = FlowNetwork.from_data(3, [(0, 1, None, 1), (1, 2, None, 1), (2, 0, None, -2)])
+    s, flat = basic_structure_from_flow(zero, one)
+    assert flat.values == (Fraction(0),) * 3
+    assert s == SpanningTreeStructure(frozenset({0, 1}), frozenset({2}), frozenset())
 
 
 def test_ns_solve_hangs_the_tree_once(monkeypatch):
