@@ -194,11 +194,14 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class CostInterval:
-    """Half-open cost range [lo, lo + width) an edge cost is drawn from.
+    """Closed cost range [lo, lo + width] an edge cost may take.
 
-    A zero width is allowed and denotes a degenerate interval whose only
-    sample is ``lo``.  The smoothing constraint (width at least 1/phi)
-    is a property of a whole instance, checked by ``validate_instance``.
+    ``contains``, and so ``SmoothedInstance.realize``, accepts both
+    ends; ``sample_costs`` draws only from the half-open grid below
+    ``lo + width``.  A zero width is allowed and denotes a degenerate
+    interval whose only cost is ``lo``.  The smoothing constraint
+    (width at least 1/phi) is a property of a whole instance, checked
+    by ``validate_instance``.
     """
 
     lo: Fraction

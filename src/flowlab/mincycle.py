@@ -1,15 +1,10 @@
 """Minimum-mean cycle search over residual networks.
 
-``karp_min_mean`` runs Karp's dynamic program over walk lengths and is
-the production routine.  ``brute_force_min_mean`` enumerates every
-simple cycle and exists purely as an oracle for testing; it refuses
-graphs above a node limit unless told otherwise.
-
+``karp_min_mean`` runs Karp's dynamic program over walk lengths.
 Karp's table (``_walk_table``), its min-max step and the cycle cut
-(``_min_mean_cycle``) are private routines on flat integer arcs.
+(``_min_mean_cycle``) are private routines on flat integer arcs;
 ``karp_min_mean`` and the cycle-canceling solver both search with
-``_min_mean_cycle``, and ``walk_cost_table`` is ``_walk_table`` divided
-back to rationals, so there is one dynamic program to maintain.
+``_min_mean_cycle``, so there is one dynamic program to maintain.
 """
 
 from __future__ import annotations
@@ -18,27 +13,15 @@ import math
 from fractions import Fraction
 from itertools import repeat
 from operator import sub, truediv
-from typing import Iterator, Optional
+from typing import Optional
 
-from .core import Cycle, FlowLabError, ResidualEdge, ResidualNetwork, _scaled
+from .core import Cycle, FlowLabError, ResidualNetwork, _scaled
 
-__all__ = [
-    "GraphTooLargeError",
-    "karp_min_mean",
-    "brute_force_min_mean",
-    "enumerate_simple_cycles",
-    "walk_cost_table",
-]
-
-BRUTE_FORCE_NODE_LIMIT = 12
+__all__ = ["karp_min_mean"]
 
 # integers below this in magnitude are exact as floats, and so are their
 # sums and differences while those stay below it too
 _FLOAT_EXACT = 2**53
-
-
-class GraphTooLargeError(FlowLabError):
-    """Brute-force enumeration refused: too many nodes for the guard."""
 
 
 def _walk_table(n: int, arcs, levels: int, far) -> list[list]:
@@ -162,24 +145,6 @@ def _scaled_arcs(r: ResidualNetwork) -> tuple[list[tuple[int, int, int]], int]:
     return [(e.tail, e.head, _scaled(e.cost, scale)) for e in r.edges], scale
 
 
-def walk_cost_table(r: ResidualNetwork):
-    """Cheapest-walk table D where D[k][v] is the minimum cost of a
-    walk with exactly k edges ending at v, over walks starting anywhere.
-
-    Row 0 is all zeros (the empty walk at each node); unreachable
-    entries are ``None``.  The table has node-count + 1 rows, which is
-    what the minimum-mean formula needs.  It is the table
-    ``karp_min_mean`` computes, with entries divided back by the scale.
-    """
-    levels = r.node_count
-    arcs, scale = _scaled_arcs(r)
-    limit = levels * max((abs(c) for _, _, c in arcs), default=0)
-    return [
-        [None if d > limit else Fraction(d, scale) for d in row]
-        for row in _walk_table(r.node_count, arcs, levels, 2 * limit + 1)
-    ]
-
-
 def karp_min_mean(r: ResidualNetwork) -> Optional[Cycle]:
     """A cycle of minimum mean cost, or ``None`` if the graph is acyclic.
 
@@ -193,50 +158,3 @@ def karp_min_mean(r: ResidualNetwork) -> Optional[Cycle]:
         return None
     positions, _, _ = found
     return Cycle.from_edges([r.edges[i] for i in positions])
-
-
-def enumerate_simple_cycles(r: ResidualNetwork) -> Iterator[tuple[ResidualEdge, ...]]:
-    """Yield every simple cycle exactly once.
-
-    Each cycle is reported starting at its smallest node; the search
-    from a given start only visits larger nodes, the standard trick to
-    avoid duplicates.
-    """
-    out: dict[int, list[ResidualEdge]] = {}
-    for e in r.edges:
-        out.setdefault(e.tail, []).append(e)
-
-    def extend(start: int, node: int, path: list[ResidualEdge], on_path: set[int]):
-        for e in out.get(node, ()):
-            w = e.head
-            if w == start:
-                yield tuple(path + [e])
-            elif w > start and w not in on_path:
-                on_path.add(w)
-                path.append(e)
-                yield from extend(start, w, path, on_path)
-                path.pop()
-                on_path.remove(w)
-
-    for start in range(r.node_count):
-        yield from extend(start, start, [], {start})
-
-
-def brute_force_min_mean(
-    r: ResidualNetwork, *, node_limit: int = BRUTE_FORCE_NODE_LIMIT
-) -> Optional[Cycle]:
-    """Exhaustive minimum-mean cycle, usable as an oracle on small graphs.
-
-    Raises ``GraphTooLargeError`` above ``node_limit`` nodes; callers
-    who know their graph is sparse enough may raise the limit.
-    """
-    if r.node_count > node_limit:
-        raise GraphTooLargeError(
-            "%d nodes exceeds the brute-force limit of %d" % (r.node_count, node_limit)
-        )
-    best: Optional[Cycle] = None
-    for edges in enumerate_simple_cycles(r):
-        cycle = Cycle.from_edges(edges)
-        if best is None or cycle.mean_cost < best.mean_cost:
-            best = cycle
-    return best

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     Flow,
@@ -37,7 +37,6 @@ __all__ = [
     "compute_potentials",
     "ns_solve",
     "basic_structure_from_flow",
-    "nondegenerate_cycle_paths",
 ]
 
 
@@ -151,22 +150,32 @@ def _fill_flow(order, parent, parent_edge, tail, head, cap, budgets, s, values, 
             )
 
 
+def _checked_hang(net: FlowNetwork, s: SpanningTreeStructure):
+    """The edge tails and heads, and ``_hang`` of the tree.
+
+    Raises ``InfeasibleStructureError`` with ``ns_solve``'s text when
+    the three sets do not partition the edge ids or the root is not a
+    node; the spanning checks are left to the hang, which reports them
+    all as one error.
+    """
+    bad = validate_structure(net, s)
+    if bad is not None and bad.kind in ("structure_overlap", "structure_incomplete", "bad_root"):
+        raise InfeasibleStructureError("%s: %s" % (bad.kind, bad.detail))
+    tail = [e.tail for e in net.edges]
+    head = [e.head for e in net.edges]
+    return tail, head, _hang(net.node_count, tail, head, s.tree_edges, s.root)
+
+
 def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
     """The unique flow with lower edges at 0, upper edges at capacity,
     and conservation enforced through the tree.
 
-    Raises ``InfeasibleStructureError`` when the three sets do not
-    partition the edge ids, or a tree edge would have to carry a
-    negative amount or exceed its capacity.
+    Raises ``InfeasibleStructureError`` when the structure is not a
+    partition with a spanning tree and a root among the nodes, or a
+    tree edge would have to carry a negative amount or exceed its
+    capacity.
     """
-    # validate_structure checks the partition first; the spanning checks
-    # are left to the hang, which reports them all as one error
-    bad = validate_structure(net, s)
-    if bad is not None and bad.kind in ("structure_overlap", "structure_incomplete"):
-        raise InfeasibleStructureError("%s: %s" % (bad.kind, bad.detail))
-    tail = [e.tail for e in net.edges]
-    head = [e.head for e in net.edges]
-    hung = _hang(net.node_count, tail, head, s.tree_edges, s.root)
+    tail, head, hung = _checked_hang(net, s)
     values = [Fraction(0) if idx in s.lower else None for idx in range(net.edge_count)]
     cap = [e.capacity for e in net.edges]
     _fill_flow(*hung, tail, head, cap, net.budgets, s, values, 1)
@@ -175,10 +184,12 @@ def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
 
 def compute_potentials(net: FlowNetwork, s: SpanningTreeStructure) -> tuple[Fraction, ...]:
     """Node potentials making every tree edge's reduced cost zero, with
-    the root pinned at zero."""
-    tail = [e.tail for e in net.edges]
-    head = [e.head for e in net.edges]
-    hung = _hang(net.node_count, tail, head, s.tree_edges, s.root)
+    the root pinned at zero.
+
+    Raises ``InfeasibleStructureError`` when the structure is not a
+    partition with a spanning tree and a root among the nodes.
+    """
+    tail, _, hung = _checked_hang(net, s)
     pot = [Fraction(0)] * net.node_count
     _potentials(*hung, tail, [e.cost for e in net.edges], pot)
     return tuple(pot)
@@ -537,51 +548,3 @@ def _free_cycle(net, free_ids):
                 state[v] = 2
                 stack.pop()
     return None
-
-
-def nondegenerate_cycle_paths(
-    net: FlowNetwork, trace: NsTrace, skip_nodes: Iterable[int] = ()
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Directed node paths carved out of the non-degenerate pivot cycles.
-
-    Arcs touching ``skip_nodes`` are dropped; the rest of each cycle
-    must chain into a single path, which is returned with the pivot's
-    augmentation amount.  With no skipped nodes the "path" is the full
-    cycle starting at the entering edge's tail.
-    """
-    skip = set(skip_nodes)
-    out = []
-    for p in trace.pivots:
-        if p.degenerate:
-            continue
-        arcs = []
-        for idx, fwd in p.cycle:
-            e = net.edges[idx]
-            a, b = (e.tail, e.head) if fwd else (e.head, e.tail)
-            if a in skip or b in skip:
-                continue
-            arcs.append((a, b))
-        if not arcs:
-            raise ValueError("pivot cycle vanished entirely after skipping nodes")
-        successor = dict(arcs)
-        if len(successor) != len(arcs):
-            raise ValueError("pivot cycle arcs do not form a simple chain")
-        heads = {b for _, b in arcs}
-        start_candidates = [a for a, _ in arcs if a not in heads]
-        if not start_candidates:
-            start = arcs[0][0]  # unbroken cycle
-        elif len(start_candidates) == 1:
-            start = start_candidates[0]
-        else:
-            raise ValueError("pivot cycle splits into several chains after skipping nodes")
-        path = [start]
-        node = start
-        for _ in range(len(arcs)):
-            node = successor[node]
-            path.append(node)
-            if node == start:
-                break
-        if len(path) != len(arcs) + 1:
-            raise ValueError("pivot cycle arcs do not chain into one path")
-        out.append((tuple(path), p.amount))
-    return out

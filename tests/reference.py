@@ -5,14 +5,18 @@ step for step with a loop here: ``reference_solve`` (``entering_edge``
 and ``pivot``), ``reference_ssp`` (``cheapest_path`` over
 ``residual``), ``reference_mmcc`` (``karp_min_mean`` over ``residual``
 and ``augment_cycle``), ``reference_karp`` and
-``reference_verify_optimality``.
+``reference_verify_optimality``.  The other oracles the tests use live
+here too: ``walk_cost_table`` (Karp's table back in rationals), the
+exhaustive ``brute_force_min_mean`` over ``enumerate_simple_cycles``,
+and ``nondegenerate_cycle_paths``, which carves paths out of an NS
+trace.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from flowlab.core import (
     Cycle,
@@ -26,11 +30,12 @@ from flowlab.core import (
     UnboundedCycleError,
     residual,
 )
-from flowlab.mincycle import karp_min_mean
+from flowlab.mincycle import _scaled_arcs, _walk_table, karp_min_mean
 from flowlab.mmcc import MmccIteration, initial_feasible_flow
 from flowlab.netsimplex import (
     InfeasibleStructureError,
     NsPivot,
+    NsTrace,
     SpanningTreeStructure,
     _hang,
     compute_potentials,
@@ -247,6 +252,54 @@ def reference_solve(net, structure, limit=None, **options):
     return pivots, flow, structure
 
 
+def nondegenerate_cycle_paths(
+    net: FlowNetwork, trace: NsTrace, skip_nodes: Iterable[int] = ()
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Directed node paths carved out of the non-degenerate pivot cycles.
+
+    Arcs touching ``skip_nodes`` are dropped; the rest of each cycle
+    must chain into a single path, which is returned with the pivot's
+    augmentation amount.  With no skipped nodes the "path" is the full
+    cycle starting at the entering edge's tail.
+    """
+    skip = set(skip_nodes)
+    out = []
+    for p in trace.pivots:
+        if p.degenerate:
+            continue
+        arcs = []
+        for idx, fwd in p.cycle:
+            e = net.edges[idx]
+            a, b = (e.tail, e.head) if fwd else (e.head, e.tail)
+            if a in skip or b in skip:
+                continue
+            arcs.append((a, b))
+        if not arcs:
+            raise ValueError("pivot cycle vanished entirely after skipping nodes")
+        successor = dict(arcs)
+        if len(successor) != len(arcs):
+            raise ValueError("pivot cycle arcs do not form a simple chain")
+        heads = {b for _, b in arcs}
+        start_candidates = [a for a, _ in arcs if a not in heads]
+        if not start_candidates:
+            start = arcs[0][0]  # unbroken cycle
+        elif len(start_candidates) == 1:
+            start = start_candidates[0]
+        else:
+            raise ValueError("pivot cycle splits into several chains after skipping nodes")
+        path = [start]
+        node = start
+        for _ in range(len(arcs)):
+            node = successor[node]
+            path.append(node)
+            if node == start:
+                break
+        if len(path) != len(arcs) + 1:
+            raise ValueError("pivot cycle arcs do not chain into one path")
+        out.append((tuple(path), p.amount))
+    return out
+
+
 def distances_to_sink(r: ResidualNetwork, sink: int) -> list[Optional[Fraction]]:
     """Cheapest residual cost from each node to the sink, None when the
     sink cannot be reached.
@@ -455,6 +508,78 @@ def reference_karp(r):
         if e.tail in seen_at:
             return Cycle.from_edges(walk[seen_at[e.tail]:i + 1][::-1])
         seen_at[e.tail] = i + 1
+
+
+BRUTE_FORCE_NODE_LIMIT = 12
+
+
+class GraphTooLargeError(FlowLabError):
+    """Brute-force enumeration refused: too many nodes for the guard."""
+
+
+def walk_cost_table(r: ResidualNetwork):
+    """Cheapest-walk table D where D[k][v] is the minimum cost of a
+    walk with exactly k edges ending at v, over walks starting anywhere.
+
+    Row 0 is all zeros (the empty walk at each node); unreachable
+    entries are ``None``.  The table has node-count + 1 rows, which is
+    what the minimum-mean formula needs.  It is the table
+    ``karp_min_mean`` computes, with entries divided back by the scale.
+    """
+    levels = r.node_count
+    arcs, scale = _scaled_arcs(r)
+    limit = levels * max((abs(c) for _, _, c in arcs), default=0)
+    return [
+        [None if d > limit else Fraction(d, scale) for d in row]
+        for row in _walk_table(r.node_count, arcs, levels, 2 * limit + 1)
+    ]
+
+
+def enumerate_simple_cycles(r: ResidualNetwork) -> Iterator[tuple[ResidualEdge, ...]]:
+    """Yield every simple cycle exactly once.
+
+    Each cycle is reported starting at its smallest node; the search
+    from a given start only visits larger nodes, the standard trick to
+    avoid duplicates.
+    """
+    out: dict[int, list[ResidualEdge]] = {}
+    for e in r.edges:
+        out.setdefault(e.tail, []).append(e)
+
+    def extend(start: int, node: int, path: list[ResidualEdge], on_path: set[int]):
+        for e in out.get(node, ()):
+            w = e.head
+            if w == start:
+                yield tuple(path + [e])
+            elif w > start and w not in on_path:
+                on_path.add(w)
+                path.append(e)
+                yield from extend(start, w, path, on_path)
+                path.pop()
+                on_path.remove(w)
+
+    for start in range(r.node_count):
+        yield from extend(start, start, [], {start})
+
+
+def brute_force_min_mean(
+    r: ResidualNetwork, *, node_limit: int = BRUTE_FORCE_NODE_LIMIT
+) -> Optional[Cycle]:
+    """Exhaustive minimum-mean cycle, usable as an oracle on small graphs.
+
+    Raises ``GraphTooLargeError`` above ``node_limit`` nodes; callers
+    who know their graph is sparse enough may raise the limit.
+    """
+    if r.node_count > node_limit:
+        raise GraphTooLargeError(
+            "%d nodes exceeds the brute-force limit of %d" % (r.node_count, node_limit)
+        )
+    best: Optional[Cycle] = None
+    for edges in enumerate_simple_cycles(r):
+        cycle = Cycle.from_edges(edges)
+        if best is None or cycle.mean_cost < best.mean_cost:
+            best = cycle
+    return best
 
 
 def reference_verify_optimality(net, flow):

@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import random_capacity_respecting_flow, random_network
+from reference import brute_force_min_mean, nondegenerate_cycle_paths
 from flowlab.core import (
     Flow,
     InfeasibleError,
@@ -38,9 +39,9 @@ from flowlab.generators import (
     sample_costs,
     strip_q_chain,
 )
-from flowlab.mincycle import brute_force_min_mean, karp_min_mean
+from flowlab.mincycle import karp_min_mean
 from flowlab.mmcc import halving_violation, initial_feasible_flow, mmcc_solve
-from flowlab.netsimplex import basic_structure_from_flow, nondegenerate_cycle_paths, ns_solve
+from flowlab.netsimplex import basic_structure_from_flow, ns_solve
 from flowlab.ssp import concentrate_budgets, ssp_solve
 
 SEED_COUNT = 20

@@ -8,16 +8,16 @@ from fractions import Fraction
 import pytest
 
 from flowlab.core import ResidualEdge, ResidualNetwork, residual
-from flowlab.mincycle import (
+from flowlab.mincycle import karp_min_mean
+
+from conftest import random_capacity_respecting_flow, random_network
+from reference import (
     GraphTooLargeError,
     brute_force_min_mean,
     enumerate_simple_cycles,
-    karp_min_mean,
+    reference_karp,
     walk_cost_table,
 )
-
-from conftest import random_capacity_respecting_flow, random_network
-from reference import reference_karp
 
 
 def residual_net(node_count, arcs):

@@ -31,7 +31,6 @@ from flowlab.netsimplex import (
     SpanningTreeStructure,
     basic_structure_from_flow,
     compute_potentials,
-    nondegenerate_cycle_paths,
     ns_solve,
     tree_flow,
     validate_structure,
@@ -39,7 +38,13 @@ from flowlab.netsimplex import (
 from flowlab.core import InfeasibleError
 
 from conftest import random_network
-from reference import entering_edge, pivot, reduced_cost, reference_solve
+from reference import (
+    entering_edge,
+    nondegenerate_cycle_paths,
+    pivot,
+    reduced_cost,
+    reference_solve,
+)
 
 
 def square_network(middle_cap=4):
@@ -137,23 +142,25 @@ def test_tree_flow_rejects_negative_or_overfull_tree_edges():
 
 
 def test_tree_flow_rejects_sets_that_do_not_partition_the_edges():
-    # tree_flow refuses with ns_solve's text, before any edge is left
-    # without a flow value
+    # tree_flow and compute_potentials refuse with ns_solve's text,
+    # before any edge is left without a flow value or a root outside
+    # the nodes is hung
     triangle = FlowNetwork.from_data(
         3, [(0, 1, 5, 1), (1, 2, 5, 1), (0, 2, 5, 3)], budgets=[2, 0, -2]
     )
     missing = SpanningTreeStructure(frozenset({0, 1}), frozenset(), frozenset())
     overlap = SpanningTreeStructure(frozenset({0, 1}), frozenset({1, 2}), frozenset())
+    far_root = SpanningTreeStructure(frozenset({0, 1}), frozenset({2}), frozenset(), root=9)
     for s, expected in (
         (missing, "structure_incomplete: some edge belongs to no set"),
         (overlap, "structure_overlap: tree, lower, and upper sets overlap"),
+        (far_root, "bad_root: root 9 is not a node"),
+        (replace(far_root, root=-1), "bad_root: root -1 is not a node"),
     ):
-        with pytest.raises(InfeasibleStructureError) as raised:
-            tree_flow(triangle, s)
-        assert str(raised.value) == expected
-        with pytest.raises(InfeasibleStructureError) as solved:
-            ns_solve(triangle, s)
-        assert str(solved.value) == expected
+        for entry in (tree_flow, compute_potentials, ns_solve):
+            with pytest.raises(InfeasibleStructureError) as raised:
+                entry(triangle, s)
+            assert str(raised.value) == expected
 
 
 def test_compute_potentials_follows_tree_costs():
