@@ -259,6 +259,8 @@ class SmoothedInstance:
     def __post_init__(self):
         if len(self.intervals) != self.network.edge_count:
             raise ValueError("one cost interval per edge is required")
+        if self.starting_flow is not None and len(self.starting_flow) != self.network.edge_count:
+            raise ValueError("one starting flow value per edge is required")
 
     def realize(self, costs: Sequence[Fraction]) -> FlowNetwork:
         """Return a concrete network using ``costs`` for the edge costs."""
@@ -428,25 +430,15 @@ def validate_instance(inst: SmoothedInstance) -> Optional[Violation]:
                 "edge %d has width %s below 1/phi = %s" % (idx, interval.width, floor),
             )
     if inst.starting_flow is not None:
-        bad_flow = check_feasible(inst.network, inst.starting_flow)
-        if bad_flow is not None:
-            return bad_flow
+        return check_feasible(inst.network, inst.starting_flow)
     return None
 
 
-def _check_capacities(net: FlowNetwork, flow: Flow) -> None:
-    """Raise unless ``flow`` has one value per edge, each within
-    [0, capacity]."""
+def _flow_values(net: FlowNetwork, flow: Flow) -> tuple:
+    """``flow.values``; ``ValueError`` unless there is one per edge of ``net``."""
     if len(flow) != net.edge_count:
         raise ValueError("flow has %d values for %d edges" % (len(flow), net.edge_count))
-    for idx, e in enumerate(net.edges):
-        f = flow[idx]
-        if f < 0:
-            raise CapacityViolation("edge %d carries negative flow %s" % (idx, f))
-        if e.capacity is not None and f > e.capacity:
-            raise CapacityViolation(
-                "edge %d carries %s above capacity %s" % (idx, f, e.capacity)
-            )
+    return flow.values
 
 
 class _ResidualArcs:
@@ -464,11 +456,7 @@ class _ResidualArcs:
 
     def __init__(self, net: FlowNetwork, flow: Optional[Flow] = None, extra=()):
         self.edges = edges = net.edges
-        if flow is None:
-            values = (0,) * len(edges)
-        else:
-            _check_capacities(net, flow)
-            values = flow.values
+        values = (0,) * len(edges) if flow is None else _flow_values(net, flow)
         self.cost_scale = cost_scale = lcm(*(e.cost.denominator for e in edges))
         self.flow_scale = flow_scale = lcm(
             *(e.capacity.denominator for e in edges if e.capacity is not None),
@@ -479,13 +467,18 @@ class _ResidualArcs:
         head: list[int] = []
         cost: list[int] = []
         room: list[Optional[int]] = []
-        for e, f in zip(edges, values):
+        for i, (e, f) in enumerate(zip(edges, values)):
             c = _scaled(e.cost, cost_scale)
             x = _scaled(f, flow_scale)
+            spare = None if e.capacity is None else _scaled(e.capacity, flow_scale) - x
+            if x < 0:
+                raise CapacityViolation("edge %d carries negative flow %s" % (i, f))
+            if spare is not None and spare < 0:
+                raise CapacityViolation("edge %d carries %s above capacity %s" % (i, f, e.capacity))
             tail += (e.tail, e.head)
             head += (e.head, e.tail)
             cost += (c, -c)
-            room += (None if e.capacity is None else _scaled(e.capacity, flow_scale) - x, x)
+            room += (spare, x)
         self.tail, self.head, self.cost, self.room = tail, head, cost, room
 
     def push(self, arcs: Iterable[int], amount: int) -> None:
@@ -527,30 +520,36 @@ def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
 
 
 def flow_cost(net: FlowNetwork, flow: Flow) -> Fraction:
-    """Total cost sum(cost(e) * flow(e)), exact."""
-    if len(flow) != net.edge_count:
-        raise ValueError("flow has %d values for %d edges" % (len(flow), net.edge_count))
-    return sum((e.cost * flow[idx] for idx, e in enumerate(net.edges)), Fraction(0))
+    """Total cost sum(cost(e) * flow(e)), exact, as one integer dot product."""
+    edges, values = net.edges, _flow_values(net, flow)
+    cost_scale = lcm(*(e.cost.denominator for e in edges))
+    flow_scale = lcm(*(f.denominator for f in values))
+    total = sum(_scaled(e.cost, cost_scale) * _scaled(f, flow_scale) for e, f in zip(edges, values))
+    return Fraction(total, cost_scale * flow_scale)
 
 
 def check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
-    """Check capacity bounds and conservation; ``None`` means feasible."""
-    if len(flow) != net.edge_count:
-        raise ValueError("flow has %d values for %d edges" % (len(flow), net.edge_count))
-    for idx, e in enumerate(net.edges):
-        f = flow[idx]
-        if f < 0 or (e.capacity is not None and f > e.capacity):
-            return Violation("capacity", "edge %d carries %s" % (idx, f))
-    balance = list(net.budgets)
-    for idx, e in enumerate(net.edges):
-        f = flow[idx]
-        balance[e.tail] -= f
-        balance[e.head] += f
-    for v in range(net.node_count):
-        if balance[v] != 0:
+    """Capacity bounds, then conservation, on scaled integers; ``None`` means feasible."""
+    edges, values, budgets = net.edges, _flow_values(net, flow), net.budgets
+    if len(budgets) != net.node_count:
+        raise ValueError("expected %d budgets, got %d" % (net.node_count, len(budgets)))
+    scale = lcm(
+        *(e.capacity.denominator for e in edges if e.capacity is not None),
+        *(f.denominator for f in values),
+        *(b.denominator for b in budgets),
+    )
+    scaled = [_scaled(f, scale) for f in values]
+    for idx, (e, x) in enumerate(zip(edges, scaled)):
+        if x < 0 or (e.capacity is not None and x > _scaled(e.capacity, scale)):
+            return Violation("capacity", "edge %d carries %s" % (idx, values[idx]))
+    balance = [_scaled(b, scale) for b in budgets]
+    for e, x in zip(edges, scaled):
+        balance[e.tail] -= x
+        balance[e.head] += x
+    for v, b in enumerate(balance):
+        if b:
             return Violation(
-                "conservation",
-                "node %s is off by %s" % (net.name_of(v), balance[v]),
+                "conservation", "node %s is off by %s" % (net.name_of(v), Fraction(b, scale))
             )
     return None
 

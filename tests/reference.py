@@ -4,12 +4,12 @@ Each flowlab solver runs one integer kernel, and the tests compare it
 step for step with a loop here: ``reference_solve`` (``entering_edge``
 and ``pivot``), ``reference_ssp`` (``cheapest_path`` over
 ``residual``), ``reference_mmcc`` (``karp_min_mean`` over ``residual``
-and ``augment_cycle``), ``reference_karp`` and
-``reference_verify_optimality``.  The other oracles the tests use live
-here too: ``walk_cost_table`` (Karp's table back in rationals), the
-exhaustive ``brute_force_min_mean`` over ``enumerate_simple_cycles``,
-and ``nondegenerate_cycle_paths``, which carves paths out of an NS
-trace.
+and ``augment_cycle``), ``reference_karp``,
+``reference_verify_optimality`` and ``reference_check_feasible``.  The
+other oracles the tests use live here too: ``walk_cost_table`` (Karp's
+table back in rationals), the exhaustive ``brute_force_min_mean`` over
+``enumerate_simple_cycles``, and ``nondegenerate_cycle_paths``, which
+carves paths out of an NS trace.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from flowlab.core import (
     ResidualEdge,
     ResidualNetwork,
     UnboundedCycleError,
+    Violation,
     residual,
 )
 from flowlab.mincycle import _scaled_arcs, _walk_table, karp_min_mean
@@ -619,3 +620,26 @@ def reference_verify_optimality(net, flow):
     if witness.total_cost >= 0:
         raise FlowLabError("internal error: witness cycle is not negative")
     return witness
+
+
+def reference_check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
+    """``check_feasible`` as it was over ``Fraction`` compares and
+    balances: the reference for the scaled-integer version."""
+    if len(flow) != net.edge_count:
+        raise ValueError("flow has %d values for %d edges" % (len(flow), net.edge_count))
+    for idx, e in enumerate(net.edges):
+        f = flow[idx]
+        if f < 0 or (e.capacity is not None and f > e.capacity):
+            return Violation("capacity", "edge %d carries %s" % (idx, f))
+    balance = list(net.budgets)
+    for idx, e in enumerate(net.edges):
+        f = flow[idx]
+        balance[e.tail] -= f
+        balance[e.head] += f
+    for v in range(net.node_count):
+        if balance[v] != 0:
+            return Violation(
+                "conservation",
+                "node %s is off by %s" % (net.name_of(v), balance[v]),
+            )
+    return None

@@ -1,6 +1,7 @@
 """Core type and operation tests."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from flowlab.core import (
     EmptyCycleError,
     Flow,
     FlowNetwork,
+    InfeasibleError,
     ResidualEdge,
     SmoothedInstance,
+    Violation,
     check_feasible,
     flow_cost,
     rational,
@@ -25,7 +28,7 @@ from flowlab.core import (
 )
 
 from flowlab.generators import MmccGeneralParams, gen_mmcc_general, sample_costs
-from flowlab.mmcc import mmcc_solve
+from flowlab.mmcc import initial_feasible_flow, mmcc_solve
 
 from conftest import (
     find_any_cycle,
@@ -35,6 +38,7 @@ from conftest import (
 from reference import (
     ZeroResidualCapacityError,
     augment_cycle,
+    reference_check_feasible,
     reference_verify_optimality,
 )
 
@@ -192,6 +196,80 @@ def test_check_feasible_reports_capacity_edge():
     assert bad is not None and bad.kind == "capacity"
 
 
+def test_check_feasible_rejects_a_wrong_budget_count():
+    edges = (Edge(0, 1, Fraction(1), Fraction(0)), Edge(1, 2, Fraction(1), Fraction(0)))
+    for budgets in ((1, -1), (1, 0, 0, -1)):
+        net = FlowNetwork(3, edges, budgets)
+        with pytest.raises(ValueError, match="expected 3 budgets, got %d" % len(budgets)):
+            check_feasible(net, Flow.zero(2))
+        # the flow's length is checked first
+        with pytest.raises(ValueError, match="flow has 1 values for 2 edges"):
+            check_feasible(net, Flow.zero(1))
+
+
+def _box_flow(rng, net):
+    """Rational flow values inside each edge's capacity, or up to 6 on
+    an uncapacitated edge; conservation is not attempted."""
+    values = []
+    for e in net.edges:
+        top = 6 if e.capacity is None else e.capacity
+        d = rng.randint(1, 4)
+        values.append(Fraction(rng.randint(0, int(top * d)), d))
+    return values
+
+
+def test_check_feasible_matches_reference_on_random_networks():
+    # rational and unbounded capacities, rational nonzero budgets, and
+    # flows inside the capacity box, above it, negative, and feasible
+    # ones from max flow, some of them nudged off conservation
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(200):
+        base = random_network(
+            rng, rng.randint(2, 8), rng.randint(1, 14), with_budgets=rng.random() < 0.7
+        )
+        share = rng.randint(1, 3)
+        net = FlowNetwork(
+            base.node_count,
+            tuple(
+                Edge(
+                    e.tail,
+                    e.head,
+                    None if rng.random() < 0.15 else e.capacity / rng.randint(1, 3),
+                    e.cost,
+                )
+                for e in base.edges
+            ),
+            tuple(b / share for b in base.budgets),
+            node_names=tuple("v%d" % v for v in range(base.node_count))
+            if rng.random() < 0.3
+            else None,
+        )
+        inside = _box_flow(rng, net)
+        above, negative = list(inside), list(inside)
+        capped = [i for i, e in enumerate(net.edges) if e.capacity is not None]
+        if capped:
+            i = rng.choice(capped)
+            above[i] = net.edges[i].capacity + Fraction(1, rng.randint(1, 4))
+        negative[rng.randrange(net.edge_count)] = -Fraction(1, rng.randint(1, 4))
+        flows = [inside, above, negative]
+        try:
+            feasible = list(initial_feasible_flow(net).values)
+        except InfeasibleError:
+            pass
+        else:
+            nudged = list(feasible)
+            i = rng.randrange(net.edge_count)
+            nudged[i] = max(Fraction(0), nudged[i] - Fraction(1, rng.randint(2, 5)))
+            flows += [feasible, nudged]
+        for values in flows:
+            flow = Flow(tuple(values))
+            expected = reference_check_feasible(net, flow)
+            assert check_feasible(net, flow) == expected
+            seen[None if expected is None else expected.kind] += 1
+    assert seen["capacity"] > 300 and seen["conservation"] > 150 and seen[None] > 150
+
+
 def test_augment_cycle_amount_is_min_residual():
     # triangle with residual capacities 3, 1, 2
     net = net_from(3, [(0, 1, 3, 1), (1, 2, 1, 1), (2, 0, 2, -3)], [0, 0, 0])
@@ -347,6 +425,36 @@ def test_verify_optimality_keeps_its_input_errors():
         verify_optimality(net, Flow.from_values([3]))
 
 
+def test_residual_arcs_report_the_first_bad_edge():
+    # what ``residual`` and the solvers built on the integer arcs raise,
+    # and in which order: the flow's length, then edge by edge, and on
+    # one edge (of negative capacity) a negative flow before one above
+    # capacity
+    net = net_from(3, [(0, 1, 3, 1), (1, 2, 3, 1), (0, 2, None, 1)], [0, 0, 0])
+    negative_cap = net_from(2, [(0, 1, -3, 1)], [0, 0])
+    cases = [
+        (net, [1, -1], ValueError, "flow has 2 values for 3 edges"),
+        (net, [1, 4, -1], CapacityViolation, "edge 1 carries 4 above capacity 3"),
+        (net, [1, -1, 0], CapacityViolation, "edge 1 carries negative flow -1"),
+        (net, ["7/2", 0, -1], CapacityViolation, "edge 0 carries 7/2 above capacity 3"),
+        (net, [0, 0, -1], CapacityViolation, "edge 2 carries negative flow -1"),
+        (negative_cap, [-1], CapacityViolation, "edge 0 carries negative flow -1"),
+    ]
+    for network, values, error, message in cases:
+        flow = Flow.from_values(values)
+        with pytest.raises(error) as info:
+            residual(network, flow)
+        assert str(info.value) == message
+        if len(flow) != network.edge_count:
+            continue  # a smoothed instance rejects it when it is built
+        m = network.edge_count
+        intervals = (CostInterval(Fraction(0), Fraction(1)),) * m
+        inst = SmoothedInstance(network, intervals, Fraction(1), flow)
+        with pytest.raises(error) as info:
+            mmcc_solve(inst, [Fraction(0)] * m)
+        assert str(info.value) == message
+
+
 def test_cycle_from_edges_validates_closure():
     e1 = ResidualEdge(0, 1, Fraction(1), Fraction(1), 0, True)
     e2 = ResidualEdge(1, 2, Fraction(1), Fraction(1), 1, True)
@@ -387,3 +495,12 @@ def test_validate_instance_flags_narrow_interval():
     )
     bad = validate_instance(inst)
     assert bad is not None and bad.kind == "interval_too_narrow"
+
+
+def test_smoothed_instance_rejects_a_starting_flow_of_the_wrong_length():
+    net = net_from(3, [(0, 1, 1, 0), (1, 2, 1, 0)], [0, 0, 0])
+    intervals = (CostInterval(Fraction(0), Fraction(1)),) * 2
+    with pytest.raises(ValueError, match="one starting flow value per edge is required"):
+        SmoothedInstance(net, intervals, Fraction(1), Flow.zero(1))
+    inst = SmoothedInstance(net, intervals, Fraction(1), Flow.from_values([2, 0]))
+    assert validate_instance(inst) == Violation("capacity", "edge 0 carries 2")
