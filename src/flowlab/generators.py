@@ -51,6 +51,7 @@ __all__ = [
     "predicted_mmcc_general_iterations",
     "predicted_mmcc_large_phi_iterations",
     "predicted_ns_pivots",
+    "predicted_ns_nondegenerate_pivots",
 ]
 
 
@@ -497,6 +498,18 @@ def predicted_mmcc_general_iterations(params: MmccGeneralParams) -> int:
 
 def predicted_mmcc_large_phi_iterations(n: int, m: int) -> int:
     return 2 * m * n
+
+
+def predicted_ns_nondegenerate_pivots(params: NsParams) -> int:
+    """Closed form of ``gen_ns_lower_bound``'s non-degenerate pivot count.
+
+    It is ``2·M·F`` with ``M = min(n, φ/4 − 2)`` side-chain nodes and
+    ``F = m·φ/64`` units of top-level routable amount, where φ is rounded
+    down to a power of two as the construction rounds it.
+    ``predicted_ns_pivots`` reads the same count off a built instance.
+    """
+    phi = 2 ** floor_log2(params.phi)
+    return 2 * min(params.n, phi // 4 - 2) * (params.m * phi // 64)
 
 
 def predicted_ns_pivots(inst: SmoothedInstance) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 from typing import Optional
 
 from .core import (
@@ -282,26 +283,32 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     budget, plus the source id, sink id, and total demand.  A flow on
     the original network corresponds to a widened flow that saturates
     all the added edges.  Budgets that do not sum to zero raise
-    ``InfeasibleError``: no flow meets them.
+    ``InfeasibleError``: no flow meets them.  The sums and signs are
+    taken on the budgets scaled to integers by their lcm.
     """
-    total = sum(net.budgets, Fraction(0))
-    if total != 0:
-        raise InfeasibleError("budgets sum to %s, not zero" % total)
+    budgets = net.budgets
+    scale = lcm(*(b.denominator for b in budgets))
+    scaled = [_scaled(b, scale) for b in budgets]
+    total = sum(scaled)
+    if total:
+        raise InfeasibleError("budgets sum to %s, not zero" % Fraction(total, scale))
     n = net.node_count
     source, sink = n, n + 1
     edges = list(net.edges)
     labels = list(net.edge_labels) if net.edge_labels else ["" for _ in net.edges]
-    for v, b in enumerate(net.budgets):
-        if b > 0:
+    supply = 0
+    for v, (b, x) in enumerate(zip(budgets, scaled)):
+        if x > 0:
             edges.append(Edge(source, v, b, Fraction(0)))
             labels.append("supply")
-        elif b < 0:
+            supply += x
+        elif x < 0:
             edges.append(Edge(v, sink, -b, Fraction(0)))
             labels.append("drain")
     names = None
     if net.node_names is not None:
         names = (*net.node_names, "super_source", "super_sink")
-    demand = sum((b for b in net.budgets if b > 0), Fraction(0))
+    demand = Fraction(supply, scale)
     widened = FlowNetwork(
         n + 2,
         tuple(edges),

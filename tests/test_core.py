@@ -3,9 +3,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from flowlab import core
 from flowlab.core import (
     CapacityViolation,
     CostInterval,
@@ -27,7 +29,13 @@ from flowlab.core import (
     verify_optimality,
 )
 
-from flowlab.generators import MmccGeneralParams, gen_mmcc_general, sample_costs
+from flowlab.generators import (
+    MmccGeneralParams,
+    gen_mmcc_general,
+    gen_random_smoothed,
+    sample_costs,
+)
+from flowlab.maxflow import solve_max_flow
 from flowlab.mmcc import initial_feasible_flow, mmcc_solve
 
 from conftest import (
@@ -52,6 +60,12 @@ def test_rational_rejects_floats():
         rational(0.1)
     assert rational("1/10") == Fraction(1, 10)
     assert rational(3) == 3
+
+
+def test_rational_passes_a_fraction_through():
+    third = Fraction(1, 3)
+    assert rational(third) is third
+    assert type(rational(3)) is Fraction and type(rational("3")) is Fraction
 
 
 def test_validate_minimal_ok():
@@ -99,6 +113,25 @@ def test_validate_bad_endpoint():
     net = net_from(2, [(0, 5, 1, 0)], [0, 0])
     bad = validate_network(net)
     assert bad is not None and bad.kind == "bad_endpoint"
+
+
+@pytest.mark.parametrize("head", [5, 2, -1, -2], ids=["far", "next", "minus_one", "minus_n"])
+def test_certificate_rejects_a_missing_node(head):
+    # a negative head must not wrap round to a real node
+    net = FlowNetwork(2, (Edge(0, 1, 1, 0), Edge(0, head, 1, 0)), (0, 0))
+    message = "edge 1 references a missing node"
+    assert validate_network(net) == Violation("bad_endpoint", message)
+    for values in ([0, 0], [0, 1]):
+        assert check_feasible(net, Flow.from_values(values)) == Violation("bad_endpoint", message)
+        with pytest.raises(ValueError) as info:
+            verify_optimality(net, Flow.from_values(values))
+        assert str(info.value) == message
+    empty = FlowNetwork(0, (Edge(0, 1, 1, 0),), ())
+    assert check_feasible(empty, Flow.zero(1)) == Violation(
+        "bad_endpoint", "edge 0 references a missing node"
+    )
+    with pytest.raises(ValueError, match="^edge 0 references a missing node$"):
+        verify_optimality(empty, Flow.zero(1))
 
 
 def test_residual_zero_flow_has_forward_edges_only():
@@ -470,6 +503,105 @@ def test_cost_interval_bounds():
     with pytest.raises(ValueError):
         CostInterval(Fraction(0), Fraction(-1))
     assert CostInterval(Fraction(2), Fraction(0)).hi == 2
+
+
+def _random_interval(rng):
+    """Zero, small and wide widths; small and 2**36-sized denominators."""
+    den = rng.choice([1, 3, 2 ** rng.randint(30, 36), rng.getrandbits(36) | 1])
+    lo = Fraction(rng.randint(-(10 * den), 10 * den), den)
+    widths = [Fraction(0), Fraction(1, 64), Fraction(1, den)]
+    width = rng.choice(widths + [Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+    return CostInterval(lo, width)
+
+
+def test_cost_interval_contains_matches_the_fraction_comparison():
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(400):
+        iv = _random_interval(rng)
+        lo, hi = iv.lo, iv.lo + iv.width
+        step = Fraction(1, rng.choice([1, 7, 2**36]))
+        inside = lo + iv.width * Fraction(rng.randint(0, 1000), 1000)
+        costs = [lo, hi, lo - step, hi + step, inside, Fraction(lo.numerator, lo.denominator)]
+        costs += [int(lo), int(lo) + 1, float(inside)]
+        for cost in costs:
+            expected = lo <= cost <= hi
+            assert iv.contains(cost) is expected, (iv, cost)
+            seen[expected] += 1
+    assert seen[True] > 1000 and seen[False] > 1000
+    # int bounds, and a bound that is neither an int nor a Fraction
+    assert CostInterval(1, 2).contains(3) and not CostInterval(1, 2).contains(Fraction(7, 2))
+    assert CostInterval(0.5, Fraction(1, 2)).contains(Fraction(1))
+    assert not CostInterval(0.5, Fraction(1, 2)).contains(Fraction(1, 4))
+
+
+def test_realize_keeps_its_messages_and_its_float_check():
+    net = net_from(3, [(0, 1, 1, 0), (1, 2, 1, 0)], [0, 0, 0])
+    den = 2**36
+    intervals = (
+        CostInterval(Fraction(1, den), Fraction(1, 64)),
+        CostInterval(Fraction(-5, 3), Fraction(0)),
+    )
+    inst = SmoothedInstance(net, intervals, Fraction(64))
+    top = Fraction(1, den) + Fraction(1, 64)
+    realized = inst.realize([str(top), "-5/3"])
+    assert [e.cost for e in realized.edges] == [top, Fraction(-5, 3)]
+    assert inst.realize([Fraction(1, den), Fraction(-5, 3)]).edges[0].cost == Fraction(1, den)
+    first = "outside its interval [1/68719476736, 1073741825/68719476736]"
+    cases = [
+        ([top + Fraction(1, den), -2], "cost 536870913/34359738368 for edge (0,1) " + first),
+        ([Fraction(0), Fraction(-5, 3)], "cost 0 for edge (0,1) " + first),
+        ([top, -2], "cost -2 for edge (1,2) outside its interval [-5/3, -5/3]"),
+        ([top], "expected 2 costs, got 1"),
+    ]
+    for costs, message in cases:
+        with pytest.raises(ValueError) as info:
+            inst.realize(costs)
+        assert str(info.value) == message
+    with pytest.raises(TypeError, match="refusing to convert float"):
+        inst.realize([top, -5 / 3])
+
+
+def _fused_cost_loop(net):
+    """``_ResidualArcs``'s costs as its constructor used to build them."""
+    scale = lcm(*(e.cost.denominator for e in net.edges))
+    cost = []
+    for e in net.edges:
+        c = e.cost.numerator * (scale // e.cost.denominator)
+        cost += (c, -c)
+    return scale, cost
+
+
+def test_residual_arcs_scale_the_costs_as_the_fused_loop_did():
+    rng = random.Random(14)
+    nets = [net_from(2, [], [0, 0]), net_from(2, [(0, 1, 1, "-7/2")], [0, 0])]
+    for n in range(2, 9):
+        nets.append(random_network(rng, n, rng.randint(1, 3 * n)))
+    for seed in range(3):
+        inst = gen_random_smoothed(10, 25, 256, seed)
+        nets.append(inst.realize(sample_costs(inst, seed)))
+    for net in nets:
+        arcs = core._ResidualArcs(net)
+        assert arcs._cost is None and arcs._cost_scale is None
+        scale, cost = _fused_cost_loop(net)
+        assert (arcs.cost_scale, arcs.cost) == (scale, cost)
+        assert all(type(c) is int for c in arcs.cost)
+        assert arcs.cost is arcs.cost
+
+
+def test_max_flow_and_residual_never_scale_the_costs(monkeypatch):
+    def refuse(self):
+        raise AssertionError("costs scaled")
+
+    monkeypatch.setattr(core._ResidualArcs, "cost", property(refuse))
+    monkeypatch.setattr(core._ResidualArcs, "cost_scale", property(refuse))
+    inst = gen_random_smoothed(8, 20, 64, 3)
+    net = inst.realize(sample_costs(inst, 0))
+    value, flow = solve_max_flow(net, 0, 7)
+    assert check_feasible(net, initial_feasible_flow(net)) is None
+    assert residual(net, flow).edge_count > 0
+    with pytest.raises(AssertionError, match="costs scaled"):
+        verify_optimality(net, flow)
 
 
 def test_smoothed_instance_realize_checks_containment():

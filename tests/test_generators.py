@@ -19,13 +19,14 @@ from flowlab.generators import (
     gen_random_smoothed,
     predicted_mmcc_general_iterations,
     predicted_mmcc_large_phi_iterations,
+    predicted_ns_nondegenerate_pivots,
     predicted_ns_pivots,
     sample_costs,
     strip_q_chain,
 )
 from flowlab.core import CostInterval, SmoothedInstance, FlowNetwork
 from flowlab.formats import format_smoothed
-from flowlab.netsimplex import tree_flow, validate_structure
+from flowlab.netsimplex import ns_solve, tree_flow, validate_structure
 
 
 def test_floor_log2_values():
@@ -202,6 +203,30 @@ def test_ns_level_capacities_double():
     assert predicted_ns_pivots(inst) == 2 * 6 * 40
     assert validate_structure(net, structure) is None
     assert tree_flow(net, structure) == inst.starting_flow
+
+
+@pytest.mark.parametrize(
+    "n, m, phi, count",
+    [(6, 10, 64, 120), (10, 40, 128, 1600), (20, 40, 64, 1120)],
+    ids=["n_side", "n_side_phi_128", "phi_side"],
+)
+def test_ns_nondegenerate_closed_form_matches_a_solve(n, m, phi, count):
+    # M = min(n, phi/4 - 2) takes its n side on the first two rows and
+    # its phi side (14 < 20) on the last
+    params = NsParams(n, m, phi)
+    assert predicted_ns_nondegenerate_pivots(params) == count
+    inst, structure = gen_ns_lower_bound(params, 0)
+    assert predicted_ns_pivots(inst) == count
+    trace = ns_solve(inst.realize(sample_costs(inst, 0)), structure)
+    assert trace.nondegenerate_count == count
+
+
+def test_ns_nondegenerate_closed_form_matches_the_built_demand():
+    # phi that is not a power of two is rounded down, as the levels are
+    for n, m, phi in [(4, 4, 64), (4, 16, 100), (9, 20, 256), (12, 30, 300), (30, 31, 128)]:
+        params = NsParams(n, m, phi)
+        inst, _ = gen_ns_lower_bound(params, 1)
+        assert predicted_ns_nondegenerate_pivots(params) == predicted_ns_pivots(inst)
 
 
 def test_strip_q_chain_keeps_ids_and_prefix():

@@ -1,6 +1,7 @@
 """Shortest-path augmentation order and tie-breaking."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowlab import Flow, FlowNetwork, check_feasible, flow_cost, residual, verify_optimality
-from flowlab.core import InfeasibleError, IterationCapExceeded
+from flowlab.core import Edge, InfeasibleError, IterationCapExceeded
 from flowlab.generators import (
     NsParams,
     gen_ns_lower_bound,
@@ -200,6 +201,61 @@ def test_concentrate_budgets_rejects_budgets_that_do_not_sum_to_zero(budgets):
     net = FlowNetwork.from_data(2, [(0, 1, 1, 1)], budgets=budgets)
     with pytest.raises(InfeasibleError, match="budgets sum to -1, not zero"):
         concentrate_budgets(net)
+
+
+def _fraction_concentrate_budgets(net):
+    """``concentrate_budgets`` as it was with ``Fraction`` sums and signs."""
+    total = sum(net.budgets, Fraction(0))
+    if total != 0:
+        raise InfeasibleError("budgets sum to %s, not zero" % total)
+    n = net.node_count
+    edges = list(net.edges)
+    labels = list(net.edge_labels) if net.edge_labels else ["" for _ in net.edges]
+    for v, b in enumerate(net.budgets):
+        if b > 0:
+            edges.append(Edge(n, v, b, Fraction(0)))
+            labels.append("supply")
+        elif b < 0:
+            edges.append(Edge(v, n + 1, -b, Fraction(0)))
+            labels.append("drain")
+    names = None if net.node_names is None else (*net.node_names, "super_source", "super_sink")
+    demand = sum((b for b in net.budgets if b > 0), Fraction(0))
+    labels = tuple(labels) if net.edge_labels else None
+    widened = FlowNetwork(n + 2, tuple(edges), (Fraction(0),) * (n + 2), names, labels)
+    return widened, n, n + 1, demand
+
+
+def test_concentrate_budgets_matches_the_fraction_sums():
+    rng = random.Random(276)
+    seen = Counter()
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        pairs = random_simple_digraph(rng, n, rng.randint(0, n * (n - 1) // 2)) if n > 1 else []
+        edges = [(t, h, rng.randint(1, 5), Fraction(rng.randint(-9, 9), 7)) for t, h in pairs]
+        den = rng.choice([1, 6, 2**36])
+        budgets = [Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(n)]
+        if trial % 3:
+            budgets[-1] -= sum(budgets, Fraction(0))  # balanced
+        names = ["v%d" % v for v in range(n)] if rng.random() < 0.5 else None
+        labels = ["e%d" % i for i in range(len(edges))] if rng.random() < 0.5 else None
+        net = FlowNetwork.from_data(n, edges, budgets, names, labels)
+        try:
+            expected = _fraction_concentrate_budgets(net)
+        except InfeasibleError as error:
+            with pytest.raises(InfeasibleError) as info:
+                concentrate_budgets(net)
+            assert str(info.value) == str(error)
+            seen["unbalanced"] += 1
+            continue
+        got = concentrate_budgets(net)
+        assert got == expected
+        assert type(got[3]) is Fraction
+        assert (got[0].node_names, got[0].edge_labels) == (
+            expected[0].node_names,
+            expected[0].edge_labels,
+        )
+        seen["balanced"] += 1
+    assert seen["balanced"] > 150 and seen["unbalanced"] > 50
 
 
 def test_ssp_on_concentrated_network_matches_cycle_canceling():
