@@ -456,6 +456,16 @@ def _flow_values(net: FlowNetwork, flow: Flow) -> tuple:
     return flow.values
 
 
+def _check_endpoints(edges: Sequence[Edge], n: int, ends: Iterable[int]) -> None:
+    """``ValueError`` with ``validate_network``'s text for the first of
+    ``edges`` with an endpoint outside the ``n`` nodes, unless every
+    value of ``ends``, which holds the endpoints of ``edges``, is a node."""
+    nodes = range(n)
+    if set(ends).difference(nodes):
+        first = next(i for i, e in enumerate(edges) if e.tail not in nodes or e.head not in nodes)
+        raise ValueError(_MISSING_NODE % first)
+
+
 class _ResidualArcs:
     """The residual network of a flow as paired integer arcs.
 
@@ -467,7 +477,9 @@ class _ResidualArcs:
     are scaled on first read, so max flow never pays for them.  The flow
     of edge ``e`` is the room of arc ``2e + 1``, and ``residual`` is
     read off the arcs with room, in ascending arc id.  ``flow`` defaults
-    to zero; one outside its capacities raises as in ``residual``.
+    to zero; one outside its capacities raises as in ``residual``, and
+    an edge endpoint outside the nodes raises ``ValueError`` with
+    ``validate_network``'s text.
     """
 
     def __init__(self, net: FlowNetwork, flow: Optional[Flow] = None, extra=()):
@@ -491,6 +503,8 @@ class _ResidualArcs:
             tail += (e.tail, e.head)
             head += (e.head, e.tail)
             room += (spare, x)
+        # the arc tails are every edge endpoint
+        _check_endpoints(edges, net.node_count, tail)
         self.tail, self.head, self.room = tail, head, room
         # filled on first read; ``functools.cached_property`` measured
         # about 4% slower on the certificate
@@ -607,10 +621,6 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
     """
     res = _ResidualArcs(net, flow)
     n, tail = net.node_count, res.tail
-    # The arc tails are every edge endpoint.
-    if set(tail).difference(range(n)):
-        first = next(a for a, v in enumerate(tail) if not 0 <= v < n)
-        raise ValueError(_MISSING_NODE % (first >> 1))
     if n == 0:
         return None
     head, cost = res.head, res.cost

@@ -236,7 +236,9 @@ def ns_solve(
 
     Every pivot is recorded with its cycle, so the sequence of
     augmentations can be replayed or compared.  Hitting the safety cap
-    raises ``IterationCapExceeded`` with the partial trace attached.
+    raises ``IterationCapExceeded`` with the partial trace attached.  An
+    edge endpoint outside the nodes raises ``ValueError`` with
+    ``validate_network``'s text before the structure is checked.
 
     The run is exactly the ``Fraction`` loop of ``entering_edge`` and
     ``pivot`` that ``tests/reference.py`` holds, started from the
@@ -249,21 +251,29 @@ def ns_solve(
     and shifts its potentials.  ``Fraction`` values are built only for
     the trace and the final flow.
     """
+    # the scaled arcs are built first: building them rejects an edge
+    # endpoint outside the nodes, which the structure checks index with
+    res = _ResidualArcs(net, extra=net.budgets)
     bad = validate_structure(net, structure)
     if bad is not None:
         raise InfeasibleStructureError("%s: %s" % (bad.kind, bad.detail))
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
-    return _ns_kernel(net, structure, iteration_cap, strongly_feasible)
+    return _ns_kernel(net, res, structure, iteration_cap, strongly_feasible)
 
 
 def _ns_kernel(
-    net: FlowNetwork, structure: SpanningTreeStructure, iteration_cap: int, strongly_feasible: bool
+    net: FlowNetwork,
+    res: _ResidualArcs,
+    structure: SpanningTreeStructure,
+    iteration_cap: int,
+    strongly_feasible: bool,
 ) -> NsTrace:
-    """The pivot loop of ``ns_solve`` on integer-scaled flat arrays."""
+    """The pivot loop of ``ns_solve`` on integer-scaled flat arrays;
+    ``res`` holds the arcs of ``net`` at zero flow, with the budgets in
+    the flow scale."""
     n, m, root = net.node_count, net.edge_count, structure.root
     # edge e's scaled cost and capacity are those of its forward arc 2e
-    res = _ResidualArcs(net, extra=net.budgets)
     cost_scale, flow_scale = res.cost_scale, res.flow_scale
     tail, head, cost, cap = res.tail[::2], res.head[::2], res.cost[::2], res.room[::2]
     rank = [e.leaving_rank for e in net.edges]
@@ -309,19 +319,37 @@ def _ns_kernel(
         )
         return trace
 
-    mags = None
+    # one Fraction per distinct pivot amount
+    amounts: dict[int, Fraction] = {}
+    mags = ranked = None
     while True:
         # Dantzig pricing: the largest violation, ties to the lowest id;
         # tree edges price at zero and never win
         if mags is None:
             mags = [s * (pot[a] - pot[b] - c) for s, a, b, c in zip(state, tail, head, cost)]
-        best = max(mags, default=0)
+            best = max(mags, default=0)
+            entering = -1
+        else:
+            # after a bound flip only the flipped price changed, to below
+            # zero, so Dantzig's next picks are the rest of the price list
+            # in descending order, ties to the lowest id (the sort is
+            # stable under reverse); sorted on the first flip only, since
+            # most re-priced lists never see one.  Every pick is positive
+            # and becomes negative, so the scan stops at or before the
+            # flipped entry it was sorted with.
+            if ranked is None:
+                ranked = sorted(range(m), key=mags.__getitem__, reverse=True)
+                next_pick = 0
+            entering = ranked[next_pick]
+            next_pick += 1
+            best = mags[entering]
         if best <= 0:
             break
         if len(pivots) >= iteration_cap:
             close("iteration_cap_hit")
             raise IterationCapExceeded("no optimum after %d pivots" % iteration_cap, trace=trace)
-        entering = mags.index(best)
+        if entering < 0:
+            entering = mags.index(best)
         a, b = tail[entering], head[entering]
         rc = cost[entering] - pot[a] + pot[b]
         increase = state[entering] == 1
@@ -344,19 +372,31 @@ def _ns_kernel(
             descent.append(down_step[v])
             v = parent[v]
         descent.reverse()
-        cycle = [(entering, increase)] + climb + descent
+        cycle = ((entering, increase), *climb, *descent)
 
-        # ratio test; an uncapacitated forward step has no limit (None)
-        rooms = [
-            (None if cap[e] is None else cap[e] - flow[e]) if fwd else flow[e]
-            for e, fwd in cycle
-        ]
-        finite = [room for room in rooms if room is not None]
-        if not finite:
+        # ratio test in one pass: the least room on the cycle and the
+        # positions that block at it; an uncapacitated forward step has
+        # no limit
+        delta = None
+        blocking = []
+        for pos, (e, fwd) in enumerate(cycle):
+            if fwd:
+                room = cap[e]
+                if room is None:
+                    continue
+                room -= flow[e]
+            else:
+                room = flow[e]
+            if delta is None or room < delta:
+                delta = room
+                blocking = [pos]
+            elif room == delta:
+                blocking.append(pos)
+        if delta is None:
             raise UnboundedCycleError("pivot cycle has unlimited headroom; cost is unbounded")
-        delta = min(finite)
-        blocking = [pos for pos, room in enumerate(rooms) if room == delta]
-        if strongly_feasible:
+        if len(blocking) == 1:
+            leaving_pos = blocking[0]
+        elif strongly_feasible:
             # the last blocker met walking from the apex (the common
             # ancestor, where the descent starts) along the cycle
             apex = (1 + len(climb)) % len(cycle)
@@ -415,16 +455,19 @@ def _ns_kernel(
                 for y in children[x]:
                     depth[y] = below
                     stack.append(y)
-            mags = None
+            mags = ranked = None
 
+        amount = amounts.get(delta)
+        if amount is None:
+            amount = amounts[delta] = Fraction(delta, flow_scale)
         pivots.append(
             NsPivot(
                 entering=entering,
                 leaving=leaving,
-                amount=Fraction(delta, flow_scale),
+                amount=amount,
                 degenerate=(delta == 0),
                 entering_reduced_cost=Fraction(rc, cost_scale),
-                cycle=tuple(cycle),
+                cycle=cycle,
             )
         )
     return close("optimal")

@@ -26,6 +26,7 @@ from .core import (
     InfeasibleError,
     IterationCapExceeded,
     _ResidualArcs,
+    _check_endpoints,
     _scaled,
     default_iteration_cap,
     rational,
@@ -284,17 +285,21 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     the original network corresponds to a widened flow that saturates
     all the added edges.  Budgets that do not sum to zero raise
     ``InfeasibleError``: no flow meets them.  The sums and signs are
-    taken on the budgets scaled to integers by their lcm.
+    taken on the budgets scaled to integers by their lcm.  An edge
+    endpoint outside the nodes raises ``ValueError`` with
+    ``validate_network``'s text, since in the widened network it could
+    name the new source or sink.
     """
+    n, edges = net.node_count, net.edges
+    _check_endpoints(edges, n, {e.tail for e in edges} | {e.head for e in edges})
     budgets = net.budgets
     scale = lcm(*(b.denominator for b in budgets))
     scaled = [_scaled(b, scale) for b in budgets]
     total = sum(scaled)
     if total:
         raise InfeasibleError("budgets sum to %s, not zero" % Fraction(total, scale))
-    n = net.node_count
     source, sink = n, n + 1
-    edges = list(net.edges)
+    edges = list(edges)
     labels = list(net.edge_labels) if net.edge_labels else ["" for _ in net.edges]
     supply = 0
     for v, (b, x) in enumerate(zip(budgets, scaled)):

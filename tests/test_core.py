@@ -37,6 +37,8 @@ from flowlab.generators import (
 )
 from flowlab.maxflow import solve_max_flow
 from flowlab.mmcc import initial_feasible_flow, mmcc_solve
+from flowlab.netsimplex import SpanningTreeStructure, ns_solve
+from flowlab.ssp import concentrate_budgets, ssp_solve
 
 from conftest import (
     find_any_cycle,
@@ -132,6 +134,34 @@ def test_certificate_rejects_a_missing_node(head):
     )
     with pytest.raises(ValueError, match="^edge 0 references a missing node$"):
         verify_optimality(empty, Flow.zero(1))
+
+
+@pytest.mark.parametrize("head", [5, -1], ids=["far", "minus_one"])
+def test_solvers_reject_a_missing_node(head):
+    # a head of -1 must not wrap round to node 1 and carry flow there
+    net = FlowNetwork(2, (Edge(0, head, 1, -1),), (0, 0))
+    tree = SpanningTreeStructure(frozenset({0}), frozenset(), frozenset())
+    solvers = {
+        "max flow": lambda: solve_max_flow(net, 0, 1),
+        "mmcc": lambda: mmcc_solve(net),
+        "ssp": lambda: ssp_solve(net, 0, 1, 1),
+        "ns": lambda: ns_solve(net, tree),
+    }
+    for name, solve in solvers.items():
+        with pytest.raises(ValueError) as info:
+            solve()
+        assert str(info.value) == "edge 0 references a missing node", name
+
+
+@pytest.mark.parametrize("head", [2, 3], ids=["new_source", "new_sink"])
+def test_budget_widening_rejects_a_missing_node(head):
+    # node 2 and node 3 are the source and sink that concentrate_budgets
+    # adds, so the widened network alone cannot tell the edge is broken
+    net = FlowNetwork(2, (Edge(0, 1, 1, 1), Edge(0, head, 1, -1)), (1, -1))
+    for solve in (concentrate_budgets, initial_feasible_flow, mmcc_solve):
+        with pytest.raises(ValueError) as info:
+            solve(net)
+        assert str(info.value) == "edge 1 references a missing node", solve.__name__
 
 
 def test_residual_zero_flow_has_forward_edges_only():

@@ -27,6 +27,7 @@ from flowlab.generators import (
 from flowlab.core import CostInterval, SmoothedInstance, FlowNetwork
 from flowlab.formats import format_smoothed
 from flowlab.netsimplex import ns_solve, tree_flow, validate_structure
+from flowlab.ssp import ssp_solve, zero_budget_copy
 
 
 def test_floor_log2_values():
@@ -212,13 +213,19 @@ def test_ns_level_capacities_double():
 )
 def test_ns_nondegenerate_closed_form_matches_a_solve(n, m, phi, count):
     # M = min(n, phi/4 - 2) takes its n side on the first two rows and
-    # its phi side (14 < 20) on the last
+    # its phi side (14 < 20) on the last; SSP on the detour-free twin
+    # takes one step per non-degenerate pivot
     params = NsParams(n, m, phi)
     assert predicted_ns_nondegenerate_pivots(params) == count
     inst, structure = gen_ns_lower_bound(params, 0)
     assert predicted_ns_pivots(inst) == count
     trace = ns_solve(inst.realize(sample_costs(inst, 0)), structure)
     assert trace.nondegenerate_count == count
+    twin = strip_q_chain(inst)
+    names = twin.network.node_names
+    twin_net = zero_budget_copy(twin.realize(sample_costs(twin, 0)))
+    twin_trace = ssp_solve(twin_net, names.index("s"), names.index("t"), count)
+    assert twin_trace.step_count == count
 
 
 def test_ns_nondegenerate_closed_form_matches_the_built_demand():

@@ -525,6 +525,106 @@ def test_ns_solve_replays_reference_through_ties_and_ranks(options):
     assert replayed > 25
 
 
+def test_ns_solve_flips_every_edge_of_an_empty_tree():
+    # one node, an empty tree and two negative self-loops: both pivots
+    # are bound flips, the first priced afresh and the second taken from
+    # the order kept since the first
+    net = FlowNetwork.from_data(1, [(0, 0, 1, -1), (0, 0, 2, -2)])
+    s = SpanningTreeStructure(frozenset(), frozenset({0, 1}), frozenset())
+    trace = assert_replays_reference(net, s)
+    assert [(p.entering, p.leaving, p.amount) for p in trace.pivots] == [(1, 1, 2), (0, 0, 1)]
+    assert trace.final_structure.upper == frozenset({0, 1})
+
+
+def flip_heavy_start(rng):
+    """A random tree whose edges carry 5 to 15 units below capacity 20,
+    and off-tree edges at their bounds, mostly of capacity 1, with costs
+    in {-2, ..., 2}: most pivots flip the entering edge to its other
+    bound, and many prices tie."""
+    n = rng.randint(3, 7)
+    edges, flows = [], []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        a, b = (u, v) if rng.random() < 0.5 else (v, u)
+        edges.append((a, b, 20, rng.randint(-2, 2)))
+        flows.append(rng.randint(5, 15))
+    lower, upper = set(), set()
+    for idx in range(n - 1, n - 1 + rng.randint(n, 3 * n)):
+        a, b = rng.sample(range(n), 2)
+        cap = rng.choice((1, 1, 1, 30))
+        edges.append((a, b, cap, rng.randint(-2, 2)))
+        at_capacity = rng.random() < 0.5
+        (upper if at_capacity else lower).add(idx)
+        flows.append(cap if at_capacity else 0)
+    budgets = [0] * n
+    for (a, b, _, _), f in zip(edges, flows):
+        budgets[a] += f
+        budgets[b] -= f
+    net = FlowNetwork.from_data(n, edges, budgets)
+    return net, SpanningTreeStructure(frozenset(range(n - 1)), frozenset(lower), frozenset(upper))
+
+
+@pytest.mark.parametrize("options", OPTIONS, ids=OPTION_IDS)
+def test_ns_solve_replays_reference_through_runs_of_tied_flips(options):
+    rng = random.Random(14)
+    tied = changed = 0
+    for _ in range(60):
+        net, s = flip_heavy_start(rng)
+        pivots = assert_replays_reference(net, s, **options).pivots
+        flips = [p.entering == p.leaving for p in pivots]
+        changed += not all(flips)
+        # pivots i and i + 1 both follow a flip, so both come from the
+        # order kept since pivot i - 1, and they tie on price
+        tied += any(
+            flips[i - 1]
+            and flips[i]
+            and abs(pivots[i].entering_reduced_cost) == abs(pivots[i + 1].entering_reduced_cost)
+            for i in range(1, len(pivots) - 1)
+        )
+    assert tied > 15 and changed > 25
+
+
+def ring_network(caps, ranks=(1,) * 6, reversed_edge=None):
+    """Tree edges 0..4 on the path 0 -> 1 -> ... -> 5 (edge i from i to
+    i + 1) and the lower edge 5 -> 0, whose cost of -10 makes it enter.
+    Hung from node 3, the cycle is edge 5, the climb along edges 0, 1, 2
+    to the apex and the descent along edges 3, 4: positions 1 to 3 lie
+    before the apex, 4 and 5 after it.  ``reversed_edge`` turns one tree
+    edge round and sends 3 units along it, so the cycle meets it
+    backward with room 3."""
+    edges = [(i, i + 1, caps[i], 1, ranks[i]) for i in range(5)] + [(5, 0, caps[5], -10, ranks[5])]
+    budgets = [0] * 6
+    if reversed_edge is not None:
+        a, b, cap, cost, rank = edges[reversed_edge]
+        edges[reversed_edge] = (b, a, cap, cost, rank)
+        budgets[b], budgets[a] = 3, -3
+    net = FlowNetwork.from_data(6, edges, budgets)
+    return net, SpanningTreeStructure(frozenset(range(5)), frozenset({5}), frozenset(), root=3)
+
+
+@pytest.mark.parametrize(
+    "caps, ranks, reversed_edge, default, strongly",
+    [
+        # blockers at positions 1, 3, 4 and 5 with ranks 2, 1, 0, 1: the
+        # least rank leaves by default, the last one before the apex
+        # under the strongly feasible rule
+        ((2, 5, 2, 2, 2, 5), (2, 1, 1, 0, 1, 1), None, 3, 2),
+        # uncapacitated forward steps have no limit: blockers 1 and 3
+        ((None, 2, None, 2, None, None), (1, 1, 1, 0, 1, 1), None, 3, 1),
+        # no capacity at all, but a backward step holding 3 units
+        ((None,) * 6, (1,) * 6, 1, 1, 1),
+    ],
+    ids=["ranked_blockers", "uncapacitated_forward", "uncapacitated_but_backward"],
+)
+def test_ns_solve_ratio_test_on_a_ring(caps, ranks, reversed_edge, default, strongly):
+    net, s = ring_network(caps, ranks, reversed_edge)
+    for options, leaving in (({}, default), ({"strongly_feasible": True}, strongly)):
+        first = assert_replays_reference(net, s, **options).pivots[0]
+        assert first.cycle == tuple((e, e != reversed_edge) for e in (5, 0, 1, 2, 3, 4))
+        assert (first.entering, first.leaving) == (5, leaving)
+        assert first.amount == (3 if reversed_edge is not None else 2)
+
+
 def test_ns_solve_warm_start_ignores_stale_potentials():
     # a warm start from the final structure of another cost draw must
     # price with the new costs, end optimal and replay the reference
@@ -572,10 +672,11 @@ def test_ns_solve_scales_rational_capacities_and_budgets():
 def test_ns_solve_raises_on_uncapacitated_negative_cycle():
     net = FlowNetwork.from_data(3, [(0, 1, None, -1), (1, 2, None, -1), (2, 0, None, -1)])
     s = SpanningTreeStructure(frozenset({0, 1}), frozenset({2}), frozenset())
-    with pytest.raises(UnboundedCycleError):
-        ns_solve(net, s)
-    with pytest.raises(UnboundedCycleError):
-        pivot(net, s, entering_edge(net, s))
+    for options in OPTIONS:
+        with pytest.raises(UnboundedCycleError):
+            ns_solve(net, s, **options)
+        with pytest.raises(UnboundedCycleError):
+            pivot(net, s, entering_edge(net, s), **options)
 
 
 def test_ns_solve_iteration_cap_trace_holds_the_flow_and_structure_reached():
