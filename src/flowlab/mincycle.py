@@ -1,10 +1,11 @@
 """Minimum-mean cycle search over residual networks.
 
 ``karp_min_mean`` runs Karp's dynamic program over walk lengths.
-Karp's table (``_walk_table``), its min-max step and the cycle cut
-(``_min_mean_cycle``) are private routines on flat integer arcs;
-``karp_min_mean`` and the cycle-canceling solver both search with
-``_min_mean_cycle``, so there is one dynamic program to maintain.
+Karp's table (``_walk_table``), its min-max step and the cycle cut are
+private routines on flat integer arcs, held together by ``_MeanSearch``,
+which does the fixed set-up of a search once for a set of arcs and then
+searches any subset of them; ``karp_min_mean`` and the cycle-canceling
+solver both search with it, so there is one dynamic program to maintain.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import math
 from fractions import Fraction
 from itertools import repeat
 from operator import sub, truediv
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import Cycle, FlowLabError, ResidualNetwork, _scaled
+from .core import Cycle, FlowLabError, ResidualNetwork, _check_endpoints, _scaled
 
 __all__ = ["karp_min_mean"]
 
@@ -49,93 +50,142 @@ def _walk_table(n: int, arcs, levels: int, far) -> list[list]:
     return table
 
 
-def _min_mean_cycle(n: int, arcs) -> Optional[tuple[list[int], int, int]]:
-    """Karp's minimum-mean cycle over integer arcs ``(tail, head, cost)``.
+class _MeanSearch:
+    """Karp's minimum-mean cycle over any subset of fixed integer arcs
+    ``(tail, head, cost)`` on ``n`` nodes.
 
-    Returns the positions in ``arcs`` of the cycle's arcs in walk order
-    and the minimum mean as a pair (num, den) with den > 0, or ``None``
-    when the graph is acyclic.  The minimum mean is min over nodes v of
-    max over k < n of (D[n][v] - D[k][v]) / (n - k), over the entries
-    with a walk behind them; ties between nodes go to the lowest node.
-    The witness is ``_cycle_cut`` of the length-n walk into that node,
-    so ties between arcs go to the lowest residual-edge index.
+    The set-up depends on the arcs only: ``top``, the largest cost
+    magnitude, and with it ``limit`` and ``far`` (see ``_walk_table``),
+    whether the table is held in floats, the quotients' divisors, and
+    the in-arcs of each head.  A bound over all arcs is at least the
+    bound over any subset, so floats are chosen only where they are
+    exact for every subset, and ``far`` stays above every real entry.
     """
-    if n == 0 or not arcs:
-        return None
-    top = max(abs(c) for _, _, c in arcs)
-    limit = n * top
-    # A missing entry D[k][v] gives a quotient far below the one at
-    # k = 0, which is at least -top, so it never attains a maximum.
-    far = 8 * (n + 1) ** 2 * (top + 1)
-    if 2 * limit < _FLOAT_EXACT:
-        # floats hold every real entry and every difference of two
-        # exactly, and add them faster than integers
-        table = _walk_table(n, [(t, h, float(c)) for t, h, c in arcs], n, float(far))
-    else:
-        table = _walk_table(n, arcs, n, far)
-    # Division rounds correctly to the nearest float, and rounding keeps
-    # order up to ties, so quotients are compared as floats while they
-    # fit in one, and exactly only where the floats tie.
-    divide = truediv if far.bit_length() < 1000 else Fraction
-    last = table[n]
-    quotients = [
-        list(map(divide, map(sub, last, row), repeat(n - k, n)))
-        for k, row in enumerate(table[:n])
-    ]
-    worst = list(map(max, zip(*quotients)))
-    ends = [v for v in range(n) if last[v] <= limit]
-    if not ends:
-        return None
-    least = min(worst[v] for v in ends)
-    best_num = best_den = best_node = None
-    for v in ends:
-        if worst[v] != least:
-            continue
-        num = den = None
-        for k in range(n):
-            if quotients[k][v] == least:
-                diff = int(last[v] - table[k][v])
-                if num is None or diff * den > num * (n - k):
-                    num, den = diff, n - k
-        if best_node is None or num * best_den < best_num * den:
-            best_num, best_den, best_node = num, den, v
 
-    positions = _cycle_cut(n, arcs, table, best_node)
-    total = sum(arcs[i][2] for i in positions)
-    if total * best_den != best_num * len(positions):
-        raise FlowLabError(
-            "internal error: extracted cycle mean %s differs from minimum %s"
-            % (Fraction(total, len(positions)), Fraction(best_num, best_den))
-        )
-    return positions, best_num, best_den
+    def __init__(self, n: int, arcs: Sequence[tuple[int, int, int]]):
+        self.n, self.arcs = n, arcs
+        top = max((abs(c) for _, _, c in arcs), default=0)
+        self.limit = n * top
+        # A missing entry D[k][v] gives a quotient far below the one at
+        # k = 0, which is at least -top, so it never attains a maximum.
+        far = 8 * (n + 1) ** 2 * (top + 1)
+        # Division rounds correctly to the nearest float, and rounding
+        # keeps order up to ties, so quotients are compared as floats
+        # while they fit in one, and exactly only where the floats tie.
+        self.divide = truediv if far.bit_length() < 1000 else Fraction
+        if 2 * self.limit < _FLOAT_EXACT:
+            # floats hold every real entry and every difference of two
+            # exactly, and add them faster than integers; float divisors
+            # give the same correctly rounded quotients
+            self.table_arcs = [(t, h, float(c)) for t, h, c in arcs]
+            self.far = float(far)
+            self.divisors = [float(n - k) for k in range(n)]
+        else:
+            self.table_arcs, self.far = arcs, far
+            self.divisors = [n - k for k in range(n)]
+        self.into: list[list[int]] = [[] for _ in range(n)]
+        for a, (_, h, _) in enumerate(arcs):
+            self.into[h].append(a)
 
+    def __call__(self, present: Sequence[int]) -> Optional[tuple[list[int], int, int]]:
+        """The minimum-mean cycle over the arcs ``present``, given in
+        ascending order: its arcs in walk order and the minimum mean as
+        a pair (num, den) with den > 0, or ``None`` when they are
+        acyclic.
 
-def _cycle_cut(n: int, arcs, table, end: int) -> list[int]:
-    """The first cycle met reading the length-n walk into ``end`` back
-    from its end, as positions in ``arcs`` in walk order.  Each step of
-    the walk is the lowest-positioned arc that attains its table entry,
-    the one a scan in position order that keeps only strict
-    improvements would have recorded."""
-    into: list[list[int]] = [[] for _ in range(n)]
-    for i, (_, h, _) in enumerate(arcs):
-        into[h].append(i)
-    # n + 1 nodes on n of them: some node repeats
-    node, k = end, n
-    seen_at = {end: n}
-    steps: list[int] = []
-    while True:
-        want, prev = table[k][node], table[k - 1]
-        for i in into[node]:
-            t, _, c = arcs[i]
-            if prev[t] + c == want:
-                break
-        steps.append(i)
-        node, k = t, k - 1
-        if node in seen_at:
-            # steps run backwards from the walk's end, so the cycle is
-            # the last ``seen_at[node] - k`` of them, reversed
-            return steps[len(steps) - (seen_at[node] - k):][::-1]
-        seen_at[node] = k
+        The minimum mean is min over nodes v of max over k < n of
+        (D[n][v] - D[k][v]) / (n - k), over the entries with a walk
+        behind them; ties between nodes go to the lowest node.  The
+        witness is the cycle cut of the length-n walk into that node,
+        so ties between arcs go to the lowest arc.
+        """
+        n = self.n
+        if n == 0 or not present:
+            return None
+        arcs = self.table_arcs
+        table = _walk_table(n, [arcs[a] for a in present], n, self.far)
+        last = table[n]
+        ends = [v for v in range(n) if last[v] <= self.limit]
+        if not ends:
+            return None
+        least, tied = self._least_worst(table, ends)
+        best_num = best_den = best_node = None
+        for v, column, quotients in tied:
+            num = den = None
+            end = last[v]
+            for k, q in enumerate(quotients):
+                if q == least:
+                    diff = int(end - column[k])
+                    if num is None or diff * den > num * (n - k):
+                        num, den = diff, n - k
+            if best_node is None or num * best_den < best_num * den:
+                best_num, best_den, best_node = num, den, v
+
+        cycle = self._cut(table, best_node, set(present))
+        total = sum(self.arcs[a][2] for a in cycle)
+        if total * best_den != best_num * len(cycle):
+            raise FlowLabError(
+                "internal error: extracted cycle mean %s differs from minimum %s"
+                % (Fraction(total, len(cycle)), Fraction(best_num, best_den))
+            )
+        return cycle, best_num, best_den
+
+    def _least_worst(self, table, ends: list[int]):
+        """The least, over the nodes ``ends`` in ascending order, of
+        ``worst[v]``, the largest of v's quotients, and for each node
+        that attains it, in node order, the node, its table column
+        ``D[k][v]`` for k < n and its quotients.
+
+        A node whose quotient at one probe k already exceeds the least
+        ``worst`` found so far cannot attain it, since ``worst[v]`` is
+        at least each of its quotients, and is skipped after that one
+        division.  The probe is the k at which the last fully computed
+        node that lost attained its maximum.  The test is strict, so a
+        node whose ``worst`` ties the least is never skipped.
+        """
+        n, divide, divisors = self.n, self.divide, self.divisors
+        last = table[n]
+        columns = list(zip(*table[:n]))
+        least = probe = None
+        tied: list[tuple[int, tuple, list]] = []
+        for v in ends:
+            end, column = last[v], columns[v]
+            if probe is not None and divide(end - column[probe], divisors[probe]) > least:
+                continue
+            quotients = list(map(divide, map(sub, repeat(end, n), column), divisors))
+            worst = max(quotients)
+            if least is None or worst < least:
+                least, tied = worst, [(v, column, quotients)]
+            elif worst == least:
+                tied.append((v, column, quotients))
+            else:
+                probe = quotients.index(worst)
+        return least, tied
+
+    def _cut(self, table, end: int, present: set[int]) -> list[int]:
+        """The first cycle met reading the length-n walk into ``end``
+        back from its end, as arcs in walk order.  Each step of the walk
+        is the lowest present arc that attains its table entry, the one
+        a scan in ascending arc order that keeps only strict
+        improvements would have recorded."""
+        arcs, into = self.table_arcs, self.into
+        # n + 1 nodes on n of them: some node repeats
+        node, k = end, self.n
+        seen_at = {end: k}
+        steps: list[int] = []
+        while True:
+            want, prev = table[k][node], table[k - 1]
+            for a in into[node]:
+                t, _, c = arcs[a]
+                if prev[t] + c == want and a in present:
+                    break
+            steps.append(a)
+            node, k = t, k - 1
+            if node in seen_at:
+                # steps run backwards from the walk's end, so the cycle
+                # is the last ``seen_at[node] - k`` of them, reversed
+                return steps[len(steps) - (seen_at[node] - k):][::-1]
+            seen_at[node] = k
 
 
 def _scaled_arcs(r: ResidualNetwork) -> tuple[list[tuple[int, int, int]], int]:
@@ -149,12 +199,14 @@ def karp_min_mean(r: ResidualNetwork) -> Optional[Cycle]:
     """A cycle of minimum mean cost, or ``None`` if the graph is acyclic.
 
     Karp's dynamic program over walk lengths, on costs scaled to a
-    common integer denominator; see ``_min_mean_cycle`` for the formula
-    and the tie-breaks.  The cycle is made of ``r``'s own edges.
+    common integer denominator; see ``_MeanSearch`` for the formula and
+    the tie-breaks.  The cycle is made of ``r``'s own edges.  An edge
+    endpoint outside the nodes raises ``ValueError``.
     """
     arcs, _ = _scaled_arcs(r)
-    found = _min_mean_cycle(r.node_count, arcs)
+    _check_endpoints(r.edges, r.node_count, [x for t, h, _ in arcs for x in (t, h)])
+    found = _MeanSearch(r.node_count, arcs)(range(len(arcs)))
     if found is None:
         return None
-    positions, _, _ = found
-    return Cycle.from_edges([r.edges[i] for i in positions])
+    cycle, _, _ = found
+    return Cycle.from_edges([r.edges[a] for a in cycle])

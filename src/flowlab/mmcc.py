@@ -30,16 +30,18 @@ from .core import (
     default_iteration_cap,
 )
 from .maxflow import solve_max_flow
-from .mincycle import _min_mean_cycle
+from .mincycle import _MeanSearch
 from .ssp import concentrate_budgets
 
 __all__ = [
     "MmccIteration",
     "MmccTrace",
     "default_iteration_cap",
+    "falling_mean_violation",
     "initial_feasible_flow",
     "mmcc_solve",
     "halving_violation",
+    "shrink_violation",
 ]
 
 
@@ -130,7 +132,7 @@ def mmcc_solve(
 def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
     """The cancellation loop of ``mmcc_solve`` on integer-scaled paired arcs."""
     res = _ResidualArcs(net, flow)
-    arcs = list(zip(res.tail, res.head, res.cost))
+    search = _MeanSearch(net.node_count, list(zip(res.tail, res.head, res.cost)))
     cost, room = res.cost, res.room
 
     trace = MmccTrace()
@@ -138,11 +140,10 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
     while True:
         # the arcs with room, in ascending arc id, which is the order of
         # the edges ``residual`` builds
-        present = [a for a, r in enumerate(room) if r != 0]
-        found = _min_mean_cycle(net.node_count, [arcs[a] for a in present])
+        found = search([a for a, r in enumerate(room) if r != 0])
         if found is None:
             break
-        positions, mean_num, _ = found
+        cycle_arcs, mean_num, _ = found
         if mean_num >= 0:
             break
         if len(iterations) >= iteration_cap:
@@ -151,7 +152,6 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
             raise IterationCapExceeded(
                 "no optimum after %d cycle cancellations" % iteration_cap, trace=trace
             )
-        cycle_arcs = [present[i] for i in positions]
         bounded = [room[a] for a in cycle_arcs if room[a] is not None]
         if not bounded:
             raise UnboundedCycleError("every cycle edge is uncapacitated; cost is unbounded")
@@ -186,5 +186,37 @@ def halving_violation(
         raise ValueError("window must be positive")
     for t in range(len(mean_costs) - window):
         if abs(mean_costs[t + window]) > abs(mean_costs[t]) / 2:
+            return t
+    return None
+
+
+def falling_mean_violation(mean_costs: Sequence[Fraction]) -> Optional[int]:
+    """First index t where mean(t + 1) < mean(t), else None.
+
+    Goldberg and Tarjan's first invariant: under minimum-mean canceling
+    the minimum mean never falls from one cancellation to the next.
+    """
+    for t in range(len(mean_costs) - 1):
+        if mean_costs[t + 1] < mean_costs[t]:
+            return t
+    return None
+
+
+def shrink_violation(
+    mean_costs: Sequence[Fraction], nodes: int, window: int
+) -> Optional[int]:
+    """First index t where |mean(t + window)| > (1 - 1/nodes) |mean(t)|,
+    else None.
+
+    Goldberg and Tarjan's second invariant: with ``nodes`` nodes and
+    ``window`` edges, the magnitude of the minimum mean shrinks by a
+    factor of at least (1 - 1/n) over every m consecutive cancellations.
+    Runs shorter than the window satisfy it vacuously.
+    """
+    if window <= 0:
+        raise ValueError("window must be positive")
+    factor = 1 - Fraction(1, nodes)
+    for t in range(len(mean_costs) - window):
+        if abs(mean_costs[t + window]) > factor * abs(mean_costs[t]):
             return t
     return None

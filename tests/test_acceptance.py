@@ -40,7 +40,13 @@ from flowlab.generators import (
     strip_q_chain,
 )
 from flowlab.mincycle import karp_min_mean
-from flowlab.mmcc import halving_violation, initial_feasible_flow, mmcc_solve
+from flowlab.mmcc import (
+    falling_mean_violation,
+    halving_violation,
+    initial_feasible_flow,
+    mmcc_solve,
+    shrink_violation,
+)
 from flowlab.netsimplex import basic_structure_from_flow, ns_solve
 from flowlab.ssp import concentrate_budgets, ssp_solve
 
@@ -412,6 +418,30 @@ def test_criterion_8_mean_halving_window(
             "holds vacuously at these sizes"
         )
     _report(capsys, f"criterion 8: PASS ({checked} runs checked{note})")
+
+
+def test_goldberg_tarjan_invariants_on_every_run(
+    general_runs, large_phi_runs, cross_solver_runs, capsys
+):
+    """The lemma behind criterion 8, sharp enough to bind on every run:
+    the minimum mean never falls between consecutive cancellations, and
+    |mean| shrinks by at least (1 - 1/n) over every m of them."""
+    runs = [
+        (bundle.inst.network, trace.mean_costs())
+        for bundle in list(general_runs.values()) + [large_phi_runs]
+        for _, trace in bundle.runs
+    ]
+    runs += [(record.net, record.mean_costs) for record in cross_solver_runs.records]
+    windows = 0
+    for net, means in runs:
+        assert falling_mean_violation(means) is None
+        assert shrink_violation(means, net.node_count, net.edge_count) is None
+        windows += max(0, len(means) - net.edge_count)
+    assert windows > 0
+    _report(
+        capsys,
+        f"Goldberg-Tarjan invariants: PASS ({len(runs)} runs, {windows} m-windows checked)",
+    )
 
 
 def test_criterion_9_parked_chain_strictly_most_expensive(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowlab.core import ResidualEdge, ResidualNetwork, residual
+from flowlab.core import _MISSING_NODE, ResidualEdge, ResidualNetwork, residual
 from flowlab.mincycle import karp_min_mean
 
 from conftest import random_capacity_respecting_flow, random_network
@@ -61,6 +61,16 @@ def test_empty_graph():
     r = ResidualNetwork(node_count=3, edges=())
     assert karp_min_mean(r) is None
     assert brute_force_min_mean(r) is None
+
+
+def test_karp_rejects_edges_outside_the_nodes():
+    # a head past the last node, and one that negative indexing would
+    # wrap to node 1, closing a cycle of mean -1 through "node -1"
+    beyond = ResidualNetwork(2, (ResidualEdge(0, 5, 1, -1, 0, True),))
+    wrapped = residual_net(2, [(0, -1, -1), (-1, 0, -1)])
+    for r in (beyond, wrapped):
+        with pytest.raises(ValueError, match="^%s$" % (_MISSING_NODE % 0)):
+            karp_min_mean(r)
 
 
 def test_walk_table_matches_direct_recursion():
@@ -238,18 +248,85 @@ def test_karp_returns_the_reference_cycle_through_ties(factor):
     assert found > 200
 
 
-def test_karp_compares_exactly_where_means_round_alike():
-    # costs near -2**60 and 2**60 that differ in their last bits: walk
+def assert_exact_where_means_round_alike(big, seed):
+    # costs near -big and big that differ in their last bits: walk
     # means then round to the same float far more often than they are
     # equal, and only exact comparison tells them apart
-    rng = random.Random(405)
+    rng = random.Random(seed)
     for _ in range(300):
         n = rng.randint(2, 7)
         arcs = [
-            (t, h, rng.choice((-1, 1)) * 2**60 + rng.randint(-3, 3))
+            (t, h, rng.choice((-1, 1)) * big + rng.randint(-3, 3))
             for t in range(n)
             for h in range(n)
             if t != h and rng.random() < 0.45
         ]
         r = residual_net(n, arcs)
         assert karp_min_mean(r) == reference_karp(r)
+
+
+def test_karp_compares_exactly_where_means_round_alike():
+    assert_exact_where_means_round_alike(2**60, 405)
+
+
+def test_karp_compares_exactly_where_quotients_are_fractions():
+    # the table is too wide for float quotients to order it, so every
+    # quotient is a Fraction, though each would still fit in a float
+    assert_exact_where_means_round_alike(2**995, 407)
+
+
+def tied_cycles_net(rng):
+    """Vertex-disjoint cycles of mean -1 and one of mean -1/2, with
+    nodes downstream of them, on shuffled node labels and arc order:
+    many nodes attain the minimum mean together."""
+    arcs, placed, node = [], [], 0
+    for mean in [Fraction(-1)] * rng.randint(2, 4) + [Fraction(-1, 2)]:
+        length = 2 * rng.randint(1, 2) if mean.denominator == 2 else rng.randint(2, 4)
+        nodes = list(range(node, node + length))
+        node += length
+        costs = [rng.randint(-3, 2) for _ in range(length - 1)]
+        costs.append(int(mean * length) - sum(costs))
+        arcs += zip(nodes, nodes[1:] + nodes[:1], costs)
+        placed += nodes
+    for _ in range(rng.randint(3, 8)):
+        # each new node hangs below one or two placed nodes, so the
+        # added arcs close no cycle
+        for tail in rng.sample(placed, rng.randint(1, 2)):
+            arcs.append((tail, node, rng.randint(-3, 3)))
+        placed.append(node)
+        node += 1
+    labels = list(range(node))
+    rng.shuffle(labels)
+    rng.shuffle(arcs)
+    return residual_net(node, [(labels[t], labels[h], c) for t, h, c in arcs])
+
+
+def nodes_at_minimum_mean(r):
+    """The nodes v whose max over k of (D[n][v] - D[k][v]) / (n - k)
+    attains the minimum mean, from the exact table."""
+    table = walk_cost_table(r)
+    n, last = r.node_count, table[-1]
+    worst = {
+        v: max((last[v] - table[k][v]) / (n - k) for k in range(n) if table[k][v] is not None)
+        for v in range(n)
+        if last[v] is not None
+    }
+    least = min(worst.values())
+    return [v for v, w in worst.items() if w == least]
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [1, 2**60, 2**1100, Fraction(1, 3**40)],
+    ids=["float-table", "integer-table", "exact-quotients", "fine-costs"],
+)
+def test_karp_returns_the_reference_cycle_among_many_tied_nodes(factor):
+    # the min-max step skips nodes by one probe quotient and keeps the
+    # rows of tied nodes only; ties between nodes still go to the lowest
+    rng = random.Random(406)
+    for _ in range(80):
+        r = tied_cycles_net(rng)
+        assert len(nodes_at_minimum_mean(r)) >= 2
+        r = scaled_costs(r, factor)
+        assert karp_min_mean(r) == reference_karp(r)
+

@@ -30,10 +30,13 @@ from flowlab.generators import (
     sample_costs,
 )
 from flowlab.mmcc import (
+    MmccTrace,
     default_iteration_cap,
+    falling_mean_violation,
     halving_violation,
     initial_feasible_flow,
     mmcc_solve,
+    shrink_violation,
 )
 from flowlab.netsimplex import basic_structure_from_flow
 
@@ -257,6 +260,32 @@ def test_halving_violation_detects_slow_decay():
         halving_violation(ok, 0)
 
 
+def test_falling_mean_violation_detects_a_drop():
+    assert falling_mean_violation([Fraction(-3), Fraction(-3), Fraction(-1, 2)]) is None
+    assert falling_mean_violation([Fraction(-3), Fraction(-2), Fraction(-5, 2)]) == 1
+    assert falling_mean_violation([]) is None
+
+
+def test_shrink_violation_detects_slow_decay():
+    # 3 nodes: each window of 2 must shrink |mean| to at most 2/3 of it
+    ok = [Fraction(-9), Fraction(-8), Fraction(-6), Fraction(-16, 3)]
+    assert shrink_violation(ok, 3, 2) is None
+    bad = [Fraction(-9), Fraction(-8), Fraction(-6), Fraction(-11, 2)]
+    assert shrink_violation(bad, 3, 2) == 1
+    assert shrink_violation([Fraction(-1)], 3, 5) is None
+    with pytest.raises(ValueError):
+        shrink_violation(ok, 3, 0)
+
+
+def assert_goldberg_tarjan(net, trace):
+    """Goldberg and Tarjan's invariants on a canceling run: the minimum
+    mean never falls, and its magnitude shrinks by (1 - 1/n) over
+    every m cancellations."""
+    means = trace.mean_costs()
+    assert falling_mean_violation(means) is None
+    assert shrink_violation(means, net.node_count, net.edge_count) is None
+
+
 def test_smoothed_instance_requires_costs():
     from flowlab.core import CostInterval, SmoothedInstance
 
@@ -280,13 +309,17 @@ def outcome(solve, *args):
     if isinstance(result, tuple):
         return result
     assert result.termination == "optimal"
+    if isinstance(result, MmccTrace):
+        assert_goldberg_tarjan(args[0], result)
     return result.iterations, result.final_flow
 
 
 def assert_replays_reference(inst, costs):
     trace = mmcc_solve(inst, costs)
-    iterations, flow = reference_mmcc(inst.realize(costs), inst.starting_flow)
+    net = inst.realize(costs)
+    iterations, flow = reference_mmcc(net, inst.starting_flow)
     assert trace.termination == "optimal"
+    assert_goldberg_tarjan(net, trace)
     assert trace.iterations == iterations
     assert trace.final_flow == flow
     return trace
