@@ -31,6 +31,7 @@ __all__ = [
     "CostInterval",
     "SmoothedInstance",
     "Flow",
+    "Trace",
     "ResidualEdge",
     "ResidualNetwork",
     "Cycle",
@@ -253,6 +254,28 @@ class Flow:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+@dataclass
+class Trace:
+    """One solver run: its steps in order, the flow it ended with, and
+    ``termination``, ``"optimal"`` or ``"iteration_cap_hit"``."""
+
+    steps: list = field(default_factory=list)
+    final_flow: Optional[Flow] = None
+    termination: str = "optimal"
+
+    @property
+    def step_count(self) -> int:
+        return len(self.steps)
+
+    @property
+    def degenerate_count(self) -> int:
+        return 0
+
+    @property
+    def nondegenerate_count(self) -> int:
+        return self.step_count - self.degenerate_count
 
 
 @dataclass(frozen=True)

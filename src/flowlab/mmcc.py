@@ -14,7 +14,7 @@ only for the trace and the final flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -25,8 +25,10 @@ from .core import (
     InfeasibleError,
     IterationCapExceeded,
     SmoothedInstance,
+    Trace,
     UnboundedCycleError,
     _ResidualArcs,
+    check_feasible,
     default_iteration_cap,
 )
 from .maxflow import solve_max_flow
@@ -54,18 +56,15 @@ class MmccIteration:
     amount: Fraction
 
 
-@dataclass
-class MmccTrace:
-    iterations: list[MmccIteration] = field(default_factory=list)
-    final_flow: Optional[Flow] = None
-    termination: str = "optimal"
+class MmccTrace(Trace):
+    iteration_count = Trace.step_count
 
     @property
-    def iteration_count(self) -> int:
-        return len(self.iterations)
+    def iterations(self) -> list[MmccIteration]:
+        return self.steps
 
     def mean_costs(self) -> list[Fraction]:
-        return [it.mean_cost for it in self.iterations]
+        return [it.mean_cost for it in self.steps]
 
 
 def initial_feasible_flow(net: FlowNetwork) -> Flow:
@@ -96,7 +95,8 @@ def mmcc_solve(
     """Run minimum-mean cycle canceling to optimality.
 
     A ``SmoothedInstance`` must come with sampled ``costs``; its
-    starting flow, when present, is used verbatim.  A plain
+    starting flow, when present, is used verbatim; one that breaks
+    conservation raises ``InfeasibleError``.  A plain
     ``FlowNetwork`` carries its own costs and gets a computed starting
     flow.  The iteration cap is a safety net only: hitting it raises
     ``IterationCapExceeded`` with the partial trace attached, it never
@@ -117,6 +117,9 @@ def mmcc_solve(
         flow = instance.starting_flow
         if flow is None:
             flow = initial_feasible_flow(net)
+        # the residual arcs raise their own errors for the other faults
+        elif (bad := check_feasible(net, flow)) is not None and bad.kind == "conservation":
+            raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
     else:
         if costs is not None:
             raise ValueError("costs are only accepted for smoothed instances")
@@ -136,7 +139,7 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
     cost, room = res.cost, res.room
 
     trace = MmccTrace()
-    iterations = trace.iterations
+    iterations = trace.steps
     while True:
         # the arcs with room, in ascending arc id, which is the order of
         # the edges ``residual`` builds
@@ -180,14 +183,9 @@ def halving_violation(
 
     The magnitude of the minimum mean is supposed to at least halve
     every ``window`` cancellations; runs shorter than the window satisfy
-    the property vacuously.
+    the property vacuously.  It is ``shrink_violation`` with n = 2.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    for t in range(len(mean_costs) - window):
-        if abs(mean_costs[t + window]) > abs(mean_costs[t]) / 2:
-            return t
-    return None
+    return shrink_violation(mean_costs, 2, window)
 
 
 def falling_mean_violation(mean_costs: Sequence[Fraction]) -> Optional[int]:

@@ -10,7 +10,7 @@ edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -19,6 +19,7 @@ from .core import (
     FlowLabError,
     FlowNetwork,
     IterationCapExceeded,
+    Trace,
     UnboundedCycleError,
     Violation,
     _DisjointSets,
@@ -206,23 +207,17 @@ class NsPivot:
 
 
 @dataclass
-class NsTrace:
-    pivots: list[NsPivot] = field(default_factory=list)
-    final_flow: Optional[Flow] = None
+class NsTrace(Trace):
     final_structure: Optional[SpanningTreeStructure] = None
-    termination: str = "optimal"
+    pivot_count = Trace.step_count
 
     @property
-    def pivot_count(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def nondegenerate_count(self) -> int:
-        return sum(1 for p in self.pivots if not p.degenerate)
+    def pivots(self) -> list[NsPivot]:
+        return self.steps
 
     @property
     def degenerate_count(self) -> int:
-        return sum(1 for p in self.pivots if p.degenerate)
+        return sum(1 for p in self.steps if p.degenerate)
 
 
 def ns_solve(
@@ -306,7 +301,7 @@ def _ns_kernel(
     _potentials(order, parent, parent_edge, tail, cost, pot)
 
     trace = NsTrace()
-    pivots = trace.pivots
+    pivots = trace.steps
 
     def close(termination: str) -> NsTrace:
         trace.termination = termination

@@ -12,7 +12,7 @@ and can be compared step by step against other algorithms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
@@ -20,11 +20,11 @@ from typing import Optional
 
 from .core import (
     Edge,
-    Flow,
     FlowLabError,
     FlowNetwork,
     InfeasibleError,
     IterationCapExceeded,
+    Trace,
     _ResidualArcs,
     _check_endpoints,
     _scaled,
@@ -53,15 +53,7 @@ class SspStep:
     amount: Fraction
 
 
-@dataclass
-class SspTrace:
-    steps: list[SspStep] = field(default_factory=list)
-    final_flow: Optional[Flow] = None
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
+class SspTrace(Trace):
     def path_costs(self) -> list[Fraction]:
         return [s.cost for s in self.steps]
 
@@ -217,6 +209,7 @@ def _ssp_kernel(
     nxt = [-1] * n
     while remaining > 0:
         if len(steps) >= iteration_cap:
+            trace.termination = "iteration_cap_hit"
             trace.final_flow = res.flow()
             raise IterationCapExceeded(
                 "demand not met after %d augmentations" % iteration_cap, trace=trace

@@ -19,7 +19,6 @@ import pytest
 from conftest import random_capacity_respecting_flow, random_network
 from reference import brute_force_min_mean, nondegenerate_cycle_paths
 from flowlab.core import (
-    Flow,
     InfeasibleError,
     check_feasible,
     flow_cost,
@@ -43,12 +42,12 @@ from flowlab.mincycle import karp_min_mean
 from flowlab.mmcc import (
     falling_mean_violation,
     halving_violation,
-    initial_feasible_flow,
     mmcc_solve,
     shrink_violation,
 )
-from flowlab.netsimplex import basic_structure_from_flow, ns_solve
-from flowlab.ssp import concentrate_budgets, ssp_solve
+from flowlab.experiment import solve
+from flowlab.netsimplex import ns_solve
+from flowlab.ssp import ssp_solve
 
 SEED_COUNT = 20
 
@@ -165,22 +164,18 @@ def cross_solver_runs():
         phi = picker.choice([4, 16, 64])
         inst = gen_random_smoothed(n, m, phi, seed)
         costs = sample_costs(inst, seed)
-        net = inst.realize(costs)
         seed += 1
         try:
-            warm = initial_feasible_flow(net)
+            # the draw has no stored flow, so MMCC computes the start
+            # and fails exactly when the draw is infeasible
+            mmcc_trace = solve(inst, costs, "mmcc")
         except InfeasibleError:
             continue
-        mmcc_trace = mmcc_solve(inst, costs)
-        structure, _ = basic_structure_from_flow(net, warm)
-        ns_trace = ns_solve(net, structure)
-        wide, source, sink, demand = concentrate_budgets(net)
-        ssp_trace = ssp_solve(wide, source, sink, demand)
-        ssp_flow = Flow(ssp_trace.final_flow.values[: net.edge_count])
+        others = [solve(inst, costs, algorithm) for algorithm in ("ns", "ssp")]
         records.append(
             SimpleNamespace(
-                net=net,
-                flows=(mmcc_trace.final_flow, ns_trace.final_flow, ssp_flow),
+                net=inst.realize(costs),
+                flows=tuple(t.final_flow for t in [mmcc_trace, *others]),
                 mean_costs=mmcc_trace.mean_costs(),
             )
         )

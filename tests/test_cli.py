@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from flowlab.cli import ExperimentSpec, _parse_seeds, main, run_experiment
+from flowlab.cli import _parse_seeds, main
 from flowlab.core import FlowNetwork
+from flowlab.experiment import ExperimentSpec, run_experiment
 from flowlab.formats import format_flow, read_smoothed, write_dimacs
 from flowlab.generators import NsParams, gen_ns_lower_bound
 
@@ -191,6 +192,20 @@ def test_experiment_spec_requires_phi():
     with pytest.raises(ValueError, match="phi is fixed by the mmcc_large_phi family"):
         ExperimentSpec("mmcc_large_phi", 4, 9, Fraction(3), (0,))
     ExperimentSpec("ns_lower", 6, 10, Fraction(129, 2), (0,))
+
+
+def test_solve_rejects_a_stored_start_that_breaks_conservation(tmp_path, capsys):
+    path = tmp_path / "general.min"
+    assert main(["gen", "--family", "mmcc_general", "--n", "6", "--m", "12",
+                 "--phi", "64", "--out", str(path)]) == 0
+    text = path.read_text()
+    assert "\nf 1 5 0\n" in text
+    path.write_text(text.replace("\nf 1 5 0\n", "\nf 1 5 1\n"))
+    capsys.readouterr()
+    assert main(["solve", "--input", str(path), "--algorithm", "mmcc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stored starting flow: conservation: node a is off by -1\n"
 
 
 def test_python_dash_m_runs_the_command_line(capsys):

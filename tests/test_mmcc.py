@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -424,6 +425,23 @@ def test_mmcc_solve_iteration_cap_trace_holds_the_first_cancellations():
     assert trace.iterations == iterations
     assert trace.final_flow == flow
     assert flow != inst.starting_flow
+
+
+def test_mmcc_solve_rejects_a_stored_start_that_breaks_conservation():
+    inst = gen_mmcc_general(MmccGeneralParams(6, 12, 64))
+    costs = sample_costs(inst, 0)
+    values = list(inst.starting_flow.values)
+    # one more unit on an idle edge, still within its capacity
+    e = next(i for i, (edge, f) in enumerate(zip(inst.network.edges, values))
+             if f == 0 and (edge.capacity is None or edge.capacity >= 1))
+    values[e] = Fraction(1)
+    broken = replace(inst, starting_flow=Flow(tuple(values)))
+    bad = check_feasible(broken.realize(costs), broken.starting_flow)
+    assert bad.kind == "conservation"
+    with pytest.raises(InfeasibleError) as info:
+        mmcc_solve(broken, costs)
+    assert str(info.value) == "stored starting flow: conservation: " + bad.detail
+    assert mmcc_solve(inst, costs).termination == "optimal"
 
 
 def test_mmcc_solve_optimal_cost_matches_networkx():
