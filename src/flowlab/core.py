@@ -498,8 +498,9 @@ class _ResidualArcs:
     capacity) by ``flow_scale``, the lcm of the capacity, flow and
     ``extra`` denominators; room is ``None`` when unbounded.  The costs
     are scaled on first read, so max flow never pays for them.  The flow
-    of edge ``e`` is the room of arc ``2e + 1``, and ``residual`` is
-    read off the arcs with room, in ascending arc id.  ``flow`` defaults
+    of edge ``e`` is the room of arc ``2e + 1``, and ``residual``, the
+    certificate and the MMCC and SSP kernels read the arcs with room in
+    ``with_room``'s order, ascending arc id.  ``flow`` defaults
     to zero; one outside its capacities raises as in ``residual``, and
     an edge endpoint outside the nodes raises ``ValueError`` with
     ``validate_network``'s text.
@@ -551,6 +552,10 @@ class _ResidualArcs:
             self._cost = cost
         return self._cost
 
+    def with_room(self) -> list[int]:
+        """The arcs with room, in ascending arc id."""
+        return [a for a, r in enumerate(self.room) if r != 0]
+
     def push(self, arcs: Iterable[int], amount: int) -> None:
         """Send the scaled ``amount`` along every arc of ``arcs``."""
         room = self.room
@@ -584,9 +589,7 @@ def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
     Raises ``CapacityViolation`` if the flow breaks a capacity bound.
     """
     res = _ResidualArcs(net, flow)
-    return ResidualNetwork(
-        net.node_count, tuple(res.residual_edge(a) for a, r in enumerate(res.room) if r != 0)
-    )
+    return ResidualNetwork(net.node_count, tuple(map(res.residual_edge, res.with_room())))
 
 
 def flow_cost(net: FlowNetwork, flow: Flow) -> Fraction:
@@ -630,12 +633,35 @@ def check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
     return None
 
 
+def _bellman_ford(n: int, arcs, dist: list, pred: list) -> Optional[int]:
+    """Relax the ``(arc, from, to, cost)`` tuples of ``arcs`` in order
+    for up to ``n`` rounds; a ``None`` label is not reached yet, and
+    ``pred[v]`` is the arc that last lowered ``v``.  Returns ``None`` when
+    the labels settle, else the last node lowered in round ``n``."""
+    lowered = None
+    for _ in range(n):
+        lowered = None
+        for i, a, b, c in arcs:
+            d = dist[a]
+            if d is None:
+                continue
+            candidate = d + c
+            seen = dist[b]
+            if seen is None or candidate < seen:
+                dist[b] = candidate
+                pred[b] = i
+                lowered = b
+        if lowered is None:
+            break
+    return lowered
+
+
 def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
     """Return ``None`` if ``flow`` is minimum-cost, else a witness.
 
     A feasible flow is optimal exactly when its residual network has no
     negative-cost cycle; the witness returned is such a cycle, found by
-    label correcting from a virtual source attached to every node.
+    ``_bellman_ford`` from zero labels, as if from a virtual source.
 
     The residual edges are the arcs of ``_ResidualArcs`` with room, in
     ascending arc id, which is ``residual``'s order; only the witness is
@@ -643,28 +669,14 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
     nodes raises ``ValueError`` with ``validate_network``'s message.
     """
     res = _ResidualArcs(net, flow)
-    n, tail = net.node_count, res.tail
-    if n == 0:
-        return None
-    head, cost = res.head, res.cost
-    arcs = [(a, tail[a], head[a], cost[a]) for a, r in enumerate(res.room) if r != 0]
-    dist = [0] * n
+    n, tail, head, cost = net.node_count, res.tail, res.head, res.cost
     pred = [-1] * n
-    touched = -1
-    for _ in range(n):
-        changed = False
-        for i, a, b, c in arcs:
-            candidate = dist[a] + c
-            if candidate < dist[b]:
-                dist[b] = candidate
-                pred[b] = i
-                changed = True
-                touched = b
-        if not changed:
-            return None
+    arcs = [(a, tail[a], head[a], cost[a]) for a in res.with_room()]
+    node = _bellman_ford(n, arcs, [0] * n, pred)
+    if node is None:
+        return None
     # Still relaxing after n passes: the predecessor chain from the last
-    # touched node must contain a negative cycle.
-    node = touched
+    # lowered node must contain a negative cycle.
     for _ in range(n):
         node = tail[pred[node]]
     chain = []
@@ -675,9 +687,7 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
         cursor = tail[i]
         if cursor == node:
             break
-    chain.reverse()
-    edges = [res.residual_edge(i) for i in chain]
-    witness = Cycle.from_edges(edges)
+    witness = Cycle.from_edges([res.residual_edge(i) for i in reversed(chain)])
     if witness.total_cost >= 0:
         raise FlowLabError("internal error: witness cycle is not negative")
     return witness

@@ -24,7 +24,7 @@ from .generators import (
     predicted_ns_pivots,
     sample_costs,
 )
-from .mmcc import initial_feasible_flow, mmcc_solve
+from .mmcc import _start, mmcc_solve
 from .netsimplex import basic_structure_from_flow, ns_solve
 from .ssp import concentrate_budgets, ssp_solve
 
@@ -70,11 +70,12 @@ def solve(
 ) -> Trace:
     """Run one solver on the realization of ``instance`` at ``costs``.
 
-    ``mmcc`` starts from the stored flow, or a computed one.  ``ns``
-    starts from ``structure``, else from the basic structure of the
-    stored or a computed flow; ``strongly_feasible`` applies to it
-    only.  ``ssp`` ships the budgets from one source to one sink, and
-    its final flow is cut back to the instance's edges.
+    ``mmcc`` starts from the stored flow, or a computed one, and ``ns``
+    from ``structure``, else from the basic structure of that start; a
+    stored flow off conservation raises ``InfeasibleError`` for both.
+    ``strongly_feasible`` applies to ``ns`` only.  ``ssp`` ships the
+    budgets from one source to one sink, and its final flow is cut back
+    to the instance's edges.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -85,9 +86,7 @@ def solve(
     net = instance.realize(costs)
     if algorithm == "ns":
         if structure is None:
-            start = instance.starting_flow
-            start = initial_feasible_flow(net) if start is None else start
-            structure, _ = basic_structure_from_flow(net, start)
+            structure, _ = basic_structure_from_flow(net, _start(instance, net))
         return ns_solve(net, structure, strongly_feasible=strongly_feasible)
     trace = ssp_solve(*concentrate_budgets(net))
     trace.final_flow = Flow(trace.final_flow.values[: net.edge_count])

@@ -86,6 +86,19 @@ def initial_feasible_flow(net: FlowNetwork) -> Flow:
     return Flow(flow.values[: net.edge_count])
 
 
+def _start(instance: SmoothedInstance, net: FlowNetwork) -> Flow:
+    """MMCC's and network simplex's start on ``net``, the realization of
+    ``instance``: the stored flow, unless it breaks conservation, or
+    ``initial_feasible_flow(net)`` when none is stored."""
+    flow = instance.starting_flow
+    if flow is None:
+        return initial_feasible_flow(net)
+    bad = check_feasible(net, flow)
+    if bad is not None and bad.kind == "conservation":
+        raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
+    return flow
+
+
 def mmcc_solve(
     instance: Union[FlowNetwork, SmoothedInstance],
     costs: Optional[Sequence[Fraction]] = None,
@@ -114,12 +127,7 @@ def mmcc_solve(
         if costs is None:
             raise ValueError("a smoothed instance needs sampled costs")
         net = instance.realize(costs)
-        flow = instance.starting_flow
-        if flow is None:
-            flow = initial_feasible_flow(net)
-        # the residual arcs raise their own errors for the other faults
-        elif (bad := check_feasible(net, flow)) is not None and bad.kind == "conservation":
-            raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
+        flow = _start(instance, net)
     else:
         if costs is not None:
             raise ValueError("costs are only accepted for smoothed instances")
@@ -141,9 +149,7 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
     trace = MmccTrace()
     iterations = trace.steps
     while True:
-        # the arcs with room, in ascending arc id, which is the order of
-        # the edges ``residual`` builds
-        found = search([a for a, r in enumerate(room) if r != 0])
+        found = search(res.with_room())
         if found is None:
             break
         cycle_arcs, mean_num, _ = found

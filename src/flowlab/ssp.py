@@ -26,6 +26,7 @@ from .core import (
     IterationCapExceeded,
     Trace,
     _ResidualArcs,
+    _bellman_ford,
     _check_endpoints,
     _scaled,
     default_iteration_cap,
@@ -99,29 +100,6 @@ def ssp_solve(
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
     return _ssp_kernel(net, source, sink, demand, iteration_cap)
-
-
-def _bellman_ford_labels(n, sink, tail, head, cost, room, nxt):
-    """The reference ``distances_to_sink`` on the paired arcs: the same
-    relaxation order, rounds and ``NegativeCycleError``.  ``nxt[v]`` is
-    set to the arc that last lowered ``v``'s label."""
-    live = [(a, tail[a], head[a], cost[a]) for a in range(len(tail)) if room[a] != 0]
-    dist: list[Optional[int]] = [None] * n
-    dist[sink] = 0
-    for _ in range(n):
-        changed = False
-        for a, t, h, c in live:
-            d = dist[h]
-            if d is None:
-                continue
-            candidate = d + c
-            if dist[t] is None or candidate < dist[t]:
-                dist[t] = candidate
-                nxt[t] = a
-                changed = True
-        if not changed:
-            return dist
-    raise NegativeCycleError("path costs keep dropping; negative residual cycle")
 
 
 def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
@@ -215,7 +193,13 @@ def _ssp_kernel(
                 "demand not met after %d augmentations" % iteration_cap, trace=trace
             )
         if dist is None:
-            dist = _bellman_ford_labels(n, sink, tail, head, cost, room, nxt)
+            # the reference ``distances_to_sink``: labels run from the
+            # sink against the arcs with room, in ascending arc id
+            dist = [None] * n
+            dist[sink] = 0
+            live = [(a, head[a], tail[a], cost[a]) for a in res.with_room()]
+            if _bellman_ford(n, live, dist, nxt) is not None:
+                raise NegativeCycleError("path costs keep dropping; negative residual cycle")
         else:
             dist = _dijkstra_labels(n, sink, in_arcs, room, dist, nxt)
         if dist[source] is None:

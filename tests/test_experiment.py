@@ -3,11 +3,12 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from flowlab.core import Flow, IterationCapExceeded
+from flowlab.core import Flow, InfeasibleError, IterationCapExceeded, verify_optimality
 from flowlab.experiment import solve
 from flowlab.generators import (
     MmccGeneralParams,
@@ -55,6 +56,24 @@ def test_solve_replays_the_direct_calls(case):
         assert trace.steps == want.steps
         assert trace.final_flow == Flow(want.final_flow.values[: net.edge_count])
         assert len(trace.final_flow) == net.edge_count
+
+
+@pytest.mark.parametrize("algorithm", ["mmcc", "ns"])
+def test_solve_checks_a_stored_start_before_mmcc_and_ns(algorithm):
+    inst = gen_mmcc_general(MmccGeneralParams(4, 8, 64))
+    values = list(inst.starting_flow.values)
+    # the first positive stored value, one unit lower
+    first = next(i for i, f in enumerate(values) if f > 0)
+    values[first] -= 1
+    broken = replace(inst, starting_flow=Flow(tuple(values)))
+    costs = sample_costs(broken, 0)
+    with pytest.raises(InfeasibleError) as info:
+        solve(broken, costs, algorithm)
+    assert str(info.value) == "stored starting flow: conservation: node a is off by 1"
+    # SSP ships the budgets and never reads a stored start
+    trace = solve(broken, costs, "ssp")
+    assert trace.termination == "optimal"
+    assert verify_optimality(broken.realize(costs), trace.final_flow) is None
 
 
 def test_solve_rejects_unknown_algorithms_and_misplaced_options():
