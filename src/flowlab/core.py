@@ -11,11 +11,11 @@ by their node sequences.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter, neg
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "FlowLabError",
@@ -256,18 +256,33 @@ class Flow:
         return len(self.values)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """One solver run: its steps in order, the flow it ended with, and
-    ``termination``, ``"optimal"`` or ``"iteration_cap_hit"``."""
+    ``termination``, ``"optimal"`` or ``"iteration_cap_hit"``.
 
-    steps: list = field(default_factory=list)
+    A kernel appends to ``_records`` one compact record per step, made
+    of integers it already holds, and sets ``_step``, the function that
+    turns a record into the step object.  ``steps`` builds the step
+    objects on first read and keeps them; the counts read the records.
+    Two traces are equal when their steps and public fields are.
+    """
+
     final_flow: Optional[Flow] = None
     termination: str = "optimal"
+    _records: list = field(default_factory=list, repr=False, compare=False)
+    _step: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _steps: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def steps(self) -> list:
+        if self._steps is None:
+            self._steps = list(map(self._step, self._records))
+        return self._steps
 
     @property
     def step_count(self) -> int:
-        return len(self.steps)
+        return len(self._records)
 
     @property
     def degenerate_count(self) -> int:
@@ -276,6 +291,13 @@ class Trace:
     @property
     def nondegenerate_count(self) -> int:
         return self.step_count - self.degenerate_count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare
+        )
 
 
 @dataclass(frozen=True)
@@ -569,9 +591,9 @@ class _ResidualArcs:
         room, scale = self.room, self.flow_scale
         return Flow(tuple(Fraction(room[a], scale) for a in range(1, len(room), 2)))
 
-    def residual_edge(self, a: int) -> ResidualEdge:
-        """The ``ResidualEdge`` of arc ``a`` at its present room."""
-        e, r = self.edges[a >> 1], self.room[a]
+    def residual_edge(self, a: int, r: Optional[int]) -> ResidualEdge:
+        """The ``ResidualEdge`` of arc ``a`` at the scaled room ``r``."""
+        e = self.edges[a >> 1]
         return ResidualEdge(
             self.tail[a],
             self.head[a],
@@ -589,7 +611,10 @@ def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
     Raises ``CapacityViolation`` if the flow breaks a capacity bound.
     """
     res = _ResidualArcs(net, flow)
-    return ResidualNetwork(net.node_count, tuple(map(res.residual_edge, res.with_room())))
+    room = res.room
+    return ResidualNetwork(
+        net.node_count, tuple(res.residual_edge(a, room[a]) for a in res.with_room())
+    )
 
 
 def flow_cost(net: FlowNetwork, flow: Flow) -> Fraction:
@@ -687,7 +712,7 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
         cursor = tail[i]
         if cursor == node:
             break
-    witness = Cycle.from_edges([res.residual_edge(i) for i in reversed(chain)])
+    witness = Cycle.from_edges([res.residual_edge(i, res.room[i]) for i in reversed(chain)])
     if witness.total_cost >= 0:
         raise FlowLabError("internal error: witness cycle is not negative")
     return witness

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Flow, SmoothedInstance, Trace, flow_cost, verify_optimality
+from .core import (
+    Flow,
+    FlowNetwork,
+    SmoothedInstance,
+    Trace,
+    default_iteration_cap,
+    flow_cost,
+    verify_optimality,
+)
 from .generators import (
     MmccGeneralParams,
     NsParams,
@@ -24,7 +32,7 @@ from .generators import (
     predicted_ns_pivots,
     sample_costs,
 )
-from .mmcc import _start, mmcc_solve
+from .mmcc import _mmcc_kernel, _start
 from .netsimplex import basic_structure_from_flow, ns_solve
 from .ssp import concentrate_budgets, ssp_solve
 
@@ -72,25 +80,37 @@ def solve(
 
     ``mmcc`` starts from the stored flow, or a computed one, and ``ns``
     from ``structure``, else from the basic structure of that start; a
-    stored flow off conservation raises ``InfeasibleError`` for both.
+    stored flow off conservation raises ``InfeasibleError`` for both,
+    and one outside its capacity bounds ``CapacityViolation``.
     ``strongly_feasible`` applies to ``ns`` only.  ``ssp`` ships the
     budgets from one source to one sink, and its final flow is cut back
     to the instance's edges.
     """
+    if costs is None:
+        raise ValueError("a smoothed instance needs sampled costs")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if strongly_feasible and algorithm != "ns":
         raise ValueError("strongly_feasible applies to the ns algorithm only")
-    if algorithm == "mmcc":
-        return mmcc_solve(instance, costs)
-    net = instance.realize(costs)
-    if algorithm == "ns":
-        if structure is None:
-            structure, _ = basic_structure_from_flow(net, _start(instance, net))
+    return _solve(instance, instance.realize(costs), algorithm, structure, strongly_feasible)
+
+
+def _solve(
+    instance: SmoothedInstance, net: FlowNetwork, algorithm: str, structure, strongly_feasible=False
+) -> Trace:
+    """``solve`` on ``net``, the realization of ``instance``, for one of
+    ``ALGORITHMS``; the options are not checked."""
+    if algorithm == "ssp":
+        trace = ssp_solve(*concentrate_budgets(net))
+        trace.final_flow = Flow(trace.final_flow.values[: net.edge_count])
+        return trace
+    if algorithm == "ns" and structure is not None:
         return ns_solve(net, structure, strongly_feasible=strongly_feasible)
-    trace = ssp_solve(*concentrate_budgets(net))
-    trace.final_flow = Flow(trace.final_flow.values[: net.edge_count])
-    return trace
+    start = _start(instance, net)
+    if algorithm == "mmcc":
+        return _mmcc_kernel(net, start, default_iteration_cap(net.node_count, net.edge_count))
+    structure, _ = basic_structure_from_flow(net, start)
+    return ns_solve(net, structure, strongly_feasible=strongly_feasible)
 
 
 @dataclass(frozen=True)
@@ -142,7 +162,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[str, bool]:
         inst, structure, predicted = shared if shared is not None else instance(seed)
         costs = sample_costs(inst, seed)
         net = inst.realize(costs)
-        traces = {alg: solve(inst, costs, alg, structure=structure) for alg in algorithms}
+        traces = {alg: _solve(inst, net, alg, structure) for alg in algorithms}
         cost = {alg: flow_cost(net, t.final_flow) for alg, t in traces.items()}
         agree = len(set(cost.values())) == 1
         for alg, t in traces.items():

@@ -8,14 +8,16 @@ inspect exactly what happened.
 
 The loop runs on integers, over paired residual arcs whose room each
 cancellation updates in place, and shares its minimum-mean cycle
-search with ``mincycle.karp_min_mean``; ``Fraction`` values are built
-only for the trace and the final flow.
+search with ``mincycle.karp_min_mean``.  Each cancellation is recorded
+as integers; ``Fraction`` values are built for the final flow, and for
+the trace when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -57,6 +59,10 @@ class MmccIteration:
 
 
 class MmccTrace(Trace):
+    """A cycle-canceling run; its records are ``(arcs, rooms, amount)``:
+    the cycle's residual arc ids, their rooms before the push and the
+    amount pushed, both in the flow scale."""
+
     iteration_count = Trace.step_count
 
     @property
@@ -88,14 +94,20 @@ def initial_feasible_flow(net: FlowNetwork) -> Flow:
 
 def _start(instance: SmoothedInstance, net: FlowNetwork) -> Flow:
     """MMCC's and network simplex's start on ``net``, the realization of
-    ``instance``: the stored flow, unless it breaks conservation, or
-    ``initial_feasible_flow(net)`` when none is stored."""
+    ``instance``: the stored flow, or ``initial_feasible_flow(net)``
+    when none is stored.  A stored flow that breaks conservation raises
+    ``InfeasibleError``, and one outside its bounds the
+    ``CapacityViolation`` of the residual arcs."""
     flow = instance.starting_flow
     if flow is None:
         return initial_feasible_flow(net)
     bad = check_feasible(net, flow)
-    if bad is not None and bad.kind == "conservation":
-        raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
+    if bad is not None:
+        if bad.kind == "conservation":
+            raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
+        # a capacity bound or an edge endpoint: building the arcs raises
+        # at the first bad edge, as MMCC's kernel does
+        _ResidualArcs(net, flow)
     return flow
 
 
@@ -140,14 +152,25 @@ def mmcc_solve(
     return _mmcc_kernel(net, flow, iteration_cap)
 
 
+def _iteration(res: _ResidualArcs, record) -> MmccIteration:
+    """The ``MmccIteration`` of an ``MmccTrace`` record, from the
+    kernel's arcs, whose tails, heads, costs and scales never change."""
+    arcs, rooms, amount = record
+    total = sum(res.cost[a] for a in arcs)
+    mean = Fraction(total, len(arcs) * res.cost_scale)
+    edges = tuple(map(res.residual_edge, arcs, rooms))
+    cycle = Cycle(edges=edges, total_cost=Fraction(total, res.cost_scale), mean_cost=mean)
+    return MmccIteration(cycle=cycle, mean_cost=mean, amount=Fraction(amount, res.flow_scale))
+
+
 def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
     """The cancellation loop of ``mmcc_solve`` on integer-scaled paired arcs."""
     res = _ResidualArcs(net, flow)
     search = _MeanSearch(net.node_count, list(zip(res.tail, res.head, res.cost)))
-    cost, room = res.cost, res.room
+    room = res.room
 
-    trace = MmccTrace()
-    iterations = trace.steps
+    trace = MmccTrace(_step=partial(_iteration, res))
+    iterations = trace._records
     while True:
         found = search(res.with_room())
         if found is None:
@@ -161,22 +184,14 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
             raise IterationCapExceeded(
                 "no optimum after %d cycle cancellations" % iteration_cap, trace=trace
             )
-        bounded = [room[a] for a in cycle_arcs if room[a] is not None]
+        # the rooms before the push, which the trace's edges carry
+        rooms = [room[a] for a in cycle_arcs]
+        bounded = [r for r in rooms if r is not None]
         if not bounded:
             raise UnboundedCycleError("every cycle edge is uncapacitated; cost is unbounded")
         amount = min(bounded)
-        # only the zero-cost 2-cycle holds both arcs of one edge, so no
-        # arc's room changes before its own push: build the edges first
-        cycle_edges = tuple(res.residual_edge(a) for a in cycle_arcs)
         res.push(cycle_arcs, amount)
-        total = sum(cost[a] for a in cycle_arcs)
-        mean = Fraction(total, len(cycle_arcs) * res.cost_scale)
-        cycle = Cycle(
-            edges=cycle_edges, total_cost=Fraction(total, res.cost_scale), mean_cost=mean
-        )
-        iterations.append(
-            MmccIteration(cycle=cycle, mean_cost=mean, amount=Fraction(amount, res.flow_scale))
-        )
+        iterations.append((cycle_arcs, rooms, amount))
     trace.final_flow = res.flow()
     trace.termination = "optimal"
     return trace

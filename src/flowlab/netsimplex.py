@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .core import (
@@ -206,8 +207,12 @@ class NsPivot:
     cycle: tuple[tuple[int, bool], ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class NsTrace(Trace):
+    """A network simplex run; its records are ``(entering, leaving,
+    delta, rc, cycle)``, with the amount ``delta`` in the flow scale and
+    the entering reduced cost ``rc`` in the cost scale."""
+
     final_structure: Optional[SpanningTreeStructure] = None
     pivot_count = Trace.step_count
 
@@ -217,7 +222,17 @@ class NsTrace(Trace):
 
     @property
     def degenerate_count(self) -> int:
-        return sum(1 for p in self.steps if p.degenerate)
+        return sum(1 for record in self._records if not record[2])
+
+
+def _pivot(flow_scale: int, cost_scale: int, amounts: dict, record) -> NsPivot:
+    """The ``NsPivot`` of an ``NsTrace`` record; ``amounts`` keeps one
+    ``Fraction`` per distinct amount."""
+    entering, leaving, delta, rc, cycle = record
+    amount = amounts.get(delta)
+    if amount is None:
+        amount = amounts[delta] = Fraction(delta, flow_scale)
+    return NsPivot(entering, leaving, amount, delta == 0, Fraction(rc, cost_scale), cycle)
 
 
 def ns_solve(
@@ -243,8 +258,9 @@ def ns_solve(
     budgets, since tree flows are sums of those.  The tree is hung once
     and the start flow and potentials filled down it, with
     ``tree_flow``'s errors; each pivot re-hangs one subtree in place
-    and shifts its potentials.  ``Fraction`` values are built only for
-    the trace and the final flow.
+    and shifts its potentials.  Each pivot is recorded as integers;
+    ``Fraction`` values are built for the final flow, and for the
+    pivots when the trace is read.
     """
     # the scaled arcs are built first: building them rejects an edge
     # endpoint outside the nodes, which the structure checks index with
@@ -300,8 +316,8 @@ def _ns_kernel(
     pot = [0] * n
     _potentials(order, parent, parent_edge, tail, cost, pot)
 
-    trace = NsTrace()
-    pivots = trace.steps
+    trace = NsTrace(_step=partial(_pivot, flow_scale, cost_scale, {}))
+    pivots = trace._records
 
     def close(termination: str) -> NsTrace:
         trace.termination = termination
@@ -314,8 +330,6 @@ def _ns_kernel(
         )
         return trace
 
-    # one Fraction per distinct pivot amount
-    amounts: dict[int, Fraction] = {}
     mags = ranked = None
     while True:
         # Dantzig pricing: the largest violation, ties to the lowest id;
@@ -452,19 +466,7 @@ def _ns_kernel(
                     stack.append(y)
             mags = ranked = None
 
-        amount = amounts.get(delta)
-        if amount is None:
-            amount = amounts[delta] = Fraction(delta, flow_scale)
-        pivots.append(
-            NsPivot(
-                entering=entering,
-                leaving=leaving,
-                amount=amount,
-                degenerate=(delta == 0),
-                entering_reduced_cost=Fraction(rc, cost_scale),
-                cycle=cycle,
-            )
-        )
+        pivots.append((entering, leaving, delta, rc, cycle))
     return close("optimal")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from math import lcm
 from typing import Optional
@@ -55,6 +56,9 @@ class SspStep:
 
 
 class SspTrace(Trace):
+    """A shortest-path run; its records are ``(arcs, amount)``: the
+    path's residual arc ids and the amount pushed, in the flow scale."""
+
     def path_costs(self) -> list[Fraction]:
         return [s.cost for s in self.steps]
 
@@ -85,8 +89,9 @@ def ssp_solve(
     whose room each augmentation updates in place.  The first labels
     come from Bellman–Ford; every later step keeps the previous labels
     as node potentials and runs Dijkstra on the non-negative reduced
-    costs (Edmonds and Karp, 1972).  ``Fraction`` values are built only
-    for the trace and the final flow.
+    costs (Edmonds and Karp, 1972).  Each step is recorded as integers;
+    ``Fraction`` values are built for the final flow, and for the steps
+    when the trace is read.
     """
     demand = rational(demand)
     if demand < 0:
@@ -133,6 +138,17 @@ def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
     return [None if d is None else d + p for d, p in zip(reduced, pot)]
 
 
+def _step(source: int, res: _ResidualArcs, record) -> SspStep:
+    """The ``SspStep`` of an ``SspTrace`` record, from the kernel's
+    arcs, whose heads, costs and scales never change."""
+    path, amount = record
+    return SspStep(
+        path=(source, *map(res.head.__getitem__, path)),
+        cost=Fraction(sum(res.cost[a] for a in path), res.cost_scale),
+        amount=Fraction(amount, res.flow_scale),
+    )
+
+
 def _ssp_kernel(
     net: FlowNetwork, source: int, sink: int, demand: Fraction, iteration_cap: int
 ) -> SspTrace:
@@ -150,8 +166,8 @@ def _ssp_kernel(
     for arcs in out_arcs:
         arcs.sort(key=head.__getitem__)
 
-    trace = SspTrace()
-    steps = trace.steps
+    trace = SspTrace(_step=partial(_step, source, res))
+    steps = trace._records
 
     def reaches(start: int, dist, visited) -> bool:
         # ``_reaches`` over the tight arcs with room.  The label arcs
@@ -212,7 +228,6 @@ def _ssp_kernel(
         # the lexicographically smallest cheapest path, built greedily
         # as in ``cheapest_path``
         path = []
-        nodes = [source]
         visited = [False] * n
         visited[source] = True
         node = source
@@ -230,7 +245,6 @@ def _ssp_kernel(
             else:
                 raise FlowLabError("internal error: cheapest path search got stuck")
             path.append(a)
-            nodes.append(w)
             visited[w] = True
             node = w
 
@@ -240,13 +254,7 @@ def _ssp_kernel(
             if r is not None and r < amount:
                 amount = r
         res.push(path, amount)
-        steps.append(
-            SspStep(
-                path=tuple(nodes),
-                cost=Fraction(sum(cost[a] for a in path), res.cost_scale),
-                amount=Fraction(amount, res.flow_scale),
-            )
-        )
+        steps.append((path, amount))
         remaining -= amount
     trace.final_flow = res.flow()
     return trace

@@ -1,14 +1,28 @@
 """The one solver entry point: ``solve`` and the ``Trace`` it returns."""
 
 import os
+import pickle
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from flowlab.core import Flow, InfeasibleError, IterationCapExceeded, verify_optimality
+from flowlab.core import (
+    CapacityViolation,
+    CostInterval,
+    Cycle,
+    Flow,
+    FlowNetwork,
+    InfeasibleError,
+    IterationCapExceeded,
+    ResidualEdge,
+    SmoothedInstance,
+    verify_optimality,
+)
 from flowlab.experiment import solve
 from flowlab.generators import (
     MmccGeneralParams,
@@ -18,9 +32,9 @@ from flowlab.generators import (
     gen_random_smoothed,
     sample_costs,
 )
-from flowlab.mmcc import initial_feasible_flow, mmcc_solve
-from flowlab.netsimplex import basic_structure_from_flow, ns_solve
-from flowlab.ssp import concentrate_budgets, ssp_solve
+from flowlab.mmcc import MmccIteration, initial_feasible_flow, mmcc_solve
+from flowlab.netsimplex import NsPivot, basic_structure_from_flow, ns_solve
+from flowlab.ssp import SspStep, concentrate_budgets, ssp_solve
 
 NS_LOWER, NS_TREE = gen_ns_lower_bound(NsParams(6, 10, 64))
 # seed 1 draws a feasible instance with no stored flow; seed 0 is infeasible
@@ -76,6 +90,37 @@ def test_solve_checks_a_stored_start_before_mmcc_and_ns(algorithm):
     assert verify_optimality(broken.realize(costs), trace.final_flow) is None
 
 
+def _triangle_with_stored_flow(caps, budgets, values) -> SmoothedInstance:
+    net = FlowNetwork.from_data(
+        3, [(0, 1, caps[0], 1), (1, 2, caps[1], 1), (0, 2, caps[2], 3)], budgets=budgets
+    )
+    intervals = tuple(CostInterval(e.cost, Fraction(1)) for e in net.edges)
+    return SmoothedInstance(net, intervals, Fraction(1), Flow.from_values(values))
+
+
+@pytest.mark.parametrize("algorithm", ["mmcc", "ns"])
+@pytest.mark.parametrize(
+    "caps, budgets, values, message",
+    [
+        # the bad edge ends up off the tree
+        ((5, 5, 1), (4, 0, -4), (1, 1, 3), "edge 2 carries 3 above capacity 1"),
+        # the bad edge ends up in the tree
+        ((1, 5, 5), (2, 0, -2), (2, 2, 0), "edge 0 carries 2 above capacity 1"),
+    ],
+)
+def test_solve_rejects_a_stored_start_above_capacity(algorithm, caps, budgets, values, message):
+    inst = _triangle_with_stored_flow(caps, budgets, values)
+    with pytest.raises(CapacityViolation) as info:
+        solve(inst, [e.cost for e in inst.network.edges], algorithm)
+    assert str(info.value) == message
+
+
+def test_solve_needs_costs():
+    for algorithm in ("mmcc", "ns", "ssp"):
+        with pytest.raises(ValueError, match="a smoothed instance needs sampled costs"):
+            solve(NS_LOWER, None, algorithm)
+
+
 def test_solve_rejects_unknown_algorithms_and_misplaced_options():
     inst, tree = CASES["ns_lower_tree"]
     costs = sample_costs(inst, 0)
@@ -115,3 +160,102 @@ def test_import_flowlab_leaves_the_command_line_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the step objects, and the cycles and residual edges of
+    MMCC's steps, constructed while the test runs."""
+    counts = Counter()
+    for cls in (NsPivot, MmccIteration, SspStep, Cycle, ResidualEdge):
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def _assert_counts_read_the_records(trace, built):
+    """The counts, read before any step exists, equal those of the
+    built steps."""
+    counts = (trace.step_count, trace.nondegenerate_count, trace.degenerate_count)
+    assert not built
+    steps = trace.steps
+    degenerate = sum(getattr(step, "degenerate", False) for step in steps)
+    assert counts == (len(steps), len(steps) - degenerate, degenerate)
+    return degenerate
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_solve_builds_no_step_objects(case, built):
+    inst, stored_tree = CASES[case]
+    costs = sample_costs(inst, 0)
+    traces = {alg: solve(inst, costs, alg, structure=stored_tree) for alg in ("mmcc", "ns", "ssp")}
+    assert not built
+    assert sum(trace.step_count for trace in traces.values()) > 0
+
+
+def test_counts_read_the_records_on_criterion_4s_grid(built):
+    # criterion 4: ns_lower(6, 10, 64) from its stored tree, cost seeds 0-19
+    for seed in range(20):
+        trace = ns_solve(NS_LOWER.realize(sample_costs(NS_LOWER, seed)), NS_TREE)
+        assert _assert_counts_read_the_records(trace, built) > 0
+        built.clear()
+
+
+def test_counts_read_the_records_of_a_capped_trace(built):
+    inst = CASES["mmcc_general"][0]
+    costs = sample_costs(inst, 0)
+    net = NS_LOWER.realize(sample_costs(NS_LOWER, 0))
+    capped = {
+        "mmcc": lambda: mmcc_solve(inst, costs, iteration_cap=5),
+        # the first 100 of 142 pivots hold degenerate ones
+        "ns": lambda: ns_solve(net, NS_TREE, iteration_cap=100),
+        "ssp": lambda: ssp_solve(*concentrate_budgets(net), iteration_cap=7),
+    }
+    degenerate = {}
+    for algorithm, run in capped.items():
+        with pytest.raises(IterationCapExceeded) as info:
+            run()
+        trace = info.value.trace
+        assert trace.termination == "iteration_cap_hit"
+        degenerate[algorithm] = _assert_counts_read_the_records(trace, built)
+        assert len(trace.steps) == {"mmcc": 5, "ns": 100, "ssp": 7}[algorithm]
+        built.clear()
+    assert degenerate["mmcc"] == degenerate["ssp"] == 0 < degenerate["ns"] < 100
+
+
+def test_steps_are_built_once_and_kept(built):
+    inst = CASES["mmcc_general"][0]
+    costs = sample_costs(inst, 0)
+    net = NS_LOWER.realize(sample_costs(NS_LOWER, 0))
+    traces = {
+        "MmccIteration": mmcc_solve(inst, costs),
+        "NsPivot": ns_solve(net, NS_TREE),
+        "SspStep": ssp_solve(*concentrate_budgets(net)),
+    }
+    for name, trace in traces.items():
+        first = trace.steps
+        assert trace.steps is first
+        assert built[name] == len(first) == trace.step_count
+    mmcc_trace = traces["MmccIteration"]
+    assert mmcc_trace.iterations is mmcc_trace.steps
+    assert built["Cycle"] == mmcc_trace.step_count
+    assert built["ResidualEdge"] == sum(len(it.cycle) for it in mmcc_trace.iterations)
+    assert traces["NsPivot"].pivots is traces["NsPivot"].steps
+    # equality compares the steps, and a trace equals a fresh run of itself
+    assert traces["NsPivot"] == ns_solve(net, NS_TREE)
+    assert traces["NsPivot"] != ns_solve(NS_LOWER.realize(sample_costs(NS_LOWER, 1)), NS_TREE)
+    assert traces["NsPivot"] != traces["SspStep"]
+
+
+@pytest.mark.parametrize("algorithm", ["mmcc", "ns", "ssp"])
+def test_traces_pickle_before_and_after_their_steps_are_read(algorithm):
+    inst, tree = CASES["ns_lower_tree"]
+    trace = solve(inst, sample_costs(inst, 0), algorithm, structure=tree)
+    unread = pickle.loads(pickle.dumps(trace))
+    assert unread.step_count == trace.step_count
+    assert unread == trace
+    assert pickle.loads(pickle.dumps(trace)) == trace
