@@ -112,7 +112,13 @@ def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
     costs ``cost + pot[head] - pot[tail]``, which are non-negative on
     every arc between nodes that reach the sink.  A node with no
     potential could not reach the sink before and cannot now.
-    ``nxt[v]`` is set to the arc that gave ``v`` its label."""
+    ``nxt[v]`` is set to the arc that gave ``v`` its label, whose head
+    was settled before ``v``.
+
+    Every heap key is at least the key ``d`` being settled, so a tail
+    whose reduced cost makes its candidate equal ``d`` is settled at
+    once, from a local stack, without going through the heap.  Every
+    node that reaches the sink still gets its exact label."""
     reduced: list[Optional[int]] = [None] * n
     reduced[sink] = 0
     done = [False] * n
@@ -122,19 +128,28 @@ def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
         if done[v]:
             continue
         done[v] = True
-        base = d + pot[v]
-        for a, u, c in in_arcs[v]:
-            if done[u] or room[a] == 0:
-                continue
-            pu = pot[u]
-            if pu is None:
-                continue
-            candidate = base + c - pu
-            seen = reduced[u]
-            if seen is None or candidate < seen:
-                reduced[u] = candidate
-                nxt[u] = a
-                heappush(heap, (candidate, u))
+        stack = [v]
+        while stack:
+            v = stack.pop()
+            base = d + pot[v]
+            for a, u, c in in_arcs[v]:
+                if done[u] or room[a] == 0:
+                    continue
+                pu = pot[u]
+                if pu is None:
+                    continue
+                candidate = base + c - pu
+                if candidate == d:
+                    done[u] = True
+                    reduced[u] = d
+                    nxt[u] = a
+                    stack.append(u)
+                    continue
+                seen = reduced[u]
+                if seen is None or candidate < seen:
+                    reduced[u] = candidate
+                    nxt[u] = a
+                    heappush(heap, (candidate, u))
     return [None if d is None else d + p for d, p in zip(reduced, pot)]
 
 
@@ -171,9 +186,10 @@ def _ssp_kernel(
 
     def reaches(start: int, dist, visited) -> bool:
         # ``_reaches`` over the tight arcs with room.  The label arcs
-        # ``nxt`` are tight and lead to the sink without a cycle, so the
-        # search runs only when their chain from ``start`` meets the
-        # path so far, which zero-cost cycles of tight arcs allow.
+        # ``nxt`` are tight, have room and lead to the sink without a
+        # cycle, so the search runs only when their chain from
+        # ``start`` meets the path so far, which zero-cost cycles of
+        # tight arcs allow.
         v = start
         while v != sink:
             if visited[v]:
@@ -226,13 +242,17 @@ def _ssp_kernel(
             )
 
         # the lexicographically smallest cheapest path, built greedily
-        # as in ``cheapest_path``
+        # as in ``cheapest_path``.  While the path so far follows the
+        # label arcs from the source, the rest of that chain repeats none
+        # of its nodes, so the next label arc needs no ``reaches`` call.
         path = []
         visited = [False] * n
         visited[source] = True
         node = source
+        on_chain = True
         while node != sink:
             here = dist[node]
+            label_arc = nxt[node] if on_chain else -1
             for a in out_arcs[node]:
                 w = head[a]
                 if visited[w]:
@@ -240,7 +260,10 @@ def _ssp_kernel(
                 dw = dist[w]
                 if dw is None or room[a] == 0 or cost[a] + dw != here:
                     continue
+                if a == label_arc:
+                    break
                 if reaches(w, dist, visited):
+                    on_chain = False
                     break
             else:
                 raise FlowLabError("internal error: cheapest path search got stuck")

@@ -301,6 +301,17 @@ def test_criterion_4_ns_nondegenerate_pivot_counts(ns_runs, capsys):
     )
 
 
+def test_strongly_feasible_pivots_on_the_criterion_4_grid(ns_runs):
+    # the strongly feasible leaving rule keeps Dantzig's non-degenerate
+    # count and takes exactly half of its degenerate pivots
+    for _, net, dantzig in ns_runs.runs:
+        strong = ns_solve(net, ns_runs.structure, strongly_feasible=True)
+        assert strong.nondegenerate_count == dantzig.nondegenerate_count == 120
+        assert 2 * strong.degenerate_count == dantzig.degenerate_count == 22
+        assert flow_cost(net, strong.final_flow) == flow_cost(net, dantzig.final_flow)
+        assert verify_optimality(net, strong.final_flow) is None
+
+
 def test_criterion_5_ns_pivots_mirror_shortest_path_augmentations(capsys):
     inst, structure = gen_ns_lower_bound(NsParams(6, 10, 64), 0)
     twin = strip_q_chain(inst)

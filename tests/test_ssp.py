@@ -1,5 +1,6 @@
 """Shortest-path augmentation order and tie-breaking."""
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowlab import Flow, FlowNetwork, check_feasible, flow_cost, residual, verify_optimality
+from flowlab import core, ssp
 from flowlab.core import Edge, InfeasibleError, IterationCapExceeded
 from flowlab.generators import (
     NsParams,
@@ -448,3 +450,122 @@ def test_ssp_solve_replays_reference_through_zero_cost_ties():
         assert got == outcome(reference_ssp, net, 0, n - 1, demand)
         multi_step += got[0] is not InfeasibleError and len(got[0]) > 1
     assert multi_step > 100
+
+
+def kernel_labels(net, source, sink, demand):
+    """Run ``ssp_solve`` and return its residual arcs, the arc ids of
+    each path it pushed, and, for every step, the flow and arc rooms the
+    kernel's labels were computed on, with the labels and label arcs
+    ``nxt``.  A demand that cannot be met ends the run as usual."""
+    arcs, pushed, seen = [], [], []
+
+    class Recorded(ssp._ResidualArcs):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            arcs.append(self)
+
+        def push(self, path, amount):
+            pushed.append(list(path))
+            super().push(path, amount)
+
+    def record(labels, nxt):
+        res = arcs[-1]
+        seen.append((res.flow(), list(res.room), list(labels), list(nxt)))
+
+    def bellman_ford(n, live, dist, nxt):
+        lowered = core._bellman_ford(n, live, dist, nxt)
+        record(dist, nxt)
+        return lowered
+
+    def dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
+        labels = dijkstra(n, sink, in_arcs, room, pot, nxt)
+        record(labels, nxt)
+        return labels
+
+    dijkstra = ssp._dijkstra_labels
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ssp, "_ResidualArcs", Recorded)
+        patch.setattr(ssp, "_bellman_ford", bellman_ford)
+        patch.setattr(ssp, "_dijkstra_labels", dijkstra_labels)
+        try:
+            ssp_solve(net, source, sink, demand)
+        except InfeasibleError:
+            pass
+    return arcs[-1], pushed, seen
+
+
+def assert_labels_are_distances(net, source, sink, demand):
+    """At every step the kernel's labels are ``distances_to_sink`` of
+    that step's residual network, each label arc chain runs to the sink
+    over tight arcs with room without repeating a node, and the path
+    taken is ``cheapest_path``'s.  Returns the number of steps."""
+    res, pushed, seen = kernel_labels(net, source, sink, demand)
+    for k, (flow, room, labels, nxt) in enumerate(seen):
+        r = residual(net, flow)
+        expected = distances_to_sink(r, sink)
+        assert [None if d is None else Fraction(d, res.cost_scale) for d in labels] == expected
+        for start, label in enumerate(labels):
+            if label is None:
+                continue
+            chain = [start]
+            v = start
+            while v != sink:
+                a = nxt[v]
+                w = res.head[a]
+                assert res.tail[a] == v and room[a] != 0
+                assert labels[w] is not None and res.cost[a] + labels[w] == labels[v]
+                assert w not in chain
+                chain.append(w)
+                v = w
+        path = cheapest_path(r, source, sink)
+        if path is None:
+            assert k == len(pushed)
+        else:
+            assert [res.head[a] for a in pushed[k]] == [e.head for e in path]
+    assert len(pushed) in (len(seen), len(seen) - 1)
+    return len(pushed)
+
+
+@pytest.mark.parametrize(
+    "costs, max_nodes", [((0, 1, 2), 7), ((0, 0, 0, 1), 8)], ids=["costs-0-1-2", "mostly-zero"]
+)
+def test_ssp_labels_are_the_reference_distances_through_zero_cost_ties(costs, max_nodes):
+    # costs as in the zero-cost-tie replay, then mostly zero: most steps
+    # settle many nodes at the key of the node that gave them their
+    # label, and the path walk often leaves the label chain
+    rng = random.Random(84)
+    steps = 0
+    for _ in range(1500):
+        n = rng.randint(3, max_nodes)
+        pairs = random_simple_digraph(rng, n, rng.randint(n, 3 * n))
+        edges = [(t, h, rng.randint(1, 3), rng.choice(costs)) for t, h in pairs]
+        net = FlowNetwork.from_data(n, edges)
+        steps += assert_labels_are_distances(net, 0, n - 1, rng.randint(1, 8))
+    assert steps > 1200
+
+
+@pytest.mark.parametrize(
+    "params, cost_seed",
+    [((6, 10, 64), 0), ((6, 10, 64), 1), ((8, 16, 128), 0)],
+    ids=["6-10-64-seed0", "6-10-64-seed1", "8-16-128-seed0"],
+)
+def test_ssp_labels_are_the_reference_distances_on_ns_lower_twin(params, cost_seed):
+    net, source, sink, demand = twin_run(params, cost_seed)
+    assert assert_labels_are_distances(net, source, sink, demand) == demand
+
+
+def test_ssp_solve_pins_the_ns_lower_twin_beyond_the_replays():
+    # the twin of ns_lower(10, 40, 256), cost seed 0: 3200 steps, longer
+    # than any reference replay runs
+    net, source, sink, demand = twin_run((10, 40, 256), 0)
+    trace = ssp_solve(net, source, sink, demand)
+    lines = [
+        "path %s cost %s amount %s" % (" ".join(map(str, s.path)), s.cost, s.amount)
+        for s in trace.steps
+    ]
+    assert len(lines) == demand == 3200
+    assert (
+        hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        == "847366b3e15688f4302001edb3bfca4c707f410bc3b70b224d78b6620fa7aabe"
+    )
+    assert verify_optimality(net, trace.final_flow) is None
