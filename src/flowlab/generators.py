@@ -147,6 +147,56 @@ def _self_check(inst: SmoothedInstance) -> SmoothedInstance:
     return inst
 
 
+class _Builder:
+    """One generated instance as it is put together: node names, then
+    edges with their cost intervals, labels and leaving ranks, and the
+    edges of the starting tree, each kept in the order it is added.  A
+    node's id is its place in that order."""
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.names = []
+        self.arcs = []
+        self.intervals = []
+        self.labels = []
+        self.tree = []
+
+    def node(self, name) -> int:
+        self.names.append(name)
+        return len(self.names) - 1
+
+    def nodes(self, prefix, count) -> list[int]:
+        return [self.node("%s%d" % (prefix, i + 1)) for i in range(count)]
+
+    def add(self, tail, head, cap, lo, width, label, rank=1, in_tree=False) -> int:
+        edge = len(self.arcs)
+        self.arcs.append((tail, head, cap, lo, rank))
+        self.intervals.append(CostInterval(rational(lo), rational(width)))
+        self.labels.append(label)
+        if in_tree:
+            self.tree.append(edge)
+        return edge
+
+    def instance(self, budgets_by_node, parked_edges, amount) -> SmoothedInstance:
+        """The checked instance, its budgets zero off ``budgets_by_node``
+        and its starting flow ``amount`` on each of ``parked_edges``."""
+        budgets = [Fraction(0)] * len(self.names)
+        for node, budget in budgets_by_node.items():
+            budgets[node] = Fraction(budget)
+        net = FlowNetwork.from_data(
+            len(self.names), self.arcs, budgets=budgets, node_names=self.names,
+            edge_labels=self.labels,
+        )
+        values = [Fraction(0)] * net.edge_count
+        for idx in parked_edges:
+            values[idx] = Fraction(amount)
+        inst = SmoothedInstance(
+            network=net, intervals=tuple(self.intervals), phi=self.phi,
+            starting_flow=Flow(tuple(values)),
+        )
+        return _self_check(inst)
+
+
 def _ladders(n, m, phi, pair_seed, w_tops, x_tops, split) -> SmoothedInstance:
     """The two-ladder instance of both MMCC families, as described in
     ``gen_mmcc_general``: the expensive edge of rung ``i`` tops out at
@@ -156,68 +206,42 @@ def _ladders(n, m, phi, pair_seed, w_tops, x_tops, split) -> SmoothedInstance:
     ``a1`` and ``c1``, and the core is fed from ``a2`` and ``c2``.
     """
     unit = 1 / phi
-    names = ["a1", "a2", "b", "c1", "c2", "d"] if split else ["a", "b", "c", "d"]
-    a1, a2, b, c1, c2, d = range(6) if split else (0, 0, 1, 2, 2, 3)
-
-    def block(prefix, count):
-        first = len(names)
-        names.extend("%s%d" % (prefix, i + 1) for i in range(count))
-        return list(range(first, len(names)))
-
-    u, v = block("u", n), block("v", n)
-    w, x = block("w", len(w_tops)), block("x", len(x_tops))
+    g = _Builder(phi)
+    a1, a2 = g.nodes("a", 2) if split else [g.node("a")] * 2
+    b = g.node("b")
+    c1, c2 = g.nodes("c", 2) if split else [g.node("c")] * 2
+    d = g.node("d")
+    u, v = g.nodes("u", n), g.nodes("v", n)
+    w, x = g.nodes("w", len(w_tops)), g.nodes("x", len(x_tops))
     if split:
-        ap, cp = block("ap", n - 1), block("cp", n - 1)
-
-    arcs = []
-    intervals = []
-    labels = []
-
-    def add(tail, head, cap, lo, width, label):
-        arcs.append((tail, head, cap, lo))
-        intervals.append(CostInterval(rational(lo), rational(width)))
-        labels.append(label)
+        ap, cp = g.nodes("ap", n - 1), g.nodes("cp", n - 1)
 
     for i, j in _bipartite_pairs(n, m, pair_seed):
-        add(u[i], v[j], 1, 0, unit, "uv")
+        g.add(u[i], v[j], 1, 0, unit, "uv")
     for i in range(n):
-        add(a2, u[i], None, 0, unit, "a_u")
+        g.add(a2, u[i], None, 0, unit, "a_u")
     for i in range(n):
-        add(u[i], b, None, 0, unit, "u_b")
+        g.add(u[i], b, None, 0, unit, "u_b")
     for j in range(n):
-        add(c2, v[j], None, 0, unit, "c_v")
+        g.add(c2, v[j], None, 0, unit, "c_v")
     for j in range(n):
-        add(v[j], d, None, 0, unit, "v_d")
-    start_edges = []
+        g.add(v[j], d, None, 0, unit, "v_d")
+    parked = []
     for node, top in zip(w, w_tops):
-        add(d, node, m, 0, unit, "d_w")
-        start_edges.append(len(arcs))
-        add(a1, node, m, top - unit, unit, "a_w")
+        g.add(d, node, m, 0, unit, "d_w")
+        parked.append(g.add(a1, node, m, top - unit, unit, "a_w"))
     for node, top in zip(x, x_tops):
-        add(b, node, m, 0, unit, "b_x")
-        start_edges.append(len(arcs))
-        add(c1, node, m, top - unit, unit, "c_x")
+        g.add(b, node, m, 0, unit, "b_x")
+        parked.append(g.add(c1, node, m, top - unit, unit, "c_x"))
     if split:
         for label, path in (("a_path", [a1] + ap + [a2]), ("c_path", [c1] + cp + [c2])):
             for fr, to in zip(path, path[1:]):
-                add(fr, to, None, 0, unit, label)
+                g.add(fr, to, None, 0, unit, label)
 
-    budgets = [Fraction(0)] * len(names)
-    budgets[a1] = Fraction(len(w_tops) * m)
-    budgets[c1] = Fraction(len(x_tops) * m)
-    for node in w + x:
-        budgets[node] = Fraction(-m)
-
-    net = FlowNetwork.from_data(
-        len(names), arcs, budgets=budgets, node_names=names, edge_labels=labels
-    )
-    values = [Fraction(0)] * net.edge_count
-    for idx in start_edges:
-        values[idx] = Fraction(m)
-    inst = SmoothedInstance(
-        network=net, intervals=tuple(intervals), phi=phi, starting_flow=Flow(tuple(values))
-    )
-    return _self_check(inst)
+    budgets = dict.fromkeys(w + x, -m)
+    budgets[a1] = len(w_tops) * m
+    budgets[c1] = len(x_tops) * m
+    return g.instance(budgets, parked, m)
 
 
 def gen_mmcc_general(params: MmccGeneralParams, pair_seed: int = 0) -> SmoothedInstance:
@@ -272,43 +296,12 @@ def gen_ns_lower_bound(
     n, m, phi = params.n, params.m, params.phi
     k, M = params.level_count, params.chain_length
     unit = 1 / phi
-
-    u = list(range(n))
-    wn = [n + i for i in range(n)]
-    s_lvl = [2 * n + 2 * i for i in range(k)]
-    t_lvl = [2 * n + 2 * i + 1 for i in range(k)]
-    base = 2 * n + 2 * k
-    an = [base + i for i in range(M)]
-    bn = [base + M + i for i in range(M)]
-    cn = [base + 2 * M + i for i in range(M)]
-    dn = [base + 3 * M + i for i in range(M)]
-    s = base + 4 * M
-    t = base + 4 * M + 1
-    qn = [base + 4 * M + 2 + i for i in range(2 * M)]
-    node_count = base + 6 * M + 2
-    names = (
-        ["u%d" % (i + 1) for i in range(n)]
-        + ["w%d" % (i + 1) for i in range(n)]
-        + [x for i in range(k) for x in ("s%d" % (i + 1), "t%d" % (i + 1))]
-        + ["a%d" % (i + 1) for i in range(M)]
-        + ["b%d" % (i + 1) for i in range(M)]
-        + ["c%d" % (i + 1) for i in range(M)]
-        + ["d%d" % (i + 1) for i in range(M)]
-        + ["s", "t"]
-        + ["q%d" % (i + 1) for i in range(2 * M)]
-    )
-
-    arcs = []
-    intervals = []
-    labels = []
-    tree = []
-
-    def add(tail, head, cap, lo, width, label, rank=1, in_tree=False):
-        arcs.append((tail, head, cap, lo, rank))
-        intervals.append(CostInterval(rational(lo), rational(width)))
-        labels.append(label)
-        if in_tree:
-            tree.append(len(arcs) - 1)
+    g = _Builder(phi)
+    u, wn = g.nodes("u", n), g.nodes("w", n)
+    s_lvl, t_lvl = zip(*[(g.node("s%d" % i), g.node("t%d" % i)) for i in range(1, k + 1)])
+    an, bn, cn, dn = (g.nodes(prefix, M) for prefix in "abcd")
+    s, t = g.node("s"), g.node("t")
+    qn = g.nodes("q", 2 * M)
 
     pairs = _bipartite_pairs(n, m, pair_seed)
     out_deg = [0] * n
@@ -316,11 +309,11 @@ def gen_ns_lower_bound(
     for i, j in pairs:
         out_deg[i] += 1
         in_deg[j] += 1
-        add(u[i], wn[j], 1, 7 * unit, 2 * unit, "uw", rank=0)
+        g.add(u[i], wn[j], 1, 7 * unit, 2 * unit, "uw", rank=0)
     for i in range(n):
-        add(s_lvl[0], u[i], out_deg[i], 0, unit, "feed_u", in_tree=True)
+        g.add(s_lvl[0], u[i], out_deg[i], 0, unit, "feed_u", in_tree=True)
     for j in range(n):
-        add(wn[j], t_lvl[0], in_deg[j], 0, unit, "drain_w", in_tree=True)
+        g.add(wn[j], t_lvl[0], in_deg[j], 0, unit, "drain_w", in_tree=True)
 
     # level i routes m * 2**i: every unit pair edge saturates at level
     # 0, and each level's rail and shortcut pairs carry twice the level
@@ -328,62 +321,50 @@ def gen_ns_lower_bound(
     flow_f = m
     for i in range(1, k):
         shortcut_lo = (2 ** (i + 3) - 1) * unit
-        add(s_lvl[i], s_lvl[i - 1], flow_f, 0, unit, "rail_s", in_tree=True)
-        add(t_lvl[i - 1], t_lvl[i], flow_f, 0, unit, "rail_t", in_tree=True)
-        add(s_lvl[i], t_lvl[i - 1], flow_f, shortcut_lo, 2 * unit, "shortcut_down")
-        add(s_lvl[i - 1], t_lvl[i], flow_f, shortcut_lo, 2 * unit, "shortcut_up")
+        g.add(s_lvl[i], s_lvl[i - 1], flow_f, 0, unit, "rail_s", in_tree=True)
+        g.add(t_lvl[i - 1], t_lvl[i], flow_f, 0, unit, "rail_t", in_tree=True)
+        g.add(s_lvl[i], t_lvl[i - 1], flow_f, shortcut_lo, 2 * unit, "shortcut_down")
+        g.add(s_lvl[i - 1], t_lvl[i], flow_f, shortcut_lo, 2 * unit, "shortcut_up")
         flow_f *= 2
 
     expensive_lo = (2 ** (k + 5) - 1) * unit
     bridge_lo = (2 ** (k + 4) - 1) * unit
     for i in range(1, M):
-        add(an[i], an[i - 1], None, expensive_lo, unit, "chain_a", in_tree=True)
+        g.add(an[i], an[i - 1], None, expensive_lo, unit, "chain_a", in_tree=True)
     for i in range(M):
-        add(s, an[i], flow_f, 0, unit, "supply_a", in_tree=(i == 0))
-    add(an[0], s_lvl[k - 1], None, bridge_lo, unit, "bridge_a", in_tree=True)
+        g.add(s, an[i], flow_f, 0, unit, "supply_a", in_tree=(i == 0))
+    g.add(an[0], s_lvl[k - 1], None, bridge_lo, unit, "bridge_a", in_tree=True)
     for i in range(1, M):
-        add(bn[i], bn[i - 1], None, expensive_lo, unit, "chain_b", in_tree=True)
+        g.add(bn[i], bn[i - 1], None, expensive_lo, unit, "chain_b", in_tree=True)
     for i in range(M):
-        add(s, bn[i], flow_f, 0, unit, "supply_b")
-    add(bn[0], t_lvl[k - 1], None, expensive_lo, unit, "bridge_b", in_tree=True)
+        g.add(s, bn[i], flow_f, 0, unit, "supply_b")
+    g.add(bn[0], t_lvl[k - 1], None, expensive_lo, unit, "bridge_b", in_tree=True)
     for i in range(1, M):
-        add(cn[i - 1], cn[i], None, expensive_lo, unit, "chain_c", in_tree=True)
+        g.add(cn[i - 1], cn[i], None, expensive_lo, unit, "chain_c", in_tree=True)
     for i in range(M):
-        add(cn[i], t, flow_f, 0, unit, "drain_c")
-    add(s_lvl[k - 1], cn[0], None, expensive_lo, unit, "bridge_c", in_tree=True)
+        g.add(cn[i], t, flow_f, 0, unit, "drain_c")
+    g.add(s_lvl[k - 1], cn[0], None, expensive_lo, unit, "bridge_c", in_tree=True)
     for i in range(1, M):
-        add(dn[i - 1], dn[i], None, expensive_lo, unit, "chain_d", in_tree=True)
+        g.add(dn[i - 1], dn[i], None, expensive_lo, unit, "chain_d", in_tree=True)
     for i in range(M):
-        add(dn[i], t, flow_f, 0, unit, "drain_d", in_tree=(i == 0))
-    add(t_lvl[k - 1], dn[0], None, bridge_lo, unit, "bridge_d", in_tree=True)
-    q_edges = []
+        g.add(dn[i], t, flow_f, 0, unit, "drain_d", in_tree=(i == 0))
+    g.add(t_lvl[k - 1], dn[0], None, bridge_lo, unit, "bridge_d", in_tree=True)
     q_path = [s] + qn + [t]
-    for fr, to in zip(q_path, q_path[1:]):
-        q_edges.append(len(arcs))
-        add(fr, to, None, expensive_lo, unit, "chain_q", in_tree=True)
+    q_edges = [
+        g.add(fr, to, None, expensive_lo, unit, "chain_q", in_tree=True)
+        for fr, to in zip(q_path, q_path[1:])
+    ]
 
     demand = 2 * M * flow_f
-    budgets = [Fraction(0)] * node_count
-    budgets[s] = Fraction(demand)
-    budgets[t] = Fraction(-demand)
-
-    net = FlowNetwork.from_data(
-        node_count, arcs, budgets=budgets, node_names=names, edge_labels=labels
-    )
-    values = [Fraction(0)] * net.edge_count
-    for idx in q_edges:
-        values[idx] = Fraction(demand)
-    inst = SmoothedInstance(
-        network=net, intervals=tuple(intervals), phi=phi, starting_flow=Flow(tuple(values))
-    )
-    tree_set = frozenset(tree)
+    inst = g.instance({s: demand, t: -demand}, q_edges, demand)
+    tree_set = frozenset(g.tree)
     structure = SpanningTreeStructure(
         tree_edges=tree_set,
-        lower=frozenset(idx for idx in range(net.edge_count) if idx not in tree_set),
+        lower=frozenset(idx for idx in range(len(g.arcs)) if idx not in tree_set),
         upper=frozenset(),
         root=s,
     )
-    return _self_check(inst), structure
+    return inst, structure
 
 
 def strip_q_chain(inst: SmoothedInstance) -> SmoothedInstance:

@@ -185,17 +185,9 @@ def _ssp_kernel(
     steps = trace._records
 
     def reaches(start: int, dist, visited) -> bool:
-        # ``_reaches`` over the tight arcs with room.  The label arcs
-        # ``nxt`` are tight, have room and lead to the sink without a
-        # cycle, so the search runs only when their chain from
-        # ``start`` meets the path so far, which zero-cost cycles of
-        # tight arcs allow.
-        v = start
-        while v != sink:
-            if visited[v]:
-                break
-            v = head[nxt[v]]
-        else:
+        # ``_reaches``: a depth-first search over the tight arcs with
+        # room that avoids the path so far
+        if start == sink:
             return True
         seen = {start}
         stack = [start]
@@ -235,7 +227,6 @@ def _ssp_kernel(
         else:
             dist = _dijkstra_labels(n, sink, in_arcs, room, dist, nxt)
         if dist[source] is None:
-            trace.final_flow = res.flow()
             raise InfeasibleError(
                 "no residual path left with %s of %s still to ship"
                 % (Fraction(remaining, res.flow_scale), demand)

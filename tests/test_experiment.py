@@ -16,11 +16,13 @@ from flowlab.core import (
     CostInterval,
     Cycle,
     Flow,
+    FlowLabError,
     FlowNetwork,
     InfeasibleError,
     IterationCapExceeded,
     ResidualEdge,
     SmoothedInstance,
+    UnboundedCycleError,
     verify_optimality,
 )
 from flowlab.experiment import solve
@@ -34,7 +36,7 @@ from flowlab.generators import (
 )
 from flowlab.mmcc import MmccIteration, initial_feasible_flow, mmcc_solve
 from flowlab.netsimplex import NsPivot, basic_structure_from_flow, ns_solve
-from flowlab.ssp import SspStep, concentrate_budgets, ssp_solve
+from flowlab.ssp import NegativeCycleError, SspStep, concentrate_budgets, ssp_solve
 
 NS_LOWER, NS_TREE = gen_ns_lower_bound(NsParams(6, 10, 64))
 # seed 1 draws a feasible instance with no stored flow; seed 0 is infeasible
@@ -112,6 +114,42 @@ def test_solve_rejects_a_stored_start_above_capacity(algorithm, caps, budgets, v
     inst = _triangle_with_stored_flow(caps, budgets, values)
     with pytest.raises(CapacityViolation) as info:
         solve(inst, [e.cost for e in inst.network.edges], algorithm)
+    assert str(info.value) == message
+
+
+_UNBOUNDED = ([(0, 1, None, -1), (1, 2, None, -1), (2, 0, None, -1), (0, 3, 2, 1)], [1, 0, 0, -1])
+_OVER_CAPACITY = ([(0, 1, 1, 1), (1, 2, 1, 1)], [2, 0, -2])
+_UNBALANCED = ([(0, 1, 1, 1)], [1, 0])
+_UNBALANCED_ERROR = (InfeasibleError, "budgets sum to 1, not zero")
+
+
+@pytest.mark.parametrize(
+    "edges, budgets, algorithm, error, message",
+    [
+        (*_UNBOUNDED, "mmcc", UnboundedCycleError,
+         "every cycle edge is uncapacitated; cost is unbounded"),
+        (*_UNBOUNDED, "ns", UnboundedCycleError,
+         "pivot cycle has unlimited headroom; cost is unbounded"),
+        (*_UNBOUNDED, "ssp", NegativeCycleError,
+         "path costs keep dropping; negative residual cycle"),
+        (*_OVER_CAPACITY, "mmcc", InfeasibleError,
+         "budgets require 2 units but only 1 can be routed"),
+        (*_OVER_CAPACITY, "ns", InfeasibleError,
+         "budgets require 2 units but only 1 can be routed"),
+        (*_OVER_CAPACITY, "ssp", InfeasibleError,
+         "no residual path left with 1 of 2 still to ship"),
+        (*_UNBALANCED, "mmcc", *_UNBALANCED_ERROR),
+        (*_UNBALANCED, "ns", *_UNBALANCED_ERROR),
+        (*_UNBALANCED, "ssp", *_UNBALANCED_ERROR),
+    ],
+)
+def test_each_solver_raises_its_pinned_error(edges, budgets, algorithm, error, message):
+    net = FlowNetwork.from_data(len(budgets), edges, budgets=budgets)
+    intervals = tuple(CostInterval(e.cost, Fraction(0)) for e in net.edges)
+    inst = SmoothedInstance(net, intervals, Fraction(1))
+    with pytest.raises(FlowLabError) as info:
+        solve(inst, [e.cost for e in net.edges], algorithm)
+    assert type(info.value) is error
     assert str(info.value) == message
 
 
