@@ -118,6 +118,17 @@ def _capacity(value) -> Capacity:
     return None if value is None else rational(value)
 
 
+def _check_endpoints(edges: Sequence, n: int) -> None:
+    """``ValueError`` naming the first of ``edges`` with an endpoint
+    outside the nodes ``0 .. n - 1``; a negative id does not wrap."""
+    nodes = range(n)
+    ends = {e.tail for e in edges}
+    ends.update([e.head for e in edges])
+    if ends.difference(nodes):
+        first = next(i for i, e in enumerate(edges) if e.tail not in nodes or e.head not in nodes)
+        raise ValueError(_MISSING_NODE % first)
+
+
 @dataclass(frozen=True)
 class Edge:
     """Directed edge with capacity, cost, and a leaving-edge priority.
@@ -141,7 +152,9 @@ class FlowNetwork:
     The conservation convention is ``budget(v) + inflow(v) = outflow(v)``,
     so a positive budget marks a supply node and a negative budget a
     demand node.  ``node_names`` and ``edge_labels`` are optional display
-    metadata and never take part in equality comparisons.
+    metadata and never take part in equality comparisons.  Building one
+    raises ``ValueError`` for an edge endpoint outside the nodes or a
+    budget count other than ``node_count``.
     """
 
     node_count: int
@@ -149,6 +162,11 @@ class FlowNetwork:
     budgets: tuple[Fraction, ...]
     node_names: Optional[tuple[str, ...]] = field(default=None, compare=False)
     edge_labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        _check_endpoints(self.edges, self.node_count)
+        if len(self.budgets) != self.node_count:
+            raise ValueError("expected %d budgets, got %d" % (self.node_count, len(self.budgets)))
 
     @classmethod
     def from_data(
@@ -177,10 +195,6 @@ class FlowNetwork:
             budget_tuple = tuple(Fraction(0) for _ in range(node_count))
         else:
             budget_tuple = tuple(rational(b) for b in budgets)
-        if len(budget_tuple) != node_count:
-            raise ValueError(
-                "expected %d budgets, got %d" % (node_count, len(budget_tuple))
-            )
         return cls(
             node_count=node_count,
             edges=tuple(built),
@@ -363,8 +377,14 @@ class ResidualEdge:
 
 @dataclass(frozen=True)
 class ResidualNetwork:
+    """Residual edges over ``node_count`` nodes; building one raises
+    ``ValueError`` for an edge endpoint outside the nodes."""
+
     node_count: int
     edges: tuple[ResidualEdge, ...]
+
+    def __post_init__(self):
+        _check_endpoints(self.edges, self.node_count)
 
     @property
     def edge_count(self) -> int:
@@ -450,8 +470,6 @@ def validate_network(net: FlowNetwork) -> Optional[Violation]:
     """
     seen: set[tuple[int, int]] = set()
     for idx, e in enumerate(net.edges):
-        if not (0 <= e.tail < net.node_count and 0 <= e.head < net.node_count):
-            return Violation("bad_endpoint", _MISSING_NODE % idx)
         if e.tail == e.head:
             return Violation("self_loop", "edge %d is a self loop at node %d" % (idx, e.tail))
         if (e.tail, e.head) in seen:
@@ -465,8 +483,6 @@ def validate_network(net: FlowNetwork) -> Optional[Violation]:
     for idx, e in enumerate(net.edges):
         if e.capacity is not None and e.capacity < 0:
             return Violation("negative_capacity", "edge %d has capacity %s" % (idx, e.capacity))
-    if len(net.budgets) != net.node_count:
-        return Violation("budget_imbalance", "budget list length differs from node count")
     total = sum(net.budgets, Fraction(0))
     if total != 0:
         return Violation("budget_imbalance", "budgets sum to %s, not zero" % total)
@@ -501,16 +517,6 @@ def _flow_values(net: FlowNetwork, flow: Flow) -> tuple:
     return flow.values
 
 
-def _check_endpoints(edges: Sequence[Edge], n: int, ends: Iterable[int]) -> None:
-    """``ValueError`` with ``validate_network``'s text for the first of
-    ``edges`` with an endpoint outside the ``n`` nodes, unless every
-    value of ``ends``, which holds the endpoints of ``edges``, is a node."""
-    nodes = range(n)
-    if set(ends).difference(nodes):
-        first = next(i for i, e in enumerate(edges) if e.tail not in nodes or e.head not in nodes)
-        raise ValueError(_MISSING_NODE % first)
-
-
 class _ResidualArcs:
     """The residual network of a flow as paired integer arcs.
 
@@ -523,9 +529,7 @@ class _ResidualArcs:
     of edge ``e`` is the room of arc ``2e + 1``, and ``residual``, the
     certificate and the MMCC and SSP kernels read the arcs with room in
     ``with_room``'s order, ascending arc id.  ``flow`` defaults
-    to zero; one outside its capacities raises as in ``residual``, and
-    an edge endpoint outside the nodes raises ``ValueError`` with
-    ``validate_network``'s text.
+    to zero; one outside its capacities raises as in ``residual``.
     """
 
     def __init__(self, net: FlowNetwork, flow: Optional[Flow] = None, extra=()):
@@ -549,8 +553,6 @@ class _ResidualArcs:
             tail += (e.tail, e.head)
             head += (e.head, e.tail)
             room += (spare, x)
-        # the arc tails are every edge endpoint
-        _check_endpoints(edges, net.node_count, tail)
         self.tail, self.head, self.room = tail, head, room
         # filled on first read; ``functools.cached_property`` measured
         # about 4% slower on the certificate
@@ -627,12 +629,9 @@ def flow_cost(net: FlowNetwork, flow: Flow) -> Fraction:
 
 
 def check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
-    """Edge endpoints and capacity bounds edge by edge, then conservation,
-    on scaled integers; ``None`` means feasible."""
+    """Capacity bounds edge by edge, then conservation, on scaled
+    integers; ``None`` means feasible."""
     edges, values, budgets = net.edges, _flow_values(net, flow), net.budgets
-    n = net.node_count
-    if len(budgets) != n:
-        raise ValueError("expected %d budgets, got %d" % (n, len(budgets)))
     scale = lcm(
         *(e.capacity.denominator for e in edges if e.capacity is not None),
         *(f.denominator for f in values),
@@ -641,8 +640,6 @@ def check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
     # ``_scaled`` is inlined in this function: it saves a call per value.
     scaled = [f.numerator * (scale // f.denominator) for f in values]
     for idx, (e, x) in enumerate(zip(edges, scaled)):
-        if not (0 <= e.tail < n and 0 <= e.head < n):
-            return Violation("bad_endpoint", _MISSING_NODE % idx)
         cap = e.capacity
         if x < 0 or (cap is not None and x > cap.numerator * (scale // cap.denominator)):
             return Violation("capacity", "edge %d carries %s" % (idx, values[idx]))
@@ -690,8 +687,7 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
 
     The residual edges are the arcs of ``_ResidualArcs`` with room, in
     ascending arc id, which is ``residual``'s order; only the witness is
-    built as ``ResidualEdge`` values.  An edge endpoint outside the
-    nodes raises ``ValueError`` with ``validate_network``'s message.
+    built as ``ResidualEdge`` values.
     """
     res = _ResidualArcs(net, flow)
     n, tail, head, cost = net.node_count, res.tail, res.head, res.cost

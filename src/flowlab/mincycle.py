@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import sub, truediv
 from typing import Optional, Sequence
 
-from .core import Cycle, FlowLabError, ResidualNetwork, _check_endpoints, _scaled
+from .core import Cycle, FlowLabError, ResidualNetwork, _scaled
 
 __all__ = ["karp_min_mean"]
 
@@ -200,11 +200,9 @@ def karp_min_mean(r: ResidualNetwork) -> Optional[Cycle]:
 
     Karp's dynamic program over walk lengths, on costs scaled to a
     common integer denominator; see ``_MeanSearch`` for the formula and
-    the tie-breaks.  The cycle is made of ``r``'s own edges.  An edge
-    endpoint outside the nodes raises ``ValueError``.
+    the tie-breaks.  The cycle is made of ``r``'s own edges.
     """
     arcs, _ = _scaled_arcs(r)
-    _check_endpoints(r.edges, r.node_count, [x for t, h, _ in arcs for x in (t, h)])
     found = _MeanSearch(r.node_count, arcs)(range(len(arcs)))
     if found is None:
         return None

@@ -44,7 +44,6 @@ __all__ = [
     "falling_mean_violation",
     "initial_feasible_flow",
     "mmcc_solve",
-    "halving_violation",
     "shrink_violation",
 ]
 
@@ -105,8 +104,8 @@ def _start(instance: SmoothedInstance, net: FlowNetwork) -> Flow:
     if bad is not None:
         if bad.kind == "conservation":
             raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
-        # a capacity bound or an edge endpoint: building the arcs raises
-        # at the first bad edge, as MMCC's kernel does
+        # a capacity bound: building the arcs raises at the first bad
+        # edge, as MMCC's kernel does
         _ResidualArcs(net, flow)
     return flow
 
@@ -195,18 +194,6 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
     trace.final_flow = res.flow()
     trace.termination = "optimal"
     return trace
-
-
-def halving_violation(
-    mean_costs: Sequence[Fraction], window: int
-) -> Optional[int]:
-    """First index t where |mean(t + window)| > |mean(t)| / 2, else None.
-
-    The magnitude of the minimum mean is supposed to at least halve
-    every ``window`` cancellations; runs shorter than the window satisfy
-    the property vacuously.  It is ``shrink_violation`` with n = 2.
-    """
-    return shrink_violation(mean_costs, 2, window)
 
 
 def falling_mean_violation(mean_costs: Sequence[Fraction]) -> Optional[int]:

@@ -88,13 +88,9 @@ def validate_structure(net: FlowNetwork, s: SpanningTreeStructure) -> Optional[V
 
 
 def _hang(n: int, tail, head, tree_edges, root: int):
-    """The tree hung from ``root`` in breadth-first order: the visit
-    order, and the parent node and parent edge of every node, ``-1`` at
-    the root.
-
-    Raises ``InfeasibleStructureError`` unless the edges form a
-    spanning tree: ``n - 1`` of them, reaching every node.
-    """
+    """The spanning tree ``tree_edges`` hung from ``root`` in
+    breadth-first order: the visit order, and the parent node and
+    parent edge of every node, ``-1`` at the root."""
     incident: list[list[int]] = [[] for _ in range(n)]
     for e in tree_edges:
         incident[tail[e]].append(e)
@@ -111,8 +107,6 @@ def _hang(n: int, tail, head, tree_edges, root: int):
                 seen[w] = True
                 parent[w], parent_edge[w] = v, e
                 order.append(w)
-    if len(order) != n or len(tree_edges) != n - 1:
-        raise InfeasibleStructureError("tree edges do not span every node")
     return order, parent, parent_edge
 
 
@@ -131,10 +125,7 @@ def _fill_flow(order, parent, parent_edge, tail, head, cap, budgets, s, values, 
     # surplus[v]: amount that must still leave v through unresolved edges
     surplus = list(budgets)
     for idx in s.upper:
-        c = cap[idx]
-        if c is None:
-            raise InfeasibleStructureError("edge %d in upper set has no capacity" % idx)
-        values[idx] = c
+        values[idx] = c = cap[idx]
         surplus[tail[idx]] -= c
         surplus[head[idx]] += c
     for v in reversed(order[1:]):
@@ -153,15 +144,11 @@ def _fill_flow(order, parent, parent_edge, tail, head, cap, budgets, s, values, 
 
 
 def _checked_hang(net: FlowNetwork, s: SpanningTreeStructure):
-    """The edge tails and heads, and ``_hang`` of the tree.
-
-    Raises ``InfeasibleStructureError`` with ``ns_solve``'s text when
-    the three sets do not partition the edge ids or the root is not a
-    node; the spanning checks are left to the hang, which reports them
-    all as one error.
-    """
+    """The edge tails and heads, and ``_hang`` of the tree; a structure
+    that ``validate_structure`` rejects raises ``InfeasibleStructureError``
+    with its ``kind: detail``."""
     bad = validate_structure(net, s)
-    if bad is not None and bad.kind in ("structure_overlap", "structure_incomplete", "bad_root"):
+    if bad is not None:
         raise InfeasibleStructureError("%s: %s" % (bad.kind, bad.detail))
     tail = [e.tail for e in net.edges]
     head = [e.head for e in net.edges]
@@ -172,10 +159,9 @@ def tree_flow(net: FlowNetwork, s: SpanningTreeStructure) -> Flow:
     """The unique flow with lower edges at 0, upper edges at capacity,
     and conservation enforced through the tree.
 
-    Raises ``InfeasibleStructureError`` when the structure is not a
-    partition with a spanning tree and a root among the nodes, or a
-    tree edge would have to carry a negative amount or exceed its
-    capacity.
+    Raises ``InfeasibleStructureError`` when ``validate_structure``
+    rejects the structure, or a tree edge would have to carry a negative
+    amount or exceed its capacity.
     """
     tail, head, hung = _checked_hang(net, s)
     values = [Fraction(0) if idx in s.lower else None for idx in range(net.edge_count)]
@@ -188,8 +174,8 @@ def compute_potentials(net: FlowNetwork, s: SpanningTreeStructure) -> tuple[Frac
     """Node potentials making every tree edge's reduced cost zero, with
     the root pinned at zero.
 
-    Raises ``InfeasibleStructureError`` when the structure is not a
-    partition with a spanning tree and a root among the nodes.
+    Raises ``InfeasibleStructureError`` when ``validate_structure``
+    rejects the structure.
     """
     tail, _, hung = _checked_hang(net, s)
     pot = [Fraction(0)] * net.node_count
@@ -246,9 +232,7 @@ def ns_solve(
 
     Every pivot is recorded with its cycle, so the sequence of
     augmentations can be replayed or compared.  Hitting the safety cap
-    raises ``IterationCapExceeded`` with the partial trace attached.  An
-    edge endpoint outside the nodes raises ``ValueError`` with
-    ``validate_network``'s text before the structure is checked.
+    raises ``IterationCapExceeded`` with the partial trace attached.
 
     The run is exactly the ``Fraction`` loop of ``entering_edge`` and
     ``pivot`` that ``tests/reference.py`` holds, started from the
@@ -262,12 +246,7 @@ def ns_solve(
     ``Fraction`` values are built for the final flow, and for the
     pivots when the trace is read.
     """
-    # the scaled arcs are built first: building them rejects an edge
-    # endpoint outside the nodes, which the structure checks index with
     res = _ResidualArcs(net, extra=net.budgets)
-    bad = validate_structure(net, structure)
-    if bad is not None:
-        raise InfeasibleStructureError("%s: %s" % (bad.kind, bad.detail))
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
     return _ns_kernel(net, res, structure, iteration_cap, strongly_feasible)
@@ -284,9 +263,10 @@ def _ns_kernel(
     ``res`` holds the arcs of ``net`` at zero flow, with the budgets in
     the flow scale."""
     n, m, root = net.node_count, net.edge_count, structure.root
+    tail, head, (order, parent, parent_edge) = _checked_hang(net, structure)
     # edge e's scaled cost and capacity are those of its forward arc 2e
     cost_scale, flow_scale = res.cost_scale, res.flow_scale
-    tail, head, cost, cap = res.tail[::2], res.head[::2], res.cost[::2], res.room[::2]
+    cost, cap = res.cost[::2], res.room[::2]
     rank = [e.leaving_rank for e in net.edges]
     # 0: tree edge, +1: pinned at zero (lower), -1: pinned at capacity (upper)
     state = [0] * m
@@ -298,7 +278,6 @@ def _ns_kernel(
     # the spanning tree hung from the root: parent node, the tree edge to
     # it, depth and children of every node, and the cycle steps that
     # climb from a node to its parent and descend from the parent to it
-    order, parent, parent_edge = _hang(n, tail, head, structure.tree_edges, root)
     depth = [0] * n
     children: list[list[int]] = [[] for _ in range(n)]
     up_step: list[Optional[tuple[int, bool]]] = [None] * n

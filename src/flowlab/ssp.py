@@ -28,7 +28,6 @@ from .core import (
     Trace,
     _ResidualArcs,
     _bellman_ford,
-    _check_endpoints,
     _scaled,
     default_iteration_cap,
     rational,
@@ -284,13 +283,9 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     the original network corresponds to a widened flow that saturates
     all the added edges.  Budgets that do not sum to zero raise
     ``InfeasibleError``: no flow meets them.  The sums and signs are
-    taken on the budgets scaled to integers by their lcm.  An edge
-    endpoint outside the nodes raises ``ValueError`` with
-    ``validate_network``'s text, since in the widened network it could
-    name the new source or sink.
+    taken on the budgets scaled to integers by their lcm.
     """
     n, edges = net.node_count, net.edges
-    _check_endpoints(edges, n, {e.tail for e in edges} | {e.head for e in edges})
     budgets = net.budgets
     scale = lcm(*(b.denominator for b in budgets))
     scaled = [_scaled(b, scale) for b in budgets]

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -18,6 +19,7 @@ from flowlab.core import (
     FlowNetwork,
     InfeasibleError,
     ResidualEdge,
+    ResidualNetwork,
     SmoothedInstance,
     Violation,
     check_feasible,
@@ -37,8 +39,6 @@ from flowlab.generators import (
 )
 from flowlab.maxflow import solve_max_flow
 from flowlab.mmcc import initial_feasible_flow, mmcc_solve
-from flowlab.netsimplex import SpanningTreeStructure, ns_solve
-from flowlab.ssp import concentrate_budgets, ssp_solve
 
 from conftest import (
     find_any_cycle,
@@ -55,6 +55,28 @@ from reference import (
 
 def net_from(node_count, edges, budgets=None):
     return FlowNetwork.from_data(node_count, edges, budgets)
+
+
+def network_builds(node_count, edges, budgets):
+    """Ways to build the network of the ``(tail, head, capacity, cost)``
+    tuples ``edges``: the constructor, ``from_data`` and
+    ``dataclasses.replace`` of a network without edges."""
+    typed = tuple(Edge(t, h, Fraction(c), Fraction(k)) for t, h, c, k in edges)
+    budgets = tuple(map(Fraction, budgets))
+    bare = FlowNetwork(node_count, (), (Fraction(0),) * node_count)
+    return {
+        "constructor": lambda: FlowNetwork(node_count, typed, budgets),
+        "from_data": lambda: FlowNetwork.from_data(node_count, edges, budgets),
+        "replace": lambda: replace(bare, edges=typed, budgets=budgets),
+    }
+
+
+def assert_refused(message, builds):
+    """Every build of ``builds`` raises ``ValueError`` with ``message``."""
+    for name, build in builds.items():
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message, name
 
 
 def test_rational_rejects_floats():
@@ -112,56 +134,49 @@ def test_validate_disconnected_warns_but_passes():
 
 
 def test_validate_bad_endpoint():
-    net = net_from(2, [(0, 5, 1, 0)], [0, 0])
-    bad = validate_network(net)
-    assert bad is not None and bad.kind == "bad_endpoint"
+    # the network refuses the edge when it is built, so validate_network
+    # never meets it
+    with pytest.raises(ValueError, match="^edge 0 references a missing node$"):
+        net_from(2, [(0, 5, 1, 0)], [0, 0])
 
 
 @pytest.mark.parametrize("head", [5, 2, -1, -2], ids=["far", "next", "minus_one", "minus_n"])
 def test_certificate_rejects_a_missing_node(head):
-    # a negative head must not wrap round to a real node
-    net = FlowNetwork(2, (Edge(0, 1, 1, 0), Edge(0, head, 1, 0)), (0, 0))
-    message = "edge 1 references a missing node"
-    assert validate_network(net) == Violation("bad_endpoint", message)
-    for values in ([0, 0], [0, 1]):
-        assert check_feasible(net, Flow.from_values(values)) == Violation("bad_endpoint", message)
-        with pytest.raises(ValueError) as info:
-            verify_optimality(net, Flow.from_values(values))
-        assert str(info.value) == message
-    empty = FlowNetwork(0, (Edge(0, 1, 1, 0),), ())
-    assert check_feasible(empty, Flow.zero(1)) == Violation(
-        "bad_endpoint", "edge 0 references a missing node"
+    # no network or residual network with the edge can be built, so
+    # check_feasible and the certificate never meet it; a negative head
+    # must not wrap round to a real node
+    builds = network_builds(2, [(0, 1, 1, 0), (0, head, 1, 0)], [0, 0])
+    builds["residual"] = lambda: ResidualNetwork(
+        2, (ResidualEdge(0, 1, 1, 0, 0, True), ResidualEdge(0, head, 1, 0, 1, True))
     )
-    with pytest.raises(ValueError, match="^edge 0 references a missing node$"):
-        verify_optimality(empty, Flow.zero(1))
+    assert_refused("edge 1 references a missing node", builds)
+    assert_refused("edge 0 references a missing node", network_builds(0, [(0, 1, 1, 0)], []))
 
 
 @pytest.mark.parametrize("head", [5, -1], ids=["far", "minus_one"])
 def test_solvers_reject_a_missing_node(head):
-    # a head of -1 must not wrap round to node 1 and carry flow there
-    net = FlowNetwork(2, (Edge(0, head, 1, -1),), (0, 0))
-    tree = SpanningTreeStructure(frozenset({0}), frozenset(), frozenset())
-    solvers = {
-        "max flow": lambda: solve_max_flow(net, 0, 1),
-        "mmcc": lambda: mmcc_solve(net),
-        "ssp": lambda: ssp_solve(net, 0, 1, 1),
-        "ns": lambda: ns_solve(net, tree),
-    }
-    for name, solve in solvers.items():
-        with pytest.raises(ValueError) as info:
-            solve()
-        assert str(info.value) == "edge 0 references a missing node", name
+    # a head of -1 must not wrap round to node 1 and carry flow there:
+    # no solver can be handed the network, since it cannot be built
+    assert_refused(
+        "edge 0 references a missing node", network_builds(2, [(0, head, 1, -1)], [0, 0])
+    )
 
 
 @pytest.mark.parametrize("head", [2, 3], ids=["new_source", "new_sink"])
 def test_budget_widening_rejects_a_missing_node(head):
     # node 2 and node 3 are the source and sink that concentrate_budgets
-    # adds, so the widened network alone cannot tell the edge is broken
-    net = FlowNetwork(2, (Edge(0, 1, 1, 1), Edge(0, head, 1, -1)), (1, -1))
-    for solve in (concentrate_budgets, initial_feasible_flow, mmcc_solve):
-        with pytest.raises(ValueError) as info:
-            solve(net)
-        assert str(info.value) == "edge 1 references a missing node", solve.__name__
+    # adds, so the widened network alone could not tell the edge is
+    # broken; the network refuses it before it is widened
+    builds = network_builds(2, [(0, 1, 1, 1), (0, head, 1, -1)], [1, -1])
+    assert_refused("edge 1 references a missing node", builds)
+
+
+def test_a_negative_head_does_not_wrap_round_to_a_node():
+    # with the head -1 read as node 1, the tree checks accepted the edge,
+    # compute_potentials gave (0, 1) through it and format_network wrote
+    # it as the arc "a 1 0", into a node that DIMACS numbering lacks
+    with pytest.raises(ValueError, match="^edge 0 references a missing node$"):
+        FlowNetwork(2, (Edge(0, -1, 1, -1),), (0, 0))
 
 
 def test_residual_zero_flow_has_forward_edges_only():
@@ -260,14 +275,14 @@ def test_check_feasible_reports_capacity_edge():
 
 
 def test_check_feasible_rejects_a_wrong_budget_count():
-    edges = (Edge(0, 1, Fraction(1), Fraction(0)), Edge(1, 2, Fraction(1), Fraction(0)))
+    # the network refuses the budgets when it is built, so check_feasible
+    # never meets them
+    edges = [(0, 1, 1, 0), (1, 2, 1, 0)]
     for budgets in ((1, -1), (1, 0, 0, -1)):
-        net = FlowNetwork(3, edges, budgets)
-        with pytest.raises(ValueError, match="expected 3 budgets, got %d" % len(budgets)):
-            check_feasible(net, Flow.zero(2))
-        # the flow's length is checked first
-        with pytest.raises(ValueError, match="flow has 1 values for 2 edges"):
-            check_feasible(net, Flow.zero(1))
+        message = "expected 3 budgets, got %d" % len(budgets)
+        assert_refused(message, network_builds(3, edges, budgets))
+    with pytest.raises(ValueError, match="flow has 1 values for 2 edges"):
+        check_feasible(net_from(3, edges, [0, 0, 0]), Flow.zero(1))
 
 
 def _box_flow(rng, net):

@@ -34,7 +34,6 @@ from flowlab.mmcc import (
     MmccTrace,
     default_iteration_cap,
     falling_mean_violation,
-    halving_violation,
     initial_feasible_flow,
     mmcc_solve,
     shrink_violation,
@@ -252,13 +251,14 @@ def test_default_iteration_cap_formula():
 
 def test_halving_violation_detects_slow_decay():
     ok = [Fraction(-8), Fraction(-8), Fraction(-4), Fraction(-2)]
-    assert halving_violation(ok, 2) is None
+    # shrinking by a factor of 1 - 1/2 is halving
+    assert shrink_violation(ok, 2, 2) is None
     bad = [Fraction(-8), Fraction(-8), Fraction(-5), Fraction(-2)]
-    assert halving_violation(bad, 2) == 0
+    assert shrink_violation(bad, 2, 2) == 0
     # shorter than the window: vacuously fine
-    assert halving_violation([Fraction(-1)], 5) is None
+    assert shrink_violation([Fraction(-1)], 2, 5) is None
     with pytest.raises(ValueError):
-        halving_violation(ok, 0)
+        shrink_violation(ok, 2, 0)
 
 
 def test_falling_mean_violation_detects_a_drop():

@@ -88,17 +88,22 @@ def test_validate_structure_rejects_cyclic_tree():
     )
     s = SpanningTreeStructure(frozenset({0, 1, 2}), frozenset({3}), frozenset())
     assert validate_structure(net, s).kind == "tree_cycle"
+    for entry in (tree_flow, compute_potentials, ns_solve):
+        with pytest.raises(InfeasibleStructureError) as raised:
+            entry(net, s)
+        assert str(raised.value) == "tree_cycle: tree edges contain a cycle"
 
 
 def test_validate_structure_rejects_uncapacitated_upper_edge():
     net = FlowNetwork.from_data(3, [(0, 1, 2, 0), (1, 2, 2, 0), (0, 2, None, 0)])
     s = SpanningTreeStructure(frozenset({0, 1}), frozenset(), frozenset({2}))
     assert validate_structure(net, s).kind == "uncapacitated_upper"
-    # tree_flow checks only the partition up front and meets the edge
-    # when it pins the upper set
-    with pytest.raises(InfeasibleStructureError) as raised:
-        tree_flow(net, s)
-    assert str(raised.value) == "edge 2 in upper set has no capacity"
+    # tree_flow, compute_potentials and ns_solve all refuse it with
+    # validate_structure's kind and detail
+    for entry in (tree_flow, compute_potentials, ns_solve):
+        with pytest.raises(InfeasibleStructureError) as raised:
+            entry(net, s)
+        assert str(raised.value) == "uncapacitated_upper: edge 2 in upper set has no capacity"
 
 
 def test_tree_flow_on_a_path():
@@ -135,9 +140,9 @@ def test_tree_flow_rejects_negative_or_overfull_tree_edges():
         3, [(0, 1, 5, 1), (1, 2, 5, 1), (0, 2, 5, 3)], budgets=[2, 0, -2]
     )
     cyclic = SpanningTreeStructure(frozenset({0, 1, 2}), frozenset(), frozenset())
-    with pytest.raises(InfeasibleStructureError, match="do not span"):
+    with pytest.raises(InfeasibleStructureError, match="^tree_size: tree has 3 edges for 3 nodes$"):
         tree_flow(triangle, cyclic)
-    with pytest.raises(InfeasibleStructureError, match="do not span"):
+    with pytest.raises(InfeasibleStructureError, match="^tree_size: tree has 3 edges for 3 nodes$"):
         compute_potentials(triangle, cyclic)
 
 
