@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .core import FlowLabError, check_feasible, flow_cost, verify_optimality
-from .experiment import ALGORITHMS, FAMILIES, ExperimentSpec, _solve, run_experiment
+from .experiment import ALGORITHMS, FAMILIES, ExperimentSpec, run_experiment, solve
 from .formats import (
     format_smoothed,
     parse_network,
@@ -119,8 +119,11 @@ def _cmd_solve(args) -> int:
     if args.strongly_feasible and args.algorithm != "ns":
         raise ValueError("--strongly-feasible applies to --algorithm ns only")
     inst, structure = read_smoothed(args.input)
-    net = inst.realize(sample_costs(inst, args.seed))
-    trace = _solve(inst, net, args.algorithm, structure, args.strongly_feasible)
+    costs = sample_costs(inst, args.seed)
+    net = inst.realize(costs)
+    trace = solve(
+        inst, costs, args.algorithm, structure=structure, strongly_feasible=args.strongly_feasible
+    )
     print(f"algorithm {args.algorithm}")
     print(f"iterations {trace.step_count}")
     print(f"nondegenerate {trace.nondegenerate_count}")

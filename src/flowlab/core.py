@@ -153,8 +153,9 @@ class FlowNetwork:
     so a positive budget marks a supply node and a negative budget a
     demand node.  ``node_names`` and ``edge_labels`` are optional display
     metadata and never take part in equality comparisons.  Building one
-    raises ``ValueError`` for an edge endpoint outside the nodes or a
-    budget count other than ``node_count``.
+    raises ``ValueError`` for an edge endpoint outside the nodes, a
+    budget count or, when given, a node name count other than
+    ``node_count``, or an edge label count other than the edge count.
     """
 
     node_count: int
@@ -167,6 +168,12 @@ class FlowNetwork:
         _check_endpoints(self.edges, self.node_count)
         if len(self.budgets) != self.node_count:
             raise ValueError("expected %d budgets, got %d" % (self.node_count, len(self.budgets)))
+        for what, meta, want in (
+            ("node names", self.node_names, self.node_count),
+            ("edge labels", self.edge_labels, len(self.edges)),
+        ):
+            if meta is not None and len(meta) != want:
+                raise ValueError("expected %d %s, got %d" % (want, what, len(meta)))
 
     @classmethod
     def from_data(

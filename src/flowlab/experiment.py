@@ -11,15 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import (
-    Flow,
-    FlowNetwork,
-    SmoothedInstance,
-    Trace,
-    default_iteration_cap,
-    flow_cost,
-    verify_optimality,
-)
+from .core import Flow, SmoothedInstance, Trace, flow_cost, verify_optimality
 from .generators import (
     MmccGeneralParams,
     NsParams,
@@ -32,7 +24,7 @@ from .generators import (
     predicted_ns_pivots,
     sample_costs,
 )
-from .mmcc import _mmcc_kernel, _start
+from .mmcc import _start, mmcc_solve
 from .netsimplex import basic_structure_from_flow, ns_solve
 from .ssp import concentrate_budgets, ssp_solve
 
@@ -92,24 +84,15 @@ def solve(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if strongly_feasible and algorithm != "ns":
         raise ValueError("strongly_feasible applies to the ns algorithm only")
-    return _solve(instance, instance.realize(costs), algorithm, structure, strongly_feasible)
-
-
-def _solve(
-    instance: SmoothedInstance, net: FlowNetwork, algorithm: str, structure, strongly_feasible=False
-) -> Trace:
-    """``solve`` on ``net``, the realization of ``instance``, for one of
-    ``ALGORITHMS``; the options are not checked."""
+    if algorithm == "mmcc":
+        return mmcc_solve(instance, costs)
+    net = instance.realize(costs)
     if algorithm == "ssp":
         trace = ssp_solve(*concentrate_budgets(net))
         trace.final_flow = Flow(trace.final_flow.values[: net.edge_count])
         return trace
-    if algorithm == "ns" and structure is not None:
-        return ns_solve(net, structure, strongly_feasible=strongly_feasible)
-    start = _start(instance, net)
-    if algorithm == "mmcc":
-        return _mmcc_kernel(net, start, default_iteration_cap(net.node_count, net.edge_count))
-    structure, _ = basic_structure_from_flow(net, start)
+    if structure is None:
+        structure, _ = basic_structure_from_flow(net, _start(instance, net))
     return ns_solve(net, structure, strongly_feasible=strongly_feasible)
 
 
@@ -162,7 +145,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[str, bool]:
         inst, structure, predicted = shared if shared is not None else instance(seed)
         costs = sample_costs(inst, seed)
         net = inst.realize(costs)
-        traces = {alg: _solve(inst, net, alg, structure) for alg in algorithms}
+        traces = {alg: solve(inst, costs, alg, structure=structure) for alg in algorithms}
         cost = {alg: flow_cost(net, t.final_flow) for alg, t in traces.items()}
         agree = len(set(cost.values())) == 1
         for alg, t in traces.items():

@@ -148,22 +148,6 @@ def mmcc_solve(
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
 
-    return _mmcc_kernel(net, flow, iteration_cap)
-
-
-def _iteration(res: _ResidualArcs, record) -> MmccIteration:
-    """The ``MmccIteration`` of an ``MmccTrace`` record, from the
-    kernel's arcs, whose tails, heads, costs and scales never change."""
-    arcs, rooms, amount = record
-    total = sum(res.cost[a] for a in arcs)
-    mean = Fraction(total, len(arcs) * res.cost_scale)
-    edges = tuple(map(res.residual_edge, arcs, rooms))
-    cycle = Cycle(edges=edges, total_cost=Fraction(total, res.cost_scale), mean_cost=mean)
-    return MmccIteration(cycle=cycle, mean_cost=mean, amount=Fraction(amount, res.flow_scale))
-
-
-def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
-    """The cancellation loop of ``mmcc_solve`` on integer-scaled paired arcs."""
     res = _ResidualArcs(net, flow)
     search = _MeanSearch(net.node_count, list(zip(res.tail, res.head, res.cost)))
     room = res.room
@@ -192,8 +176,18 @@ def _mmcc_kernel(net: FlowNetwork, flow: Flow, iteration_cap: int) -> MmccTrace:
         res.push(cycle_arcs, amount)
         iterations.append((cycle_arcs, rooms, amount))
     trace.final_flow = res.flow()
-    trace.termination = "optimal"
     return trace
+
+
+def _iteration(res: _ResidualArcs, record) -> MmccIteration:
+    """The ``MmccIteration`` of an ``MmccTrace`` record, from ``mmcc_solve``'s
+    arcs, whose tails, heads, costs and scales never change."""
+    arcs, rooms, amount = record
+    total = sum(res.cost[a] for a in arcs)
+    mean = Fraction(total, len(arcs) * res.cost_scale)
+    edges = tuple(map(res.residual_edge, arcs, rooms))
+    cycle = Cycle(edges=edges, total_cost=Fraction(total, res.cost_scale), mean_cost=mean)
+    return MmccIteration(cycle=cycle, mean_cost=mean, amount=Fraction(amount, res.flow_scale))
 
 
 def falling_mean_violation(mean_costs: Sequence[Fraction]) -> Optional[int]:

@@ -246,22 +246,12 @@ def ns_solve(
     ``Fraction`` values are built for the final flow, and for the
     pivots when the trace is read.
     """
+    # the arcs of ``net`` at zero flow, with the budgets in the flow
+    # scale; built before the structure check, so a negative capacity
+    # raises first
     res = _ResidualArcs(net, extra=net.budgets)
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
-    return _ns_kernel(net, res, structure, iteration_cap, strongly_feasible)
-
-
-def _ns_kernel(
-    net: FlowNetwork,
-    res: _ResidualArcs,
-    structure: SpanningTreeStructure,
-    iteration_cap: int,
-    strongly_feasible: bool,
-) -> NsTrace:
-    """The pivot loop of ``ns_solve`` on integer-scaled flat arrays;
-    ``res`` holds the arcs of ``net`` at zero flow, with the budgets in
-    the flow scale."""
     n, m, root = net.node_count, net.edge_count, structure.root
     tail, head, (order, parent, parent_edge) = _checked_hang(net, structure)
     # edge e's scaled cost and capacity are those of its forward arc 2e

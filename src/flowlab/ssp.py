@@ -103,70 +103,6 @@ def ssp_solve(
         raise ValueError("budgets must be zero; concentrate them into a source and sink first")
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
-    return _ssp_kernel(net, source, sink, demand, iteration_cap)
-
-
-def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
-    """Distances to the sink from a reverse Dijkstra on the reduced
-    costs ``cost + pot[head] - pot[tail]``, which are non-negative on
-    every arc between nodes that reach the sink.  A node with no
-    potential could not reach the sink before and cannot now.
-    ``nxt[v]`` is set to the arc that gave ``v`` its label, whose head
-    was settled before ``v``.
-
-    Every heap key is at least the key ``d`` being settled, so a tail
-    whose reduced cost makes its candidate equal ``d`` is settled at
-    once, from a local stack, without going through the heap.  Every
-    node that reaches the sink still gets its exact label."""
-    reduced: list[Optional[int]] = [None] * n
-    reduced[sink] = 0
-    done = [False] * n
-    heap = [(0, sink)]
-    while heap:
-        d, v = heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        stack = [v]
-        while stack:
-            v = stack.pop()
-            base = d + pot[v]
-            for a, u, c in in_arcs[v]:
-                if done[u] or room[a] == 0:
-                    continue
-                pu = pot[u]
-                if pu is None:
-                    continue
-                candidate = base + c - pu
-                if candidate == d:
-                    done[u] = True
-                    reduced[u] = d
-                    nxt[u] = a
-                    stack.append(u)
-                    continue
-                seen = reduced[u]
-                if seen is None or candidate < seen:
-                    reduced[u] = candidate
-                    nxt[u] = a
-                    heappush(heap, (candidate, u))
-    return [None if d is None else d + p for d, p in zip(reduced, pot)]
-
-
-def _step(source: int, res: _ResidualArcs, record) -> SspStep:
-    """The ``SspStep`` of an ``SspTrace`` record, from the kernel's
-    arcs, whose heads, costs and scales never change."""
-    path, amount = record
-    return SspStep(
-        path=(source, *map(res.head.__getitem__, path)),
-        cost=Fraction(sum(res.cost[a] for a in path), res.cost_scale),
-        amount=Fraction(amount, res.flow_scale),
-    )
-
-
-def _ssp_kernel(
-    net: FlowNetwork, source: int, sink: int, demand: Fraction, iteration_cap: int
-) -> SspTrace:
-    """The augmentation loop of ``ssp_solve`` on integer-scaled paired arcs."""
     n = net.node_count
     res = _ResidualArcs(net, extra=(demand,))
     tail, head, cost, room = res.tail, res.head, res.cost, res.room
@@ -271,6 +207,63 @@ def _ssp_kernel(
         remaining -= amount
     trace.final_flow = res.flow()
     return trace
+
+
+def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
+    """Distances to the sink from a reverse Dijkstra on the reduced
+    costs ``cost + pot[head] - pot[tail]``, which are non-negative on
+    every arc between nodes that reach the sink.  A node with no
+    potential could not reach the sink before and cannot now.
+    ``nxt[v]`` is set to the arc that gave ``v`` its label, whose head
+    was settled before ``v``.
+
+    Every heap key is at least the key ``d`` being settled, so a tail
+    whose reduced cost makes its candidate equal ``d`` is settled at
+    once, from a local stack, without going through the heap.  Every
+    node that reaches the sink still gets its exact label."""
+    reduced: list[Optional[int]] = [None] * n
+    reduced[sink] = 0
+    done = [False] * n
+    heap = [(0, sink)]
+    while heap:
+        d, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        stack = [v]
+        while stack:
+            v = stack.pop()
+            base = d + pot[v]
+            for a, u, c in in_arcs[v]:
+                if done[u] or room[a] == 0:
+                    continue
+                pu = pot[u]
+                if pu is None:
+                    continue
+                candidate = base + c - pu
+                if candidate == d:
+                    done[u] = True
+                    reduced[u] = d
+                    nxt[u] = a
+                    stack.append(u)
+                    continue
+                seen = reduced[u]
+                if seen is None or candidate < seen:
+                    reduced[u] = candidate
+                    nxt[u] = a
+                    heappush(heap, (candidate, u))
+    return [None if d is None else d + p for d, p in zip(reduced, pot)]
+
+
+def _step(source: int, res: _ResidualArcs, record) -> SspStep:
+    """The ``SspStep`` of an ``SspTrace`` record, from ``ssp_solve``'s
+    arcs, whose heads, costs and scales never change."""
+    path, amount = record
+    return SspStep(
+        path=(source, *map(res.head.__getitem__, path)),
+        cost=Fraction(sum(res.cost[a] for a in path), res.cost_scale),
+        amount=Fraction(amount, res.flow_scale),
+    )
 
 
 def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fraction]:

@@ -179,6 +179,25 @@ def test_a_negative_head_does_not_wrap_round_to_a_node():
         FlowNetwork(2, (Edge(0, -1, 1, -1),), (0, 0))
 
 
+def test_names_and_labels_must_match_the_nodes_and_edges():
+    # one name for three nodes used to build, and check_feasible then
+    # raised IndexError from name_of(2); surplus labels were dropped
+    edges = [(0, 1, 1, 0), (1, 2, 1, 0)]
+    net = FlowNetwork.from_data(3, edges, [0, 0, 1], ["a", "b", "c"], ["x", "y"])
+    assert check_feasible(net, Flow.zero(2)).detail == "node c is off by 1"
+    cases = {
+        "expected 3 node names, got 1": {"node_names": ("a",)},
+        "expected 2 edge labels, got 3": {"edge_labels": ("x", "y", "z")},
+    }
+    for message, meta in cases.items():
+        builds = {
+            "constructor": lambda: FlowNetwork(net.node_count, net.edges, net.budgets, **meta),
+            "from_data": lambda: FlowNetwork.from_data(3, edges, [0, 0, 1], **meta),
+            "replace": lambda: replace(net, **meta),
+        }
+        assert_refused(message, builds)
+
+
 def test_residual_zero_flow_has_forward_edges_only():
     net = net_from(2, [(0, 1, 3, 5)], [0, 0])
     r = residual(net, Flow.zero(1))

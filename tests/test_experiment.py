@@ -61,13 +61,14 @@ def test_solve_replays_the_direct_calls(case):
             net, initial_feasible_flow(net) if start is None else start
         )
     direct = {
-        "mmcc": mmcc_solve(inst, costs),
-        "ns": ns_solve(net, tree),
-        "ssp": ssp_solve(*concentrate_budgets(net)),
+        ("mmcc", False): mmcc_solve(inst, costs),
+        ("ns", False): ns_solve(net, tree),
+        ("ns", True): ns_solve(net, tree, strongly_feasible=True),
+        ("ssp", False): ssp_solve(*concentrate_budgets(net)),
     }
-    assert len(direct["ssp"].final_flow) > net.edge_count
-    for algorithm, want in direct.items():
-        trace = solve(inst, costs, algorithm, structure=stored_tree)
+    assert len(direct["ssp", False].final_flow) > net.edge_count
+    for (algorithm, strong), want in direct.items():
+        trace = solve(inst, costs, algorithm, structure=stored_tree, strongly_feasible=strong)
         assert trace.termination == "optimal"
         assert trace.steps == want.steps
         assert trace.final_flow == Flow(want.final_flow.values[: net.edge_count])
