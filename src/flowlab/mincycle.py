@@ -6,12 +6,36 @@ private routines on flat integer arcs, held together by ``_MeanSearch``,
 which does the fixed set-up of a search once for a set of arcs and then
 searches any subset of them; ``karp_min_mean`` and the cycle-canceling
 solver both search with it, so there is one dynamic program to maintain.
+
+The table is built level by level, and a search may stop before level
+n once the rows built so far certify the minimum mean, as in Hartmann
+and Orlin's early termination of Karp's algorithm (Networks 23, 1993).
+Write D_j(v) for the least cost of a walk of exactly j arcs into v.
+
+*Certificate.*  At level k, with a candidate mean λ, let
+π(v) = min over j ≤ k of D_j(v) − jλ.  Call an arc tight when
+π(h) = π(t) + c − λ.  Let R_0 be the nodes with π(v) = 0, and R_i the
+heads of the tight arcs whose tails are in R_{i−1}, for i up to n.  If
+π(h) ≤ π(t) + c − λ on every arc, no cycle has a mean below λ.  If R_n
+is not empty as well, a tight walk of n arcs holds a cycle, whose mean
+is exactly λ; so λ is the minimum mean.  π is then the shortest
+distance under the costs c − λ, and D_i(v) − iλ = π(v) exactly when v
+is in R_i.  A candidate above or below the minimum mean never passes,
+so nothing rests on how the candidate is found.
+
+*Karp's cycle from the certificate.*  Karp's witness is the lowest
+node v with D_n(v) − nλ = π(v), which is the lowest node of R_n.  Each
+step of his cycle cut, at level i, takes the lowest arc into the node
+that attains D_i(node), which is the lowest tight arc whose tail is in
+R_{i−1}.  No row beyond k is needed, so a search that stops early
+returns Karp's cycle, in his rotation, and his mean.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from operator import sub, truediv
 from typing import Optional, Sequence
@@ -23,6 +47,22 @@ __all__ = ["karp_min_mean"]
 # integers below this in magnitude are exact as floats, and so are their
 # sums and differences while those stay below it too
 _FLOAT_EXACT = 2**53
+
+
+def _extend(table: list[list], arcs, levels: int, far) -> None:
+    """Append ``levels`` rows to Karp's table ``table`` over arcs
+    ``(tail, head, cost)``: each row holds, for each node, the least
+    cost of a walk one arc longer than those of the row before that
+    ends there, or ``far`` if there is none."""
+    prev = table[-1]
+    for _ in range(levels):
+        row: list = [far] * len(prev)
+        for t, h, c in arcs:
+            candidate = prev[t] + c
+            if candidate < row[h]:
+                row[h] = candidate
+        table.append(row)
+        prev = row
 
 
 def _walk_table(n: int, arcs, levels: int, far) -> list[list]:
@@ -37,16 +77,8 @@ def _walk_table(n: int, arcs, levels: int, far) -> list[list]:
     ``far > 2 * levels * top`` the two never mix, and an entry above
     ``levels * top`` means there is no walk.
     """
-    prev: list = [0] * n
-    table = [prev]
-    for _ in range(levels):
-        row: list = [far] * n
-        for t, h, c in arcs:
-            candidate = prev[t] + c
-            if candidate < row[h]:
-                row[h] = candidate
-        table.append(row)
-        prev = row
+    table = [[0] * n]
+    _extend(table, arcs, levels, far)
     return table
 
 
@@ -60,11 +92,32 @@ class _MeanSearch:
     the in-arcs of each head.  A bound over all arcs is at least the
     bound over any subset, so floats are chosen only where they are
     exact for every subset, and ``far`` stays above every real entry.
+
+    A search checks the module's certificate at some levels of its
+    table, and stops at the first level where it holds.  Where none
+    holds, it builds the rest of the rows, up to level n, and takes
+    Karp's min-max step and cut over the full table.  The candidate mean
+    at level k is the least mean among the cycles cut off the cheapest
+    walk of each level seen so far.
+
+    *Check schedule.*  A check costs about as much as building 6 to 10
+    levels, so checks run only at levels k <= 2n/5, and only on n >= 18
+    nodes, where a stop saves at least 11 levels.  Within that, the
+    schedule reads only what the search can observe: ``n``, the level,
+    and what the last search over the same arcs found.
+    - The first search takes candidates from the levels above n/5 and
+      checks once, at 2n/5.  If that fails, no later search checks.
+    - After a stop, ``settled`` is the level at which that search would
+      have stopped: the level of its candidate, or the first level at
+      which π was final, whichever is later.  ``candidates_from`` is the
+      length of its cycle; a walk of fewer arcs holds no such cycle.
+      The next search takes candidates from ``candidates_from`` on, and
+      checks at ``settled``, then at gaps of 1, 2, 4, ... levels.
     """
 
     def __init__(self, n: int, arcs: Sequence[tuple[int, int, int]]):
         self.n, self.arcs = n, arcs
-        top = max((abs(c) for _, _, c in arcs), default=0)
+        self.top = top = max((abs(c) for _, _, c in arcs), default=0)
         self.limit = n * top
         # A missing entry D[k][v] gives a quotient far below the one at
         # k = 0, which is at least -top, so it never attains a maximum.
@@ -73,7 +126,8 @@ class _MeanSearch:
         # keeps order up to ties, so quotients are compared as floats
         # while they fit in one, and exactly only where the floats tie.
         self.divide = truediv if far.bit_length() < 1000 else Fraction
-        if 2 * self.limit < _FLOAT_EXACT:
+        self.floats = 2 * self.limit < _FLOAT_EXACT
+        if self.floats:
             # floats hold every real entry and every difference of two
             # exactly, and add them faster than integers; float divisors
             # give the same correctly rounded quotients
@@ -86,6 +140,10 @@ class _MeanSearch:
         self.into: list[list[int]] = [[] for _ in range(n)]
         for a, (_, h, _) in enumerate(arcs):
             self.into[h].append(a)
+        self.settled: Optional[int] = None
+        self.candidates_from = 1
+        # searches that stopped early, and rows built over all searches
+        self._stops = self._rows = 0
 
     def __call__(self, present: Sequence[int]) -> Optional[tuple[list[int], int, int]]:
         """The minimum-mean cycle over the arcs ``present``, given in
@@ -97,13 +155,43 @@ class _MeanSearch:
         (D[n][v] - D[k][v]) / (n - k), over the entries with a walk
         behind them; ties between nodes go to the lowest node.  The
         witness is the cycle cut of the length-n walk into that node,
-        so ties between arcs go to the lowest arc.
+        so ties between arcs go to the lowest arc.  A search that stops
+        early returns the same cycle and mean.
         """
         n = self.n
         if n == 0 or not present:
             return None
-        arcs = self.table_arcs
-        table = _walk_table(n, [arcs[a] for a in present], n, self.far)
+        arcs, far = self.table_arcs, self.far
+        level_arcs = [arcs[a] for a in present]
+        members = set(present)
+        table = [[0] * n]
+        ceiling = 2 * n // 5 if n >= 18 else 0
+        if self.settled is None:
+            check, gap, first = ceiling, 1, ceiling // 2 + 1
+        else:
+            check, gap, first = self.settled, 1, self.candidates_from
+        best = seen_at = None
+        for k in range(first, ceiling + 1):
+            _extend(table, level_arcs, k - len(table) + 1, far)
+            candidate = self._candidate(table, members)
+            if candidate is not None and (best is None or candidate[0] * best[1] < best[0] * candidate[1]):
+                best, seen_at = candidate, k
+            if k < check or best is None:
+                continue
+            check, gap = k + gap, 2 * gap
+            certified = self._certify(table, present, level_arcs, *best)
+            if certified is not None:
+                result, converged = certified
+                self.settled, self.candidates_from = max(seen_at, converged), best[1]
+                self._stops += 1
+                self._rows += k
+                return result
+        if self.settled is None:
+            # the first search did not stop: later ones do not check
+            self.settled = self.candidates_from = n + 1
+        _extend(table, level_arcs, n + 1 - len(table), far)
+        self._rows += n
+
         last = table[n]
         ends = [v for v in range(n) if last[v] <= self.limit]
         if not ends:
@@ -120,15 +208,105 @@ class _MeanSearch:
                         num, den = diff, n - k
             if best_node is None or num * best_den < best_num * den:
                 best_num, best_den, best_node = num, den, v
+        cycle = self._cut(best_node, n, partial(self._table_step, table, members))
+        return self._checked(cycle, best_num, best_den)
 
-        cycle = self._cut(table, best_node, set(present))
+    def _candidate(self, table, members: set[int]) -> Optional[tuple[int, int]]:
+        """A candidate minimum mean from the rows ``table``: the total
+        cost and the length of the cycle cut off the cheapest walk of
+        the last level, or ``None`` where that walk repeats no node."""
+        row = table[-1]
+        least = min(row)
+        if least > self.limit:
+            return None
+        cycle = self._cut(row.index(least), len(table) - 1, partial(self._table_step, table, members))
+        if cycle is None:
+            return None
+        return sum(self.arcs[a][2] for a in cycle), len(cycle)
+
+    def _certify(self, table, present, level_arcs, num: int, den: int):
+        """Karp's ``(cycle, num, den)`` over the arcs ``present``, whose
+        table arcs are ``level_arcs``, and the first level at which π
+        was final, when the rows ``table`` certify that num / den is the
+        minimum mean; else ``None``.  See the module docstring.
+
+        π is held scaled by den, as den·D_j(v) − j·num, so every
+        comparison is exact.  Every cycle mean lies within ``top`` of 0,
+        so a candidate beyond that fails at once.  Within it, every real
+        scaled entry and every sum π(t) + den·c − num is at most
+        (k + 1)(den·top + |num|) in magnitude: below 2^53 they are exact
+        as floats, and above it the rows are taken as integers.  An
+        entry with no walk behind it stays far above 0, so it never
+        sets π.
+        """
+        n, k = self.n, len(table) - 1
+        if abs(num) > den * self.top:
+            return None
+        common = math.gcd(num, den)
+        num, den = num // common, den // common
+        if not self.floats:
+            rows = table
+        elif (k + 1) * (den * self.top + abs(num)) < _FLOAT_EXACT:
+            rows, num, den = table, float(num), float(den)
+        else:
+            rows = [list(map(int, row)) for row in table]
+            level_arcs = [self.arcs[a] for a in present]
+        shifts = [j * num for j in range(1, k + 1)]
+        scaled = [[d * den - shift for d in row] for row, shift in zip(rows[1:], shifts)]
+        pi = list(map(min, rows[0], *scaled))
+        tight: set[int] = set()
+        after: dict[int, list[int]] = {}
+        for a, (t, h, c) in zip(present, level_arcs):
+            bound = pi[t] + c * den - num
+            if pi[h] > bound:
+                return None
+            if pi[h] == bound:
+                tight.add(a)
+                after.setdefault(t, []).append(h)
+
+        # R_i follows from R_{i-1} alone, so the sets repeat from the
+        # first one met twice; every node is in some R_i with i <= k,
+        # and π was final from the last level that added a node
+        reach = [frozenset(v for v, p in enumerate(pi) if p == 0)]
+        index = {reach[0]: 0}
+        met, converged = set(reach[0]), 0
+        while len(reach) <= n:
+            following = frozenset(h for t in reach[-1] for h in after.get(t, ()))
+            if following in index:
+                start = index[following]
+                break
+            if not following <= met:
+                met |= following
+                converged = len(reach)
+            index[following] = len(reach)
+            reach.append(following)
+
+        def at(i: int) -> frozenset:
+            if i >= len(reach):
+                i = start + (i - start) % (len(reach) - start)
+            return reach[i]
+
+        if not at(n):
+            return None
+
+        def step(node: int, i: int) -> int:
+            before = at(i - 1)
+            for a in self.into[node]:
+                if a in tight and self.arcs[a][0] in before:
+                    return a
+
+        cycle = self._cut(min(at(n)), n, step)
+        return self._checked(cycle, int(num), int(den)), converged
+
+    def _checked(self, cycle: list[int], num: int, den: int) -> tuple[list[int], int, int]:
+        """``(cycle, num, den)``, once the cycle's mean is num / den."""
         total = sum(self.arcs[a][2] for a in cycle)
-        if total * best_den != best_num * len(cycle):
+        if total * den != num * len(cycle):
             raise FlowLabError(
                 "internal error: extracted cycle mean %s differs from minimum %s"
-                % (Fraction(total, len(cycle)), Fraction(best_num, best_den))
+                % (Fraction(total, len(cycle)), Fraction(num, den))
             )
-        return cycle, best_num, best_den
+        return cycle, num, den
 
     def _least_worst(self, table, ends: list[int]):
         """The least, over the nodes ``ends`` in ascending order, of
@@ -162,30 +340,33 @@ class _MeanSearch:
                 probe = quotients.index(worst)
         return least, tied
 
-    def _cut(self, table, end: int, present: set[int]) -> list[int]:
-        """The first cycle met reading the length-n walk into ``end``
-        back from its end, as arcs in walk order.  Each step of the walk
-        is the lowest present arc that attains its table entry, the one
-        a scan in ascending arc order that keeps only strict
-        improvements would have recorded."""
-        arcs, into = self.table_arcs, self.into
-        # n + 1 nodes on n of them: some node repeats
-        node, k = end, self.n
-        seen_at = {end: k}
+    def _table_step(self, table, members: set[int], node: int, k: int) -> int:
+        """The lowest arc of ``members`` into ``node`` that attains its
+        entry at level k, the one a scan in ascending arc order that
+        keeps only strict improvements would have recorded."""
+        want, prev, arcs = table[k][node], table[k - 1], self.table_arcs
+        for a in self.into[node]:
+            t, _, c = arcs[a]
+            if prev[t] + c == want and a in members:
+                return a
+
+    def _cut(self, end: int, k: int, step) -> Optional[list[int]]:
+        """The first cycle met reading a walk of k arcs into ``end``
+        back from its end, as arcs in walk order, or ``None`` if no node
+        repeats; ``step(node, i)`` is the walk's arc into ``node`` at
+        level i.  With k = n some node repeats, n + 1 nodes on n."""
+        node, seen_at = end, {end: k}
         steps: list[int] = []
-        while True:
-            want, prev = table[k][node], table[k - 1]
-            for a in into[node]:
-                t, _, c = arcs[a]
-                if prev[t] + c == want and a in present:
-                    break
+        while k:
+            a = step(node, k)
             steps.append(a)
-            node, k = t, k - 1
+            node, k = self.arcs[a][0], k - 1
             if node in seen_at:
                 # steps run backwards from the walk's end, so the cycle
                 # is the last ``seen_at[node] - k`` of them, reversed
                 return steps[len(steps) - (seen_at[node] - k):][::-1]
             seen_at[node] = k
+        return None
 
 
 def _scaled_arcs(r: ResidualNetwork) -> tuple[list[tuple[int, int, int]], int]:

@@ -7,8 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from flowlab.core import _MISSING_NODE, ResidualEdge, ResidualNetwork, residual
-from flowlab.mincycle import karp_min_mean
+from flowlab.core import _MISSING_NODE, InfeasibleError, ResidualEdge, ResidualNetwork, residual
+from flowlab.generators import (
+    MmccGeneralParams,
+    gen_mmcc_general,
+    gen_mmcc_large_phi,
+    gen_random_smoothed,
+    sample_costs,
+)
+from flowlab.mincycle import _MeanSearch, _scaled_arcs, _walk_table, karp_min_mean
+from flowlab.mmcc import mmcc_solve
 
 from conftest import random_capacity_respecting_flow, random_network
 from reference import (
@@ -276,10 +284,27 @@ def test_karp_compares_exactly_where_quotients_are_fractions():
     assert_exact_where_means_round_alike(2**995, 407)
 
 
+def same_search_result(got, want):
+    """Equal cycles in walk order and equal means, whatever the
+    pairs (num, den) that carry the means."""
+    if got is None or want is None:
+        return got is want
+    return got[0] == want[0] and Fraction(got[1], got[2]) == Fraction(want[1], want[2])
+
+
+def full_table_search(n, arcs):
+    """A search over ``arcs`` that never checks the certificate, so it
+    builds all n levels and takes Karp's min-max step and cut."""
+    search = _MeanSearch(n, arcs)
+    search.settled = search.candidates_from = n + 1
+    return search
+
+
 def tied_cycles_net(rng):
     """Vertex-disjoint cycles of mean -1 and one of mean -1/2, with
     nodes downstream of them, on shuffled node labels and arc order:
-    many nodes attain the minimum mean together."""
+    many nodes attain the minimum mean together.  The nets have 17 to
+    30 nodes, so most searches over them stop Karp's table early."""
     arcs, placed, node = [], [], 0
     for mean in [Fraction(-1)] * rng.randint(2, 4) + [Fraction(-1, 2)]:
         length = 2 * rng.randint(1, 2) if mean.denominator == 2 else rng.randint(2, 4)
@@ -289,7 +314,7 @@ def tied_cycles_net(rng):
         costs.append(int(mean * length) - sum(costs))
         arcs += zip(nodes, nodes[1:] + nodes[:1], costs)
         placed += nodes
-    for _ in range(rng.randint(3, 8)):
+    for _ in range(rng.randint(10, 14)):
         # each new node hangs below one or two placed nodes, so the
         # added arcs close no cycle
         for tail in rng.sample(placed, rng.randint(1, 2)):
@@ -323,11 +348,131 @@ def nodes_at_minimum_mean(r):
 )
 def test_karp_returns_the_reference_cycle_among_many_tied_nodes(factor):
     # the min-max step skips nodes by one probe quotient and keeps the
-    # rows of tied nodes only; ties between nodes still go to the lowest
+    # rows of tied nodes only; a search that stops early takes the
+    # lowest node of R_n and the lowest tight arcs instead.  Either way
+    # ties between nodes go to the lowest, and between arcs too
     rng = random.Random(406)
+    stops = 0
     for _ in range(80):
         r = tied_cycles_net(rng)
         assert len(nodes_at_minimum_mean(r)) >= 2
         r = scaled_costs(r, factor)
         assert karp_min_mean(r) == reference_karp(r)
+        # and the min-max step, over the full table, agrees
+        arcs, _ = _scaled_arcs(r)
+        search = _MeanSearch(r.node_count, arcs)
+        full = full_table_search(r.node_count, arcs)
+        assert same_search_result(search(range(len(arcs))), full(range(len(arcs))))
+        stops += search._stops
+    assert stops >= 70
 
+
+
+@pytest.fixture
+def full_table_replay(monkeypatch):
+    """Compares every ``_MeanSearch`` call made while the test runs with
+    the same call on a twin search over the same arcs that never checks,
+    so it builds all n levels, and Karp's min-max step and cut.  Yields
+    the searches made, each with its number of calls."""
+    calls = {}
+    twins = {}
+    search_with_checks = _MeanSearch.__call__
+
+    def compared(search, present):
+        if search not in twins:
+            twins[search] = full_table_search(search.n, search.arcs)
+        got = search_with_checks(search, present)
+        assert same_search_result(got, search_with_checks(twins[search], present))
+        calls[search] = calls.get(search, 0) + 1
+        return got
+
+    monkeypatch.setattr(_MeanSearch, "__call__", compared)
+    yield calls
+    assert all(twin._stops == 0 for twin in twins.values())
+
+
+@pytest.mark.parametrize(
+    "instance, integer_table",
+    [
+        (gen_mmcc_general(MmccGeneralParams(12, 48, 4096)), False),
+        (gen_mmcc_general(MmccGeneralParams(8, 16, 256)), False),
+        (gen_mmcc_large_phi(4, 9), True),
+        (gen_mmcc_large_phi(5, 10), True),
+    ],
+    ids=["general-12-48-4096", "general-8-16-256", "large-phi-4-9", "large-phi-5-10"],
+)
+def test_early_stop_returns_the_full_table_answer_on_every_search(full_table_replay, instance, integer_table):
+    # tests/reference.py replays MMCC through karp_min_mean, which is
+    # the same search; this compares each search, the last one (mean
+    # >= 0) included, with the full table's
+    for seed in (0, 1):
+        mmcc_solve(instance, sample_costs(instance, seed))
+    assert len(full_table_replay) == 2
+    for search, calls in full_table_replay.items():
+        assert search.floats is not integer_table
+        assert search._stops >= calls // 2
+
+
+def test_early_stop_returns_the_full_table_answer_on_random_instances(full_table_replay):
+    rng = random.Random(23)
+    solved = 0
+    while solved < 100:
+        n = rng.randint(18, 26)
+        inst = gen_random_smoothed(n, rng.randint(2 * n, 4 * n), rng.choice((16, 64, 256)), rng.getrandbits(32))
+        try:
+            mmcc_solve(inst, sample_costs(inst, rng.getrandbits(32)))
+        except InfeasibleError:
+            continue
+        solved += 1
+    assert sum(search._stops for search in full_table_replay) >= 100
+
+
+def test_early_stop_certifies_most_searches_of_the_mmcc_waves_row(full_table_replay):
+    # a fallback to the full table is never wrong, only slow; this keeps
+    # the early stop from falling back unseen
+    instance = gen_mmcc_general(MmccGeneralParams(12, 48, 4096))
+    mmcc_solve(instance, sample_costs(instance, 0))
+    [(search, calls)] = full_table_replay.items()
+    assert calls == 359
+    assert search._stops >= 0.9 * calls
+    assert search._rows <= calls * search.n / 4
+
+
+def certificate_nets():
+    """Residual networks of several kinds: tied cycles, random residual
+    graphs and the first residual graph of an MMCC solve."""
+    rng = random.Random(408)
+    nets = [tied_cycles_net(rng) for _ in range(4)]
+    for _ in range(4):
+        net = random_network(rng, rng.randint(18, 24), rng.randint(40, 70))
+        nets.append(residual(net, random_capacity_respecting_flow(rng, net)))
+    instance = gen_mmcc_general(MmccGeneralParams(8, 16, 256))
+    net = instance.realize(sample_costs(instance, 0))
+    nets.append(residual(net, instance.starting_flow))
+    return nets
+
+
+def test_certificate_rejects_a_candidate_next_to_the_minimum_mean():
+    # the certificate must not rest on the candidate rule: just above the
+    # minimum mean some cycle is negative under c - mean, and just below
+    # it no tight walk of n arcs exists; at the minimum mean the full
+    # table certifies Karp's own answer
+    checked = 0
+    for r in certificate_nets():
+        arcs, _ = _scaled_arcs(r)
+        search = full_table_search(r.node_count, arcs)
+        present = range(len(arcs))
+        level_arcs = [search.table_arcs[a] for a in present]
+        table = _walk_table(search.n, level_arcs, search.n, search.far)
+        karp = search(present)
+        if karp is None:
+            continue
+        mean = Fraction(karp[1], karp[2])
+        certified, _ = search._certify(table, present, level_arcs, mean.numerator, mean.denominator)
+        assert same_search_result(certified, karp)
+        for offset in (Fraction(1, 2**70), Fraction(1, 7 * search.n)):
+            for near in (mean - offset, mean + offset):
+                for k in range(1, search.n + 1):
+                    assert search._certify(table[: k + 1], present, level_arcs, near.numerator, near.denominator) is None
+        checked += 1
+    assert checked >= 8
