@@ -114,6 +114,30 @@ def _scaled(value: Fraction, scale: int) -> int:
     return value.numerator * (scale // value.denominator)
 
 
+def _flow_scale(capacities: Sequence[Capacity], *groups) -> int:
+    """The lcm of the denominators of the bounded ``capacities`` and of
+    the numbers in ``groups``, each distinct denominator taken once."""
+    dens = {c.denominator for c in capacities if c is not None}
+    for group in groups:
+        dens.update([x.denominator for x in group])
+    return lcm(*dens)
+
+
+def _scaled_all(values: Sequence[Optional[Fraction]], scale: int) -> list[Optional[int]]:
+    """``_scaled`` of every value, ``None`` kept; when ``scale`` is 1
+    the numerators are read as they are."""
+    if scale == 1:
+        return [None if v is None else v.numerator for v in values]
+    return [None if v is None else v.numerator * (scale // v.denominator) for v in values]
+
+
+def _scaled_flow(values: Sequence[int], scale: int) -> Flow:
+    """The ``Flow`` of the scaled integers ``values``: one exact
+    ``Fraction`` per distinct value, shared by every edge that carries it."""
+    shared = {v: Fraction(v, scale) for v in set(values)}
+    return Flow(tuple(map(shared.__getitem__, values)))
+
+
 def _capacity(value) -> Capacity:
     return None if value is None else rational(value)
 
@@ -345,9 +369,24 @@ class SmoothedInstance:
 
     def realize(self, costs: Sequence[Fraction]) -> FlowNetwork:
         """Return a concrete network using ``costs`` for the edge costs."""
+        costs = self._checked_costs(costs)
+        return FlowNetwork(
+            node_count=self.network.node_count,
+            edges=tuple(
+                Edge(e.tail, e.head, e.capacity, c, e.leaving_rank)
+                for e, c in zip(self.network.edges, costs)
+            ),
+            budgets=self.network.budgets,
+            node_names=self.network.node_names,
+            edge_labels=self.network.edge_labels,
+        )
+
+    def _checked_costs(self, costs: Sequence[Fraction]) -> list[Fraction]:
+        """``costs`` as exact numbers, with ``realize``'s errors for a
+        wrong count or a cost outside its interval."""
         if len(costs) != self.network.edge_count:
             raise ValueError("expected %d costs, got %d" % (self.network.edge_count, len(costs)))
-        edges = []
+        checked = []
         for edge, interval, cost in zip(self.network.edges, self.intervals, costs):
             cost = rational(cost)
             if not interval.contains(cost):
@@ -355,14 +394,8 @@ class SmoothedInstance:
                     "cost %s for edge (%d,%d) outside its interval [%s, %s]"
                     % (cost, edge.tail, edge.head, interval.lo, interval.hi)
                 )
-            edges.append(Edge(edge.tail, edge.head, edge.capacity, cost, edge.leaving_rank))
-        return FlowNetwork(
-            node_count=self.network.node_count,
-            edges=tuple(edges),
-            budgets=self.network.budgets,
-            node_names=self.network.node_names,
-            edge_labels=self.network.edge_labels,
-        )
+            checked.append(cost)
+        return checked
 
 
 @dataclass(frozen=True)
@@ -531,36 +564,50 @@ class _ResidualArcs:
     ``a ^ 1`` is the reverse of ``a``.  Costs are scaled to integers by
     ``cost_scale``, the lcm of the cost denominators, and room (residual
     capacity) by ``flow_scale``, the lcm of the capacity, flow and
-    ``extra`` denominators; room is ``None`` when unbounded.  The costs
-    are scaled on first read, so max flow never pays for them.  The flow
-    of edge ``e`` is the room of arc ``2e + 1``, and ``residual``, the
-    certificate and the MMCC and SSP kernels read the arcs with room in
-    ``with_room``'s order, ascending arc id.  ``flow`` defaults
-    to zero; one outside its capacities raises as in ``residual``.
+    ``extra`` denominators; room is ``None`` when unbounded.  The arcs
+    are built in bulk, list by list, and one scan finds the first edge
+    whose flow is outside its capacities, which raises as in
+    ``residual``; ``flow`` defaults to zero.  ``costs`` holds the edge
+    costs, the edges' own unless replaced before first read (MMCC puts
+    a realization's sampled costs there); they are scaled on first read,
+    so max flow never pays for them.  The flow of edge ``e`` is the room
+    of arc ``2e + 1``, and ``residual``, the certificate and the MMCC and
+    SSP kernels read the arcs with room in ``with_room``'s order,
+    ascending arc id.
     """
 
     def __init__(self, net: FlowNetwork, flow: Optional[Flow] = None, extra=()):
-        self.edges = edges = net.edges
-        values = (0,) * len(edges) if flow is None else _flow_values(net, flow)
-        self.flow_scale = flow_scale = lcm(
-            *(e.capacity.denominator for e in edges if e.capacity is not None),
-            *(f.denominator for f in values),
-            *(x.denominator for x in extra),
-        )
-        tail: list[int] = []
-        head: list[int] = []
-        room: list[Optional[int]] = []
-        for i, (e, f) in enumerate(zip(edges, values)):
-            x = _scaled(f, flow_scale)
-            spare = None if e.capacity is None else _scaled(e.capacity, flow_scale) - x
-            if x < 0:
-                raise CapacityViolation("edge %d carries negative flow %s" % (i, f))
-            if spare is not None and spare < 0:
-                raise CapacityViolation("edge %d carries %s above capacity %s" % (i, f, e.capacity))
-            tail += (e.tail, e.head)
-            head += (e.head, e.tail)
-            room += (spare, x)
-        self.tail, self.head, self.room = tail, head, room
+        edges = net.edges
+        m = len(edges)
+        caps = [e.capacity for e in edges]
+        if flow is None:
+            values = (0,) * m
+            self.flow_scale = scale = _flow_scale(caps, extra)
+            x = [0] * m
+            spare = _scaled_all(caps, scale)
+        else:
+            values = _flow_values(net, flow)
+            self.flow_scale = scale = _flow_scale(caps, values, extra)
+            x = _scaled_all(values, scale)
+            spare = [None if c is None else c - f for c, f in zip(_scaled_all(caps, scale), x)]
+        # ``filter`` drops the unbounded rooms and the zeros, neither of
+        # which is negative
+        if min(x, default=0) < 0 or min(filter(None, spare), default=0) < 0:
+            for i, (f, r) in enumerate(zip(x, spare)):
+                if f < 0:
+                    raise CapacityViolation("edge %d carries negative flow %s" % (i, values[i]))
+                if r is not None and r < 0:
+                    raise CapacityViolation(
+                        "edge %d carries %s above capacity %s" % (i, values[i], caps[i])
+                    )
+        tails, heads = [e.tail for e in edges], [e.head for e in edges]
+        self.tail, self.head = tail, head = [0] * (2 * m), [0] * (2 * m)
+        tail[::2] = head[1::2] = tails
+        tail[1::2] = head[::2] = heads
+        self.room = room = [None] * (2 * m)
+        room[::2] = spare
+        room[1::2] = x
+        self.costs: Sequence[Fraction] = tuple(map(attrgetter("cost"), edges))
         # filled on first read; ``functools.cached_property`` measured
         # about 4% slower on the certificate
         self._cost_scale: Optional[int] = None
@@ -569,19 +616,28 @@ class _ResidualArcs:
     @property
     def cost_scale(self) -> int:
         if self._cost_scale is None:
-            self._cost_scale = lcm(*(e.cost.denominator for e in self.edges))
+            self._cost_scale = lcm(*{c.denominator for c in self.costs})
         return self._cost_scale
 
     @property
     def cost(self) -> list[int]:
         if self._cost is None:
-            scale, costs = self.cost_scale, map(attrgetter("cost"), self.edges)
-            forward = [c.numerator * (scale // c.denominator) for c in costs]
+            forward = _scaled_all(self.costs, self.cost_scale)
             cost = [0] * (2 * len(forward))
             cost[::2] = forward
             cost[1::2] = map(neg, forward)
             self._cost = cost
         return self._cost
+
+    def narrow(self, net: FlowNetwork) -> _ResidualArcs:
+        """Keep only the arcs of ``net``, whose edges come first among
+        these arcs' edges, as in ``concentrate_budgets``'s widening; the
+        rooms and the flow scale stay as they are."""
+        k = 2 * net.edge_count
+        self.costs = self.costs[: net.edge_count]
+        del self.tail[k:], self.head[k:], self.room[k:]
+        self._cost_scale = self._cost = None
+        return self
 
     def with_room(self) -> list[int]:
         """The arcs with room, in ascending arc id."""
@@ -597,17 +653,16 @@ class _ResidualArcs:
                 room[a ^ 1] += amount
 
     def flow(self) -> Flow:
-        room, scale = self.room, self.flow_scale
-        return Flow(tuple(Fraction(room[a], scale) for a in range(1, len(room), 2)))
+        return _scaled_flow(self.room[1::2], self.flow_scale)
 
     def residual_edge(self, a: int, r: Optional[int]) -> ResidualEdge:
         """The ``ResidualEdge`` of arc ``a`` at the scaled room ``r``."""
-        e = self.edges[a >> 1]
+        c = self.costs[a >> 1]
         return ResidualEdge(
             self.tail[a],
             self.head[a],
             None if r is None else Fraction(r, self.flow_scale),
-            -e.cost if a & 1 else e.cost,
+            -c if a & 1 else c,
             a >> 1,
             not a & 1,
         )
@@ -639,18 +694,13 @@ def check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
     """Capacity bounds edge by edge, then conservation, on scaled
     integers; ``None`` means feasible."""
     edges, values, budgets = net.edges, _flow_values(net, flow), net.budgets
-    scale = lcm(
-        *(e.capacity.denominator for e in edges if e.capacity is not None),
-        *(f.denominator for f in values),
-        *(b.denominator for b in budgets),
-    )
-    # ``_scaled`` is inlined in this function: it saves a call per value.
-    scaled = [f.numerator * (scale // f.denominator) for f in values]
-    for idx, (e, x) in enumerate(zip(edges, scaled)):
-        cap = e.capacity
-        if x < 0 or (cap is not None and x > cap.numerator * (scale // cap.denominator)):
+    caps = [e.capacity for e in edges]
+    scale = _flow_scale(caps, values, budgets)
+    scaled = _scaled_all(values, scale)
+    for idx, (x, cap) in enumerate(zip(scaled, _scaled_all(caps, scale))):
+        if x < 0 or (cap is not None and x > cap):
             return Violation("capacity", "edge %d carries %s" % (idx, values[idx]))
-    balance = [b.numerator * (scale // b.denominator) for b in budgets]
+    balance = _scaled_all(budgets, scale)
     for e, x in zip(edges, scaled):
         balance[e.tail] -= x
         balance[e.head] += x

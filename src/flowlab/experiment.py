@@ -92,7 +92,7 @@ def solve(
         trace.final_flow = Flow(trace.final_flow.values[: net.edge_count])
         return trace
     if structure is None:
-        structure, _ = basic_structure_from_flow(net, _start(instance, net))
+        structure, _ = basic_structure_from_flow(net, _start(net, instance.starting_flow).flow())
     return ns_solve(net, structure, strongly_feasible=strongly_feasible)
 
 

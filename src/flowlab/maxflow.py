@@ -1,10 +1,11 @@
 """Exact maximum flow via shortest augmenting paths.
 
 Internal plumbing of the feasibility transform: ``initial_feasible_flow``
-is its one caller.  It runs on the paired integer arcs of
-``_ResidualArcs``, with costs and budgets ignored; breadth-first
-augmentation keeps the iteration count bounded by the graph size
-regardless of capacity magnitudes.
+and MMCC's computed start run ``_augment`` on the arcs of the widened
+network.  It runs on the paired integer arcs of ``_ResidualArcs``, with
+costs and budgets ignored; breadth-first augmentation keeps the
+iteration count bounded by the graph size regardless of capacity
+magnitudes.
 """
 
 from __future__ import annotations
@@ -27,14 +28,22 @@ def solve_max_flow(net: FlowNetwork, source: int, sink: int) -> tuple[Fraction, 
     if source == sink:
         raise ValueError("source and sink must differ")
     res = _ResidualArcs(net)
+    value = _augment(res, net.node_count, source, sink)
+    return Fraction(value, res.flow_scale), res.flow()
+
+
+def _augment(res: _ResidualArcs, node_count: int, source: int, sink: int) -> int:
+    """Push along shortest paths of ``res`` from ``source`` to ``sink``
+    until none is left, updating its rooms in place; the value shipped,
+    in the flow scale."""
     head, room = res.head, res.room
-    out: list[list[int]] = [[] for _ in range(net.node_count)]
+    out: list[list[int]] = [[] for _ in range(node_count)]
     for a, v in enumerate(res.tail):
         out[v].append(a)
 
     value = 0
     while True:
-        parent_arc = [-1] * net.node_count
+        parent_arc = [-1] * node_count
         parent_arc[source] = -2
         queue = deque([source])
         while queue and parent_arc[sink] == -1:
@@ -44,7 +53,7 @@ def solve_max_flow(net: FlowNetwork, source: int, sink: int) -> tuple[Fraction, 
                     parent_arc[w] = a
                     queue.append(w)
         if parent_arc[sink] == -1:
-            break
+            return value
         path = []
         v = sink
         while v != source:
@@ -56,4 +65,3 @@ def solve_max_flow(net: FlowNetwork, source: int, sink: int) -> tuple[Fraction, 
             raise ValueError("augmenting path with unbounded capacity; flow is infinite")
         res.push(path, bottleneck)
         value += bottleneck
-    return Fraction(value, res.flow_scale), res.flow()

@@ -33,7 +33,7 @@ from .core import (
     check_feasible,
     default_iteration_cap,
 )
-from .maxflow import solve_max_flow
+from .maxflow import _augment
 from .mincycle import _MeanSearch
 from .ssp import concentrate_budgets
 
@@ -80,34 +80,41 @@ def initial_feasible_flow(net: FlowNetwork) -> Flow:
     negative budget into its virtual sink; the budgets are satisfiable
     exactly when all virtual arcs saturate.
     """
+    res = _routed(net)
+    return Flow.zero(net.edge_count) if res is None else res.flow()
+
+
+def _routed(net: FlowNetwork) -> Optional[_ResidualArcs]:
+    """The arcs of ``net`` at ``initial_feasible_flow``'s flow, with its
+    ``InfeasibleError``, or ``None`` when every budget is zero.  They are
+    the first arcs of the maximum flow on ``concentrate_budgets(net)``,
+    so their flow scale is the lcm of the capacity and budget
+    denominators."""
     wide, source, sink, required = concentrate_budgets(net)
     if required == 0:
-        return Flow.zero(net.edge_count)
-    value, flow = solve_max_flow(wide, source, sink)
+        return None
+    res = _ResidualArcs(wide)
+    value = Fraction(_augment(res, wide.node_count, source, sink), res.flow_scale)
     if value != required:
         raise InfeasibleError(
             "budgets require %s units but only %s can be routed" % (required, value)
         )
-    return Flow(flow.values[: net.edge_count])
+    return res.narrow(net)
 
 
-def _start(instance: SmoothedInstance, net: FlowNetwork) -> Flow:
-    """MMCC's and network simplex's start on ``net``, the realization of
-    ``instance``: the stored flow, or ``initial_feasible_flow(net)``
-    when none is stored.  A stored flow that breaks conservation raises
+def _start(net: FlowNetwork, flow: Optional[Flow]) -> _ResidualArcs:
+    """MMCC's and network simplex's start on ``net``: its arcs at
+    ``flow``, a stored flow, or at ``initial_feasible_flow(net)`` when
+    ``flow`` is ``None``.  A stored flow that breaks conservation raises
     ``InfeasibleError``, and one outside its bounds the
     ``CapacityViolation`` of the residual arcs."""
-    flow = instance.starting_flow
     if flow is None:
-        return initial_feasible_flow(net)
+        return _routed(net) or _ResidualArcs(net)
     bad = check_feasible(net, flow)
-    if bad is not None:
-        if bad.kind == "conservation":
-            raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
-        # a capacity bound: building the arcs raises at the first bad
-        # edge, as MMCC's kernel does
-        _ResidualArcs(net, flow)
-    return flow
+    if bad is not None and bad.kind == "conservation":
+        raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
+    # a capacity bound: building the arcs raises at the first bad edge
+    return _ResidualArcs(net, flow)
 
 
 def mmcc_solve(
@@ -130,25 +137,29 @@ def mmcc_solve(
     ``karp_min_mean(residual(...))`` and ``augment_cycle`` that
     ``tests/reference.py`` holds, cycle for cycle.  It is carried out on
     integers: costs are scaled once by their common denominator, flows
-    by that of the capacities and the starting flow, and the residual
+    by that of the capacities and the stored flow, and the residual
     network is kept as paired arcs whose room each cancellation updates
-    in place.
+    in place.  A computed start is the maximum flow's integer rooms, in
+    the scale of the capacities and budgets, taken over as they are.
     """
     if isinstance(instance, SmoothedInstance):
         if costs is None:
             raise ValueError("a smoothed instance needs sampled costs")
-        net = instance.realize(costs)
-        flow = _start(instance, net)
+        # ``realize``'s checks, without building the realized network:
+        # the arcs take the checked costs in place of the network's own
+        checked = instance._checked_costs(costs)
+        net = instance.network
+        res = _start(net, instance.starting_flow)
+        res.costs = checked
     else:
         if costs is not None:
             raise ValueError("costs are only accepted for smoothed instances")
         net = instance
-        flow = initial_feasible_flow(net)
+        res = _start(net, None)
 
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
 
-    res = _ResidualArcs(net, flow)
     search = _MeanSearch(net.node_count, list(zip(res.tail, res.head, res.cost)))
     room = res.room
 

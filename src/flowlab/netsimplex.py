@@ -25,7 +25,8 @@ from .core import (
     Violation,
     _DisjointSets,
     _ResidualArcs,
-    _scaled,
+    _scaled_all,
+    _scaled_flow,
     default_iteration_cap,
 )
 
@@ -243,8 +244,8 @@ def ns_solve(
     and the start flow and potentials filled down it, with
     ``tree_flow``'s errors; each pivot re-hangs one subtree in place
     and shifts its potentials.  Each pivot is recorded as integers;
-    ``Fraction`` values are built for the final flow, and for the
-    pivots when the trace is read.
+    ``Fraction`` values are built for the final flow, one per distinct
+    value, and for the pivots when the trace is read.
     """
     # the arcs of ``net`` at zero flow, with the budgets in the flow
     # scale; built before the structure check, so a negative capacity
@@ -280,7 +281,7 @@ def ns_solve(
     # the start flow and potentials, the root's at zero, are filled
     # down the same hang
     flow = [0] * m
-    budgets = [_scaled(b, flow_scale) for b in net.budgets]
+    budgets = _scaled_all(net.budgets, flow_scale)
     _fill_flow(order, parent, parent_edge, tail, head, cap, budgets, structure, flow, flow_scale)
     pot = [0] * n
     _potentials(order, parent, parent_edge, tail, cost, pot)
@@ -290,7 +291,7 @@ def ns_solve(
 
     def close(termination: str) -> NsTrace:
         trace.termination = termination
-        trace.final_flow = Flow(tuple(Fraction(f, flow_scale) for f in flow))
+        trace.final_flow = _scaled_flow(flow, flow_scale)
         trace.final_structure = SpanningTreeStructure(
             tree_edges=frozenset(e for e in range(m) if state[e] == 0),
             lower=frozenset(e for e in range(m) if state[e] == 1),

@@ -31,6 +31,7 @@ from flowlab.core import (
     verify_optimality,
 )
 
+from flowlab.experiment import ALGORITHMS, solve
 from flowlab.generators import (
     MmccGeneralParams,
     gen_mmcc_general,
@@ -700,3 +701,36 @@ def test_smoothed_instance_rejects_a_starting_flow_of_the_wrong_length():
         SmoothedInstance(net, intervals, Fraction(1), Flow.zero(1))
     inst = SmoothedInstance(net, intervals, Fraction(1), Flow.from_values([2, 0]))
     assert validate_instance(inst) == Violation("capacity", "edge 0 carries 2")
+
+
+def first_feasible_random(n, m, phi):
+    """The first of the ``gen_random_smoothed(n, m, phi, seed)``
+    instances, seed 0 on, whose budgets can be met."""
+    for seed in range(100):
+        inst = gen_random_smoothed(n, m, phi, seed)
+        try:
+            initial_feasible_flow(inst.network)
+        except InfeasibleError:
+            continue
+        return inst
+
+
+def test_final_flows_hold_one_exact_fraction_per_distinct_value():
+    integral = first_feasible_random(10, 25, 64)
+    edges = tuple(replace(e, capacity=e.capacity + Fraction(1, 2)) for e in integral.network.edges)
+    halves = replace(integral, network=replace(integral.network, edges=edges))
+    assert Fraction(7, 2) in {e.capacity for e in edges}
+    for k, inst in enumerate((integral, halves)):
+        costs = sample_costs(inst, k)
+        net = inst.realize(costs)
+        flows = [solve(inst, costs, algorithm).final_flow for algorithm in ALGORITHMS]
+        flows.append(initial_feasible_flow(net))
+        flows.append(solve_max_flow(net, 0, net.node_count - 1)[1])
+        for flow in flows:
+            values = flow.values
+            # never an ``int``, even where the scaled value divides evenly
+            assert all(type(v) is Fraction for v in values)
+            # equal values are one object, unequal ones never
+            assert len({id(v) for v in values}) == len(set(values))
+        if inst is halves:
+            assert any(v.denominator == 2 for flow in flows for v in flow.values)

@@ -460,3 +460,55 @@ def test_mmcc_solve_optimal_cost_matches_networkx():
         assert flow_cost(net, trace.final_flow) == expected
         checked += 1
     assert checked > 50
+
+
+def with_rational_bounds(inst):
+    """``inst`` with every capacity raised by 1/3 and every budget
+    halved: a feasible instance stays feasible, and the lcm of its
+    capacity and budget denominators is 6."""
+    net = inst.network
+    edges = tuple(replace(e, capacity=e.capacity + Fraction(1, 3)) for e in net.edges)
+    budgets = tuple(b / 2 for b in net.budgets)
+    return replace(inst, network=replace(net, edges=edges, budgets=budgets))
+
+
+def test_mmcc_from_max_flows_integers_replays_the_run_from_the_same_flow_stored():
+    feasible = []
+    for seed in range(16):
+        inst = gen_random_smoothed(10, 25, 64, seed)
+        try:
+            initial_feasible_flow(inst.network)
+        except InfeasibleError:
+            continue
+        feasible.append(inst)
+    rational = with_rational_bounds(feasible[0])
+    assert lcm(*(e.capacity.denominator for e in rational.network.edges),
+               *(b.denominator for b in rational.network.budgets)) == 6
+    cancelled = 0
+    for k, inst in enumerate(feasible + [rational]):
+        costs = sample_costs(inst, k)
+        net = inst.realize(costs)
+        stored = replace(inst, starting_flow=initial_feasible_flow(net))
+        trace = mmcc_solve(inst, costs)
+        # equal traces: the same cycles, rooms, means and amounts step
+        # for step, and the same final flow
+        assert trace == mmcc_solve(stored, costs)
+        assert trace == mmcc_solve(net)
+        cancelled += trace.iteration_count > 0
+    assert len(feasible) >= 5 and cancelled >= 4
+    # the last run is the rational one, whose start is in sixths
+    assert any(it.amount.denominator > 1 for it in trace.iterations)
+
+
+def test_mmcc_without_a_stored_flow_raises_initial_feasible_flows_error():
+    inst = gen_random_smoothed(8, 20, 16, 0)
+    costs = sample_costs(inst, 0)
+    message = "budgets require 4 units but only 0 can be routed"
+    for run in (
+        lambda: initial_feasible_flow(inst.realize(costs)),
+        lambda: mmcc_solve(inst, costs),
+        lambda: mmcc_solve(inst.realize(costs)),
+    ):
+        with pytest.raises(InfeasibleError) as info:
+            run()
+        assert str(info.value) == message
