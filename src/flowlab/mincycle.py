@@ -4,8 +4,9 @@
 Karp's table (``_walk_table``), its min-max step and the cycle cut are
 private routines on flat integer arcs, held together by ``_MeanSearch``,
 which does the fixed set-up of a search once for a set of arcs and then
-searches any subset of them; ``karp_min_mean`` and the cycle-canceling
-solver both search with it, so there is one dynamic program to maintain.
+searches the subset of them that it keeps; ``karp_min_mean`` and the
+cycle-canceling solver both search with it, so there is one dynamic
+program to maintain.
 
 The table is built level by level, and a search may stop before level
 n once the rows built so far certify the minimum mean, as in Hartmann
@@ -23,6 +24,14 @@ distance under the costs c − λ, and D_i(v) − iλ = π(v) exactly when v
 is in R_i.  A candidate above or below the minimum mean never passes,
 so nothing rests on how the candidate is found.
 
+*Only the frontier's arcs can break the bound.*  Write
+S_j(v) = D_j(v) − jλ.  Karp's recurrence gives D_{j+1}(h) ≤ D_j(t) + c
+on every arc, so for j < k, π(h) ≤ S_{j+1}(h) ≤ S_j(t) + c − λ.  An arc
+whose tail has π(t) = S_j(t) for some j < k therefore keeps the bound,
+and only the arcs out of the frontier, the nodes whose π row k alone
+attains, need the check.  The tight arcs are still read at every node,
+since every node is in some R_i with i ≤ k.
+
 *Karp's cycle from the certificate.*  Karp's witness is the lowest
 node v with D_n(v) − nλ = π(v), which is the lowest node of R_n.  Each
 step of his cycle cut, at level i, takes the lowest arc into the node
@@ -36,9 +45,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
-from operator import sub, truediv
-from typing import Optional, Sequence
+from itertools import compress, repeat
+from operator import ne, sub, truediv
+from typing import Iterable, Optional, Sequence
 
 from .core import Cycle, FlowLabError, ResidualNetwork, _scaled
 
@@ -89,9 +98,17 @@ class _MeanSearch:
     The set-up depends on the arcs only: ``top``, the largest cost
     magnitude, and with it ``limit`` and ``far`` (see ``_walk_table``),
     whether the table is held in floats, the quotients' divisors, and
-    the in-arcs of each head.  A bound over all arcs is at least the
-    bound over any subset, so floats are chosen only where they are
-    exact for every subset, and ``far`` stays above every real entry.
+    the in-arcs of each head and out-arcs of each tail, in arc order.  A
+    bound over all arcs is at least the bound over any subset, so floats
+    are chosen only where they are exact for every subset, and ``far``
+    stays above every real entry.
+
+    The arc set searched, ``present``, is kept between searches: it is
+    given once, and ``refresh`` then adds or drops only the arcs whose
+    room changed, which for cycle canceling are the cycle's arcs and
+    their reverses.  Rows 0 and 1 of the table are kept with it, since
+    row 1, the least cost of an arc into each node, changes only at the
+    heads of the arcs added or dropped.
 
     A search checks the module's certificate at some levels of its
     table, and stops at the first level where it holds.  Where none
@@ -100,11 +117,12 @@ class _MeanSearch:
     at level k is the least mean among the cycles cut off the cheapest
     walk of each level seen so far.
 
-    *Check schedule.*  A check costs about as much as building 6 to 10
-    levels, so checks run only at levels k <= 2n/5, and only on n >= 18
-    nodes, where a stop saves at least 11 levels.  Within that, the
-    schedule reads only what the search can observe: ``n``, the level,
-    and what the last search over the same arcs found.
+    *Check schedule.*  A check costs about as much as building 7 levels
+    of a float table (about 16 of an integer table), so checks run only
+    at levels k <= 2n/5, and only on n >= 18 nodes, where a stop saves
+    at least 11 levels.  Within that, the schedule reads only what the
+    search can observe: ``n``, the level, and what the last search over
+    the same arcs found.
     - The first search takes candidates from the levels above n/5 and
       checks once, at 2n/5.  If that fails, no later search checks.
     - After a stop, ``settled`` is the level at which that search would
@@ -115,7 +133,7 @@ class _MeanSearch:
       checks at ``settled``, then at gaps of 1, 2, 4, ... levels.
     """
 
-    def __init__(self, n: int, arcs: Sequence[tuple[int, int, int]]):
+    def __init__(self, n: int, arcs: Sequence[tuple[int, int, int]], present: Iterable[int]):
         self.n, self.arcs = n, arcs
         self.top = top = max((abs(c) for _, _, c in arcs), default=0)
         self.limit = n * top
@@ -138,18 +156,59 @@ class _MeanSearch:
             self.table_arcs, self.far = arcs, far
             self.divisors = [n - k for k in range(n)]
         self.into: list[list[int]] = [[] for _ in range(n)]
-        for a, (_, h, _) in enumerate(arcs):
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        for a, (t, h, _) in enumerate(arcs):
             self.into[h].append(a)
+            self.out[t].append(a)
+        # the arcs searched: their ids and table arcs, listed alike, and
+        # each id's place in those lists; see ``refresh``
+        self.present_ids = list(present)
+        self.present_arcs = [self.table_arcs[a] for a in self.present_ids]
+        self.present = {a: i for i, a in enumerate(self.present_ids)}
+        # rows 0 and 1 of every table over the arc set, kept with it; row 0
+        # is in the table's own type, since sums that mix an int and a
+        # float take a slower path
+        rows = [[0.0 if self.floats else 0] * n]
+        _extend(rows, self.present_arcs, 1, self.far)
+        self.first_rows = rows
         self.settled: Optional[int] = None
         self.candidates_from = 1
-        # searches that stopped early, and rows built over all searches
+        # searches that stopped early, and the levels their tables reached
+        # over all searches
         self._stops = self._rows = 0
 
-    def __call__(self, present: Sequence[int]) -> Optional[tuple[list[int], int, int]]:
-        """The minimum-mean cycle over the arcs ``present``, given in
-        ascending order: its arcs in walk order and the minimum mean as
-        a pair (num, den) with den > 0, or ``None`` when they are
-        acyclic.
+    def refresh(self, arcs: Iterable[int], room: Sequence[Optional[int]]) -> None:
+        """Keep each arc of ``arcs`` in the arc set searched exactly when
+        its room is not 0, a room of ``None`` being unbounded, and row 1
+        of the table in step at the heads of the arcs added or dropped.
+        The order in which the set lists its arcs drifts: the table takes
+        a least exact sum over them, the certificate's tight and reach
+        sets are sets, and every tie-break reads arcs in ascending id
+        order from ``into``, keeping those in the set."""
+        present, ids, listed = self.present, self.present_ids, self.present_arcs
+        table_arcs, row = self.table_arcs, self.first_rows[1]
+        for a in arcs:
+            _, h, c = table_arcs[a]
+            if room[a] != 0:
+                if a not in present:
+                    present[a] = len(ids)
+                    ids.append(a)
+                    listed.append(table_arcs[a])
+                    if c < row[h]:
+                        row[h] = c
+            elif a in present:
+                # the last arc listed takes the place of the one dropped
+                i, last = present.pop(a), ids.pop()
+                arc = listed.pop()
+                if last != a:
+                    ids[i], listed[i], present[last] = last, arc, i
+                if c == row[h]:
+                    row[h] = min((table_arcs[b][2] for b in self.into[h] if b in present), default=self.far)
+
+    def __call__(self) -> Optional[tuple[list[int], int, int]]:
+        """The minimum-mean cycle over the arc set ``present``: its arcs
+        in walk order and the minimum mean as a pair (num, den) with
+        den > 0, or ``None`` when they are acyclic.
 
         The minimum mean is min over nodes v of max over k < n of
         (D[n][v] - D[k][v]) / (n - k), over the entries with a walk
@@ -158,13 +217,11 @@ class _MeanSearch:
         so ties between arcs go to the lowest arc.  A search that stops
         early returns the same cycle and mean.
         """
-        n = self.n
-        if n == 0 or not present:
+        n, far = self.n, self.far
+        if n == 0 or not self.present:
             return None
-        arcs, far = self.table_arcs, self.far
-        level_arcs = [arcs[a] for a in present]
-        members = set(present)
-        table = [[0] * n]
+        level_arcs = self.present_arcs
+        table = list(self.first_rows)
         ceiling = 2 * n // 5 if n >= 18 else 0
         if self.settled is None:
             check, gap, first = ceiling, 1, ceiling // 2 + 1
@@ -173,13 +230,13 @@ class _MeanSearch:
         best = seen_at = None
         for k in range(first, ceiling + 1):
             _extend(table, level_arcs, k - len(table) + 1, far)
-            candidate = self._candidate(table, members)
+            candidate = self._candidate(table)
             if candidate is not None and (best is None or candidate[0] * best[1] < best[0] * candidate[1]):
                 best, seen_at = candidate, k
             if k < check or best is None:
                 continue
             check, gap = k + gap, 2 * gap
-            certified = self._certify(table, present, level_arcs, *best)
+            certified = self._certify(table, *best)
             if certified is not None:
                 result, converged = certified
                 self.settled, self.candidates_from = max(seen_at, converged), best[1]
@@ -208,10 +265,10 @@ class _MeanSearch:
                         num, den = diff, n - k
             if best_node is None or num * best_den < best_num * den:
                 best_num, best_den, best_node = num, den, v
-        cycle = self._cut(best_node, n, partial(self._table_step, table, members))
+        cycle = self._cut(best_node, n, partial(self._table_step, table))
         return self._checked(cycle, best_num, best_den)
 
-    def _candidate(self, table, members: set[int]) -> Optional[tuple[int, int]]:
+    def _candidate(self, table) -> Optional[tuple[int, int]]:
         """A candidate minimum mean from the rows ``table``: the total
         cost and the length of the cycle cut off the cheapest walk of
         the last level, or ``None`` where that walk repeats no node."""
@@ -219,50 +276,31 @@ class _MeanSearch:
         least = min(row)
         if least > self.limit:
             return None
-        cycle = self._cut(row.index(least), len(table) - 1, partial(self._table_step, table, members))
+        cycle = self._cut(row.index(least), len(table) - 1, partial(self._table_step, table))
         if cycle is None:
             return None
         return sum(self.arcs[a][2] for a in cycle), len(cycle)
 
-    def _certify(self, table, present, level_arcs, num: int, den: int):
-        """Karp's ``(cycle, num, den)`` over the arcs ``present``, whose
-        table arcs are ``level_arcs``, and the first level at which π
-        was final, when the rows ``table`` certify that num / den is the
-        minimum mean; else ``None``.  See the module docstring.
-
-        π is held scaled by den, as den·D_j(v) − j·num, so every
-        comparison is exact.  Every cycle mean lies within ``top`` of 0,
-        so a candidate beyond that fails at once.  Within it, every real
-        scaled entry and every sum π(t) + den·c − num is at most
-        (k + 1)(den·top + |num|) in magnitude: below 2^53 they are exact
-        as floats, and above it the rows are taken as integers.  An
-        entry with no walk behind it stays far above 0, so it never
-        sets π.
+    def _certify(self, table, num: int, den: int):
+        """Karp's ``(cycle, num, den)`` over the arc set ``present``, and
+        the first level at which π was final, when the rows ``table``
+        certify that num / den is the minimum mean; else ``None``.  See
+        the module docstring.
         """
-        n, k = self.n, len(table) - 1
-        if abs(num) > den * self.top:
+        potentials = self._potentials(table, num, den)
+        if potentials is None:
             return None
-        common = math.gcd(num, den)
-        num, den = num // common, den // common
-        if not self.floats:
-            rows = table
-        elif (k + 1) * (den * self.top + abs(num)) < _FLOAT_EXACT:
-            rows, num, den = table, float(num), float(den)
-        else:
-            rows = [list(map(int, row)) for row in table]
-            level_arcs = [self.arcs[a] for a in present]
-        shifts = [j * num for j in range(1, k + 1)]
-        scaled = [[d * den - shift for d in row] for row, shift in zip(rows[1:], shifts)]
-        pi = list(map(min, rows[0], *scaled))
-        tight: set[int] = set()
-        after: dict[int, list[int]] = {}
-        for a, (t, h, c) in zip(present, level_arcs):
-            bound = pi[t] + c * den - num
-            if pi[h] > bound:
-                return None
-            if pi[h] == bound:
-                tight.add(a)
-                after.setdefault(t, []).append(h)
+        pi, frontier, arcs, num, den = potentials
+        if not self._arcs_hold(pi, frontier, arcs, num, den):
+            return None
+        n, present = self.n, self.present
+
+        # the heads of the tight arcs out of each node
+        after: list[list[int]] = [[] for _ in range(n)]
+        listed = self.present_arcs if arcs is self.table_arcs else [arcs[a] for a in self.present_ids]
+        for t, h, c in listed:
+            if pi[h] == pi[t] + c * den - num:
+                after[t].append(h)
 
         # R_i follows from R_{i-1} alone, so the sets repeat from the
         # first one met twice; every node is in some R_i with i <= k,
@@ -271,7 +309,7 @@ class _MeanSearch:
         index = {reach[0]: 0}
         met, converged = set(reach[0]), 0
         while len(reach) <= n:
-            following = frozenset(h for t in reach[-1] for h in after.get(t, ()))
+            following = frozenset(h for t in reach[-1] for h in after[t])
             if following in index:
                 start = index[following]
                 break
@@ -290,13 +328,69 @@ class _MeanSearch:
             return None
 
         def step(node: int, i: int) -> int:
-            before = at(i - 1)
+            # the lowest tight arc into ``node`` whose tail is in R_{i-1};
+            # tightness is tested only on the in-arcs read here
+            before, want = at(i - 1), pi[node] + num
             for a in self.into[node]:
-                if a in tight and self.arcs[a][0] in before:
-                    return a
+                if a in present:
+                    t, _, c = arcs[a]
+                    if t in before and pi[t] + c * den == want:
+                        return a
 
         cycle = self._cut(min(at(n)), n, step)
         return self._checked(cycle, int(num), int(den)), converged
+
+    def _potentials(self, table, num: int, den: int):
+        """``(pi, frontier, arcs, num, den)`` for the candidate num / den
+        at the last level k of the rows ``table``, or ``None`` when the
+        candidate is beyond every cycle mean.
+
+        π is held scaled by den, as den·D_j(v) − j·num, so every
+        comparison is exact.  Every cycle mean lies within ``top`` of 0,
+        so a candidate beyond that fails at once.  Within it, every real
+        scaled entry and every sum π(t) + den·c − num is at most
+        (k + 1)(den·top + |num|) in magnitude: below 2^53 they are exact
+        as floats, and above it the rows are taken as integers.  ``arcs``
+        are the arcs in the same arithmetic, and num and den the reduced
+        candidate in it.  An entry with no walk behind it stays far
+        above 0, so it never sets π.  The frontier is the nodes whose π
+        is set by row k alone, in ascending order.
+        """
+        k = len(table) - 1
+        if abs(num) > den * self.top:
+            return None
+        common = math.gcd(num, den)
+        num, den = num // common, den // common
+        if not self.floats:
+            rows, arcs = table, self.arcs
+        elif (k + 1) * (den * self.top + abs(num)) < _FLOAT_EXACT:
+            rows, arcs, num, den = table, self.table_arcs, float(num), float(den)
+        else:
+            rows, arcs = [list(map(int, row)) for row in table], self.arcs
+        # a running minimum over the rows; one comprehension per row that
+        # scales each entry twice is faster than keeping the scaled rows
+        earlier = rows[0]
+        for j in range(1, k):
+            shift = j * num
+            earlier = [e if e < d * den - shift else d * den - shift for e, d in zip(earlier, rows[j])]
+        shift = k * num
+        pi = [e if e < d * den - shift else d * den - shift for e, d in zip(earlier, rows[k])]
+        frontier = list(compress(range(self.n), map(ne, pi, earlier)))
+        return pi, frontier, arcs, num, den
+
+    def _arcs_hold(self, pi, frontier, arcs, num, den) -> bool:
+        """Whether π(h) <= π(t) + c − λ on every arc of ``present``, with
+        ``_potentials``' values.  Only the arcs out of the frontier can
+        break it (see the module docstring), so only those are read."""
+        out, present = self.out, self.present
+        for t in frontier:
+            base = pi[t] - num
+            for a in out[t]:
+                if a in present:
+                    _, h, c = arcs[a]
+                    if pi[h] > base + c * den:
+                        return False
+        return True
 
     def _checked(self, cycle: list[int], num: int, den: int) -> tuple[list[int], int, int]:
         """``(cycle, num, den)``, once the cycle's mean is num / den."""
@@ -340,14 +434,14 @@ class _MeanSearch:
                 probe = quotients.index(worst)
         return least, tied
 
-    def _table_step(self, table, members: set[int], node: int, k: int) -> int:
-        """The lowest arc of ``members`` into ``node`` that attains its
+    def _table_step(self, table, node: int, k: int) -> int:
+        """The lowest arc of ``present`` into ``node`` that attains its
         entry at level k, the one a scan in ascending arc order that
         keeps only strict improvements would have recorded."""
-        want, prev, arcs = table[k][node], table[k - 1], self.table_arcs
+        want, prev, arcs, present = table[k][node], table[k - 1], self.table_arcs, self.present
         for a in self.into[node]:
             t, _, c = arcs[a]
-            if prev[t] + c == want and a in members:
+            if prev[t] + c == want and a in present:
                 return a
 
     def _cut(self, end: int, k: int, step) -> Optional[list[int]]:
@@ -384,7 +478,7 @@ def karp_min_mean(r: ResidualNetwork) -> Optional[Cycle]:
     the tie-breaks.  The cycle is made of ``r``'s own edges.
     """
     arcs, _ = _scaled_arcs(r)
-    found = _MeanSearch(r.node_count, arcs)(range(len(arcs)))
+    found = _MeanSearch(r.node_count, arcs, range(len(arcs)))()
     if found is None:
         return None
     cycle, _, _ = found

@@ -139,7 +139,9 @@ def mmcc_solve(
     integers: costs are scaled once by their common denominator, flows
     by that of the capacities and the stored flow, and the residual
     network is kept as paired arcs whose room each cancellation updates
-    in place.  A computed start is the maximum flow's integer rooms, in
+    in place.  The search keeps the arcs with room as its arc set, and
+    after each push updates it for the cycle's arcs and their reverses
+    only.  A computed start is the maximum flow's integer rooms, in
     the scale of the capacities and budgets, taken over as they are.
     """
     if isinstance(instance, SmoothedInstance):
@@ -160,13 +162,13 @@ def mmcc_solve(
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
 
-    search = _MeanSearch(net.node_count, list(zip(res.tail, res.head, res.cost)))
     room = res.room
+    search = _MeanSearch(net.node_count, list(zip(res.tail, res.head, res.cost)), res.with_room())
 
     trace = MmccTrace(_step=partial(_iteration, res))
     iterations = trace._records
     while True:
-        found = search(res.with_room())
+        found = search()
         if found is None:
             break
         cycle_arcs, mean_num, _ = found
@@ -185,6 +187,8 @@ def mmcc_solve(
             raise UnboundedCycleError("every cycle edge is uncapacitated; cost is unbounded")
         amount = min(bounded)
         res.push(cycle_arcs, amount)
+        # a push changes the room of the cycle's arcs and their reverses only
+        search.refresh([b for a in cycle_arcs for b in (a, a ^ 1)], room)
         iterations.append((cycle_arcs, rooms, amount))
     trace.final_flow = res.flow()
     return trace

@@ -292,10 +292,11 @@ def same_search_result(got, want):
     return got[0] == want[0] and Fraction(got[1], got[2]) == Fraction(want[1], want[2])
 
 
-def full_table_search(n, arcs):
-    """A search over ``arcs`` that never checks the certificate, so it
-    builds all n levels and takes Karp's min-max step and cut."""
-    search = _MeanSearch(n, arcs)
+def full_table_search(n, arcs, present):
+    """A search over the arcs ``present`` of ``arcs`` that never checks
+    the certificate, so it builds all n levels and takes Karp's min-max
+    step and cut."""
+    search = _MeanSearch(n, arcs, present)
     search.settled = search.candidates_from = n + 1
     return search
 
@@ -360,9 +361,9 @@ def test_karp_returns_the_reference_cycle_among_many_tied_nodes(factor):
         assert karp_min_mean(r) == reference_karp(r)
         # and the min-max step, over the full table, agrees
         arcs, _ = _scaled_arcs(r)
-        search = _MeanSearch(r.node_count, arcs)
-        full = full_table_search(r.node_count, arcs)
-        assert same_search_result(search(range(len(arcs))), full(range(len(arcs))))
+        search = _MeanSearch(r.node_count, arcs, range(len(arcs)))
+        full = full_table_search(r.node_count, arcs, range(len(arcs)))
+        assert same_search_result(search(), full())
         stops += search._stops
     assert stops >= 70
 
@@ -371,24 +372,23 @@ def test_karp_returns_the_reference_cycle_among_many_tied_nodes(factor):
 @pytest.fixture
 def full_table_replay(monkeypatch):
     """Compares every ``_MeanSearch`` call made while the test runs with
-    the same call on a twin search over the same arcs that never checks,
-    so it builds all n levels, and Karp's min-max step and cut.  Yields
-    the searches made, each with its number of calls."""
+    the same call on a twin search, set up afresh over the same arcs and
+    the same arc set, that never checks, so it builds all n levels, and
+    Karp's min-max step and cut.  Yields the searches made, each with
+    its number of calls."""
     calls = {}
-    twins = {}
     search_with_checks = _MeanSearch.__call__
 
-    def compared(search, present):
-        if search not in twins:
-            twins[search] = full_table_search(search.n, search.arcs)
-        got = search_with_checks(search, present)
-        assert same_search_result(got, search_with_checks(twins[search], present))
+    def compared(search):
+        twin = full_table_search(search.n, search.arcs, sorted(search.present))
+        got = search_with_checks(search)
+        assert same_search_result(got, search_with_checks(twin))
+        assert twin._stops == 0
         calls[search] = calls.get(search, 0) + 1
         return got
 
     monkeypatch.setattr(_MeanSearch, "__call__", compared)
     yield calls
-    assert all(twin._stops == 0 for twin in twins.values())
 
 
 @pytest.mark.parametrize(
@@ -460,19 +460,71 @@ def test_certificate_rejects_a_candidate_next_to_the_minimum_mean():
     checked = 0
     for r in certificate_nets():
         arcs, _ = _scaled_arcs(r)
-        search = full_table_search(r.node_count, arcs)
         present = range(len(arcs))
+        search = full_table_search(r.node_count, arcs, present)
         level_arcs = [search.table_arcs[a] for a in present]
         table = _walk_table(search.n, level_arcs, search.n, search.far)
-        karp = search(present)
+        karp = search()
         if karp is None:
             continue
         mean = Fraction(karp[1], karp[2])
-        certified, _ = search._certify(table, present, level_arcs, mean.numerator, mean.denominator)
+        certified, _ = search._certify(table, mean.numerator, mean.denominator)
         assert same_search_result(certified, karp)
         for offset in (Fraction(1, 2**70), Fraction(1, 7 * search.n)):
             for near in (mean - offset, mean + offset):
                 for k in range(1, search.n + 1):
-                    assert search._certify(table[: k + 1], present, level_arcs, near.numerator, near.denominator) is None
+                    assert search._certify(table[: k + 1], near.numerator, near.denominator) is None
         checked += 1
     assert checked >= 8
+
+
+def full_arc_check(search, table, mean):
+    """Whether π(h) <= π(t) + c - mean on every arc of the search's arc
+    set, with π(v) = min over j of D_j(v) - j·mean over the rows
+    ``table`` that have a walk behind them, in exact arithmetic, and the
+    nodes whose π the last row sets alone."""
+    rows = [
+        [Fraction(int(d)) - j * mean if d <= search.limit else None for d in row]
+        for j, row in enumerate(table)
+    ]
+    columns = list(zip(*rows))
+    pi = [min(s for s in column if s is not None) for column in columns]
+    frontier = [
+        v for v, column in enumerate(columns)
+        if column[-1] is not None and all(s is None or column[-1] < s for s in column[:-1])
+    ]
+    holds = all(pi[h] <= pi[t] + c - mean for t, h, c in (search.arcs[a] for a in search.present))
+    return holds, frontier
+
+
+def test_arc_check_on_the_frontier_agrees_with_the_check_of_every_arc():
+    # only arcs out of nodes whose π row k sets alone are read; this
+    # compares that answer with a scan of every arc, at every level, for
+    # candidates at, just above and just below the minimum mean, on
+    # float rows, on float tables taken as integers (offsets of 2^-70
+    # push the scaled entries past 2^53) and on an integer table
+    instance = gen_mmcc_large_phi(4, 9)
+    net = instance.realize(sample_costs(instance, 0))
+    seen = {}
+    for r in certificate_nets() + [residual(net, instance.starting_flow)]:
+        arcs, _ = _scaled_arcs(r)
+        present = range(len(arcs))
+        search = full_table_search(r.node_count, arcs, present)
+        table = _walk_table(search.n, [search.table_arcs[a] for a in present], search.n, search.far)
+        karp = search()
+        if karp is None:
+            continue
+        mean = Fraction(karp[1], karp[2])
+        for offset in (0, Fraction(1, 2**70), Fraction(1, 7 * search.n)):
+            for near in {mean - offset, mean + offset}:
+                for k in range(1, search.n + 1):
+                    potentials = search._potentials(table[: k + 1], near.numerator, near.denominator)
+                    _, frontier, _, num, _ = potentials
+                    got = search._arcs_hold(*potentials)
+                    assert (got, frontier) == full_arc_check(search, table[: k + 1], near)
+                    if not search.floats:
+                        kind = "integer table"
+                    else:
+                        kind = "float rows" if isinstance(num, float) else "integer rows"
+                    seen.setdefault(kind, set()).add(got)
+    assert seen == {kind: {False, True} for kind in ("float rows", "integer rows", "integer table")}

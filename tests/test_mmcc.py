@@ -30,8 +30,10 @@ from flowlab.generators import (
     gen_random_smoothed,
     sample_costs,
 )
+from flowlab.mincycle import _MeanSearch
 from flowlab.mmcc import (
     MmccTrace,
+    _start,
     default_iteration_cap,
     falling_mean_violation,
     initial_feasible_flow,
@@ -512,3 +514,59 @@ def test_mmcc_without_a_stored_flow_raises_initial_feasible_flows_error():
         with pytest.raises(InfeasibleError) as info:
             run()
         assert str(info.value) == message
+
+
+def with_uncapacitated_edges(inst):
+    """``inst`` with every third edge's capacity lifted: a feasible
+    instance stays feasible."""
+    net = inst.network
+    edges = tuple(replace(e, capacity=None) if i % 3 == 0 else e for i, e in enumerate(net.edges))
+    return replace(inst, network=replace(net, edges=edges))
+
+
+def kept_arc_set_instances():
+    yield gen_mmcc_general(MmccGeneralParams(12, 48, 4096)), 0
+    yield gen_mmcc_general(MmccGeneralParams(12, 48, 4096)), 1
+    yield gen_mmcc_large_phi(5, 10), 0
+    for seed in range(12):
+        inst = with_uncapacitated_edges(gen_random_smoothed(10, 30, 64, seed))
+        try:
+            initial_feasible_flow(inst.network)
+        except InfeasibleError:
+            continue
+        yield inst, seed
+
+
+def test_the_search_keeps_the_arcs_with_room_across_cancellations(monkeypatch):
+    # MMCC's search updates its arc set, and the first rows of its table
+    # kept with it, after each push for the cycle's arcs and their
+    # reverses only; replaying the records on fresh arcs must give,
+    # before every search, exactly the arcs with room, and a search set
+    # up afresh over them must start from the same rows
+    searched = []
+    search = _MeanSearch.__call__
+
+    def recorded(self):
+        places = self.present.values()
+        assert sorted(places) == list(range(len(self.present_ids))) and len(self.present_arcs) == len(places)
+        assert [self.present_ids[i] for i in places] == list(self.present)
+        assert [self.present_arcs[i] for i in places] == [self.table_arcs[a] for a in self.present]
+        assert self.first_rows == _MeanSearch(self.n, self.arcs, sorted(self.present)).first_rows
+        searched.append(set(self.present))
+        return search(self)
+
+    monkeypatch.setattr(_MeanSearch, "__call__", recorded)
+    runs = cancelled = unbounded = 0
+    for inst, seed in kept_arc_set_instances():
+        searched.clear()
+        trace = mmcc_solve(inst, sample_costs(inst, seed))
+        res = _start(inst.network, inst.starting_flow)
+        assert len(searched) == trace.iteration_count + 1
+        for arcs_searched, (arcs, _, amount) in zip(searched, trace._records):
+            assert arcs_searched == set(res.with_room())
+            res.push(arcs, amount)
+        assert searched[-1] == set(res.with_room())
+        unbounded += None in res.room
+        cancelled += trace.iteration_count > 0
+        runs += 1
+    assert runs >= 12 and cancelled >= 10 and unbounded == runs
