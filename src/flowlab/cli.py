@@ -50,13 +50,16 @@ def _validated_phi(family: str, phi: Optional[Fraction]) -> Optional[Fraction]:
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """Comma-separated seed list; ``a..b`` expands to the inclusive range."""
+    """Comma-separated seed list; ``a..b`` expands to the inclusive range,
+    and one that ends below its start raises ``ValueError``."""
     seeds = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, chunk.split("..", 1))
+            if hi < lo:
+                raise ValueError("seed range %r ends below its start" % chunk)
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(chunk))
     if not seeds:

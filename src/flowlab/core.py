@@ -11,8 +11,10 @@ by their node sequences.
 from __future__ import annotations
 
 import warnings
+from copy import copy
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import attrgetter, neg
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -243,6 +245,40 @@ class FlowNetwork:
             return self.node_names[node]
         return str(node)
 
+    @cached_property
+    def _start(self) -> _Start:
+        """The computed start of these capacities and budgets, built on
+        first read.  It lives in the instance ``__dict__``, not in a
+        field, so ``dataclasses.replace`` leaves it behind: a copy with
+        other capacities or budgets computes its own."""
+        return _Start(self.budgets)
+
+
+class _Start:
+    """A network's computed start.  It reads the capacities and budgets,
+    never the costs, so every realization of one smoothed instance
+    shares the instance network's (``SmoothedInstance.realize``).
+
+    ``scaled`` holds the budgets scaled to integers by their lcm
+    ``scale``, and ``demand`` the supply that ``concentrate_budgets``
+    ships from the source ``n`` to the sink ``n + 1``; ``error`` is the
+    text of the ``InfeasibleError`` of budgets that do not sum to zero,
+    else ``None``.  ``mmcc._routed`` fills ``routed`` on first use: the
+    arcs at the maximum flow, or the text of its ``InfeasibleError``.
+    Errors are kept as text, so no traceback and its frames stay alive
+    with the network.
+    """
+
+    __slots__ = ("scale", "scaled", "demand", "error", "routed")
+
+    def __init__(self, budgets: Sequence[Fraction]):
+        self.scale = scale = lcm(*(b.denominator for b in budgets))
+        self.scaled = scaled = [_scaled(b, scale) for b in budgets]
+        total = sum(scaled)
+        self.error = "budgets sum to %s, not zero" % Fraction(total, scale) if total else None
+        self.demand = Fraction(sum(x for x in scaled if x > 0), scale)
+        self.routed: Union[None, _ResidualArcs, str] = None
+
 
 @dataclass(frozen=True)
 class CostInterval:
@@ -337,6 +373,18 @@ class Trace:
     def nondegenerate_count(self) -> int:
         return self.step_count - self.degenerate_count
 
+    def digest(self) -> str:
+        """SHA-256, in hex, over one line per step joined by newlines:
+        ``cycle 12+ 7- … amount a`` (edge ids, ``+`` along the edge),
+        ``pivot e l amount a`` (entering and leaving edge) or
+        ``path v … amount a`` (node ids), each subclass's ``_line``.
+        The step objects are built for their lines and not kept."""
+        # imported here: it takes about 3 ms, which no solve needs
+        import hashlib
+
+        lines = map(self._line, map(self._step, self._records))
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -368,9 +416,16 @@ class SmoothedInstance:
             raise ValueError("one starting flow value per edge is required")
 
     def realize(self, costs: Sequence[Fraction]) -> FlowNetwork:
-        """Return a concrete network using ``costs`` for the edge costs."""
+        """Return a concrete network using ``costs`` for the edge costs.
+
+        Only the costs differ from ``network``, so the realization shares
+        the instance network's computed start: its budget widening and,
+        once some solver or ``initial_feasible_flow`` has computed it,
+        its maximum flow.  Each is computed once per instance, however
+        many cost draws and solvers read it.
+        """
         costs = self._checked_costs(costs)
-        return FlowNetwork(
+        realized = FlowNetwork(
             node_count=self.network.node_count,
             edges=tuple(
                 Edge(e.tail, e.head, e.capacity, c, e.leaving_rank)
@@ -380,6 +435,8 @@ class SmoothedInstance:
             node_names=self.network.node_names,
             edge_labels=self.network.edge_labels,
         )
+        realized.__dict__["_start"] = self.network._start
+        return realized
 
     def _checked_costs(self, costs: Sequence[Fraction]) -> list[Fraction]:
         """``costs`` as exact numbers, with ``realize``'s errors for a
@@ -629,15 +686,16 @@ class _ResidualArcs:
             self._cost = cost
         return self._cost
 
-    def narrow(self, net: FlowNetwork) -> _ResidualArcs:
-        """Keep only the arcs of ``net``, whose edges come first among
-        these arcs' edges, as in ``concentrate_budgets``'s widening; the
-        rooms and the flow scale stay as they are."""
-        k = 2 * net.edge_count
-        self.costs = self.costs[: net.edge_count]
-        del self.tail[k:], self.head[k:], self.room[k:]
-        self._cost_scale = self._cost = None
-        return self
+    def copy_for(self, net: FlowNetwork) -> _ResidualArcs:
+        """These arcs with rooms of their own, to push on, and the costs
+        of ``net``, whose edges have the same ends and capacities as
+        those these arcs were built from; the tails and heads are
+        shared, and nothing changes them."""
+        twin = copy(self)
+        twin.room = self.room[:]
+        twin.costs = tuple(map(attrgetter("cost"), net.edges))
+        twin._cost_scale = twin._cost = None
+        return twin
 
     def with_room(self) -> list[int]:
         """The arcs with room, in ascending arc id."""

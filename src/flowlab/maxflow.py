@@ -1,8 +1,9 @@
 """Exact maximum flow via shortest augmenting paths.
 
 Internal plumbing of the feasibility transform: ``initial_feasible_flow``
-and MMCC's computed start run ``_augment`` on the arcs of the widened
-network.  It runs on the paired integer arcs of ``_ResidualArcs``, with
+and MMCC's computed start run ``_augment`` on the arcs of the network
+and of its budget widening's supply and drain edges, once per network.
+It runs on the paired integer arcs of ``_ResidualArcs``, with
 costs and budgets ignored; breadth-first augmentation keeps the
 iteration count bounded by the graph size regardless of capacity
 magnitudes.

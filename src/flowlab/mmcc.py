@@ -35,7 +35,6 @@ from .core import (
 )
 from .maxflow import _augment
 from .mincycle import _MeanSearch
-from .ssp import concentrate_budgets
 
 __all__ = [
     "MmccIteration",
@@ -71,6 +70,11 @@ class MmccTrace(Trace):
     def mean_costs(self) -> list[Fraction]:
         return [it.mean_cost for it in self.steps]
 
+    @staticmethod
+    def _line(it: MmccIteration) -> str:
+        edges = " ".join("%d%s" % (e.edge_id, "+" if e.forward else "-") for e in it.cycle.edges)
+        return "cycle %s amount %s" % (edges, it.amount)
+
 
 def initial_feasible_flow(net: FlowNetwork) -> Flow:
     """A feasible flow for ``net``, or ``InfeasibleError``.
@@ -78,7 +82,10 @@ def initial_feasible_flow(net: FlowNetwork) -> Flow:
     Standard transform: a maximum flow on ``concentrate_budgets(net)``
     routes every positive budget from its virtual source and every
     negative budget into its virtual sink; the budgets are satisfiable
-    exactly when all virtual arcs saturate.
+    exactly when all virtual arcs saturate.  The flow depends on the
+    capacities and budgets only, so it is computed once per network,
+    and every realization of one smoothed instance shares the instance
+    network's, its ``InfeasibleError`` text included.
     """
     res = _routed(net)
     return Flow.zero(net.edge_count) if res is None else res.flow()
@@ -86,20 +93,40 @@ def initial_feasible_flow(net: FlowNetwork) -> Flow:
 
 def _routed(net: FlowNetwork) -> Optional[_ResidualArcs]:
     """The arcs of ``net`` at ``initial_feasible_flow``'s flow, with its
-    ``InfeasibleError``, or ``None`` when every budget is zero.  They are
-    the first arcs of the maximum flow on ``concentrate_budgets(net)``,
-    so their flow scale is the lcm of the capacity and budget
-    denominators."""
-    wide, source, sink, required = concentrate_budgets(net)
-    if required == 0:
+    ``InfeasibleError``, or ``None`` when every budget is zero.
+
+    They are kept in ``net._start``, which every realization of one
+    instance shares: read them, and push on ``copy_for`` copies only.
+    The maximum flow runs on the arcs of ``net``, followed by one arc
+    pair per supply or drain edge of ``concentrate_budgets``'s widening
+    in the same order, so it is the maximum flow on that widening,
+    without the widened network; the flow scale is the lcm of the
+    capacity and budget denominators.
+    """
+    start = net._start
+    if start.error is not None:
+        raise InfeasibleError(start.error)
+    if start.demand == 0:
         return None
-    res = _ResidualArcs(wide)
-    value = Fraction(_augment(res, wide.node_count, source, sink), res.flow_scale)
-    if value != required:
-        raise InfeasibleError(
-            "budgets require %s units but only %s can be routed" % (required, value)
-        )
-    return res.narrow(net)
+    if start.routed is None:
+        res = _ResidualArcs(net, extra=net.budgets)
+        k, up = len(res.room), res.flow_scale // start.scale
+        source, sink = net.node_count, net.node_count + 1
+        for v, x in enumerate(start.scaled):
+            if x:
+                # the supply edge (source, v) or the drain edge (v, sink)
+                a, b = (source, v) if x > 0 else (v, sink)
+                res.tail += (a, b)
+                res.head += (b, a)
+                res.room += (abs(x) * up, 0)
+        value = Fraction(_augment(res, net.node_count + 2, source, sink), res.flow_scale)
+        del res.tail[k:], res.head[k:], res.room[k:]
+        if value != start.demand:
+            res = "budgets require %s units but only %s can be routed" % (start.demand, value)
+        start.routed = res
+    if type(start.routed) is str:
+        raise InfeasibleError(start.routed)
+    return start.routed
 
 
 def _start(net: FlowNetwork, flow: Optional[Flow]) -> _ResidualArcs:
@@ -109,7 +136,8 @@ def _start(net: FlowNetwork, flow: Optional[Flow]) -> _ResidualArcs:
     ``InfeasibleError``, and one outside its bounds the
     ``CapacityViolation`` of the residual arcs."""
     if flow is None:
-        return _routed(net) or _ResidualArcs(net)
+        res = _routed(net)
+        return _ResidualArcs(net) if res is None else res.copy_for(net)
     bad = check_feasible(net, flow)
     if bad is not None and bad.kind == "conservation":
         raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
@@ -141,8 +169,11 @@ def mmcc_solve(
     network is kept as paired arcs whose room each cancellation updates
     in place.  The search keeps the arcs with room as its arc set, and
     after each push updates it for the cycle's arcs and their reverses
-    only.  A computed start is the maximum flow's integer rooms, in
-    the scale of the capacities and budgets, taken over as they are.
+    only.  A computed start is a copy of the maximum flow's integer
+    rooms, in the scale of the capacities and budgets.  That maximum
+    flow is ``initial_feasible_flow``'s, computed once per network:
+    solves of one smoothed instance, at any costs and by MMCC or
+    network simplex, share the instance network's.
     """
     if isinstance(instance, SmoothedInstance):
         if costs is None:

@@ -211,6 +211,10 @@ class NsTrace(Trace):
     def degenerate_count(self) -> int:
         return sum(1 for record in self._records if not record[2])
 
+    @staticmethod
+    def _line(p: NsPivot) -> str:
+        return "pivot %d %d amount %s" % (p.entering, p.leaving, p.amount)
+
 
 def _pivot(flow_scale: int, cost_scale: int, amounts: dict, record) -> NsPivot:
     """The ``NsPivot`` of an ``NsTrace`` record; ``amounts`` keeps one

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
-from math import lcm
 from typing import Optional
 
 from .core import (
@@ -60,6 +59,10 @@ class SspTrace(Trace):
 
     def path_costs(self) -> list[Fraction]:
         return [s.cost for s in self.steps]
+
+    @staticmethod
+    def _line(s: SspStep) -> str:
+        return "path %s amount %s" % (" ".join(map(str, s.path)), s.amount)
 
 
 def ssp_solve(
@@ -276,31 +279,29 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     the original network corresponds to a widened flow that saturates
     all the added edges.  Budgets that do not sum to zero raise
     ``InfeasibleError``: no flow meets them.  The sums and signs are
-    taken on the budgets scaled to integers by their lcm.
+    taken on the budgets scaled to integers by their lcm, once per
+    network: every realization of one smoothed instance shares them
+    with the instance network, and so does the maximum flow of the
+    feasible start, which runs on the same widening without building
+    this network.
     """
-    n, edges = net.node_count, net.edges
-    budgets = net.budgets
-    scale = lcm(*(b.denominator for b in budgets))
-    scaled = [_scaled(b, scale) for b in budgets]
-    total = sum(scaled)
-    if total:
-        raise InfeasibleError("budgets sum to %s, not zero" % Fraction(total, scale))
+    start = net._start
+    if start.error is not None:
+        raise InfeasibleError(start.error)
+    n = net.node_count
     source, sink = n, n + 1
-    edges = list(edges)
+    edges = list(net.edges)
     labels = list(net.edge_labels) if net.edge_labels else ["" for _ in net.edges]
-    supply = 0
-    for v, (b, x) in enumerate(zip(budgets, scaled)):
+    for v, (b, x) in enumerate(zip(net.budgets, start.scaled)):
         if x > 0:
             edges.append(Edge(source, v, b, Fraction(0)))
             labels.append("supply")
-            supply += x
         elif x < 0:
             edges.append(Edge(v, sink, -b, Fraction(0)))
             labels.append("drain")
     names = None
     if net.node_names is not None:
         names = (*net.node_names, "super_source", "super_sink")
-    demand = Fraction(supply, scale)
     widened = FlowNetwork(
         n + 2,
         tuple(edges),
@@ -308,7 +309,7 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
         node_names=names,
         edge_labels=tuple(labels) if net.edge_labels else None,
     )
-    return widened, source, sink, demand
+    return widened, source, sink, start.demand
 
 
 def zero_budget_copy(net: FlowNetwork) -> FlowNetwork:

@@ -166,6 +166,10 @@ def test_parse_seeds_forms():
     assert _parse_seeds("5") == (5,)
     with pytest.raises(ValueError):
         _parse_seeds("")
+    assert _parse_seeds("3..3") == (3,)
+    # a range that ends below its start is an error, not an empty range
+    with pytest.raises(ValueError, match="seed range '5..3' ends below its start"):
+        _parse_seeds("1,5..3")
 
 
 def test_experiment_spec_validation():
