@@ -49,6 +49,12 @@ def _validated_phi(family: str, phi: Optional[Fraction]) -> Optional[Fraction]:
     return phi
 
 
+class _SeedListError(ValueError, argparse.ArgumentTypeError):
+    """A seed list that parses but means nothing.  It is an
+    ``ArgumentTypeError`` so that argparse prints its text, where for a
+    plain ``ValueError`` it prints ``invalid _parse_seeds value``."""
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """Comma-separated seed list; ``a..b`` expands to the inclusive range,
     and one that ends below its start raises ``ValueError``."""
@@ -58,12 +64,12 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         if ".." in chunk:
             lo, hi = map(int, chunk.split("..", 1))
             if hi < lo:
-                raise ValueError("seed range %r ends below its start" % chunk)
+                raise _SeedListError("seed range %r ends below its start" % chunk)
             seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(chunk))
     if not seeds:
-        raise ValueError("empty seed list")
+        raise _SeedListError("empty seed list")
     return tuple(seeds)
 
 

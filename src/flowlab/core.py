@@ -253,6 +253,14 @@ class FlowNetwork:
         other capacities or budgets computes its own."""
         return _Start(self.budgets)
 
+    @cached_property
+    def _costs(self) -> _Costs:
+        """The cost layer of these edges' costs, built on first read and
+        kept in the instance ``__dict__`` like ``_start``.  A realization
+        gets its cost draw's layer from ``realize`` instead, and a
+        widened network its origin's from ``concentrate_budgets``."""
+        return _Costs(tuple(map(attrgetter("cost"), self.edges)))
+
 
 class _Start:
     """A network's computed start.  It reads the capacities and budgets,
@@ -263,13 +271,13 @@ class _Start:
     ``scale``, and ``demand`` the supply that ``concentrate_budgets``
     ships from the source ``n`` to the sink ``n + 1``; ``error`` is the
     text of the ``InfeasibleError`` of budgets that do not sum to zero,
-    else ``None``.  ``mmcc._routed`` fills ``routed`` on first use: the
-    arcs at the maximum flow, or the text of its ``InfeasibleError``.
-    Errors are kept as text, so no traceback and its frames stay alive
-    with the network.
+    else ``None``.  ``zero_arcs`` builds ``arcs`` on first use, and
+    ``mmcc._routed`` fills ``routed``: the arcs at the maximum flow, or
+    the text of its ``InfeasibleError``.  Errors are kept as text, so no
+    traceback and its frames stay alive with the network.
     """
 
-    __slots__ = ("scale", "scaled", "demand", "error", "routed")
+    __slots__ = ("scale", "scaled", "demand", "error", "arcs", "routed")
 
     def __init__(self, budgets: Sequence[Fraction]):
         self.scale = scale = lcm(*(b.denominator for b in budgets))
@@ -277,7 +285,62 @@ class _Start:
         total = sum(scaled)
         self.error = "budgets sum to %s, not zero" % Fraction(total, scale) if total else None
         self.demand = Fraction(sum(x for x in scaled if x > 0), scale)
+        self.arcs: Optional[_ResidualArcs] = None
         self.routed: Union[None, _ResidualArcs, str] = None
+
+    def zero_arcs(self, net: FlowNetwork) -> _ResidualArcs:
+        """The arcs of ``net``, whose start this is, at zero flow, with
+        rooms in the scale of the capacities and budgets.  They are built
+        once, with ``_ResidualArcs``'s ``CapacityViolation`` for a
+        negative capacity, and shared: never push on them.  They carry no
+        costs, since the network they were built from may be the instance
+        network with its placeholder costs."""
+        if self.arcs is None:
+            self.arcs = _ResidualArcs(net, extra=net.budgets)
+        return self.arcs
+
+
+class _Costs:
+    """One cost draw over a network's edges, checked: the exact
+    ``values``, their lcm ``scale`` and ``paired``, the arc costs
+    ``[c0, -c0, c1, -c1, …]`` in that scale.  The last two are built on
+    first read, so max flow never scales costs, and then kept, so every
+    solver and certificate of the draw shares them.  With a ``base``,
+    the values are the base's followed by zeros (``concentrate_budgets``'s
+    supply and drain edges), and the scale and paired costs are read
+    from the base: zeros have denominator 1.
+    """
+
+    __slots__ = ("values", "_base", "_scale", "_paired")
+
+    def __init__(self, values: tuple[Fraction, ...], base: Optional[_Costs] = None):
+        self.values = values
+        self._base = base
+        # filled on first read; ``functools.cached_property`` measured
+        # about 4% slower on the certificate
+        self._scale: Optional[int] = None
+        self._paired: Optional[list[int]] = None
+
+    @property
+    def scale(self) -> int:
+        if self._scale is None:
+            base = self._base
+            self._scale = lcm(*{c.denominator for c in self.values}) if base is None else base.scale
+        return self._scale
+
+    @property
+    def paired(self) -> list[int]:
+        if self._paired is None:
+            base = self._base
+            if base is not None:
+                paired = base.paired + [0] * (2 * (len(self.values) - len(base.values)))
+            else:
+                forward = _scaled_all(self.values, self.scale)
+                paired = [0] * (2 * len(forward))
+                paired[::2] = forward
+                paired[1::2] = map(neg, forward)
+            self._paired = paired
+        return self._paired
 
 
 @dataclass(frozen=True)
@@ -393,6 +456,18 @@ class Trace:
         )
 
 
+def _inside(bounds: Sequence[tuple[int, int, int, int]], values: Sequence) -> bool:
+    """Whether every value is a ``Fraction`` p/q with a/b <= p/q <= c/d
+    for its bounds ``(a, b, c, d)``, compared cross-multiplied."""
+    for (a, b, c, d), x in zip(bounds, values):
+        if type(x) is not Fraction:
+            return False
+        p, q = x.numerator, x.denominator
+        if a * q > p * b or p * d > c * q:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class SmoothedInstance:
     """A flow network whose edge costs are intervals, not fixed numbers.
@@ -419,40 +494,81 @@ class SmoothedInstance:
         """Return a concrete network using ``costs`` for the edge costs.
 
         Only the costs differ from ``network``, so the realization shares
-        the instance network's computed start: its budget widening and,
-        once some solver or ``initial_feasible_flow`` has computed it,
-        its maximum flow.  Each is computed once per instance, however
-        many cost draws and solvers read it.
+        the instance network's computed start: its budget widening, its
+        arcs at zero flow and, once some solver or
+        ``initial_feasible_flow`` has computed it, its maximum flow.
+        Each is computed once per instance, however many cost draws and
+        solvers read it.  The realization also carries the draw's cost
+        layer: the costs checked once and scaled to integers once, for
+        every solver and certificate of the draw.  Passing the same
+        ``tuple`` again, to ``realize`` or to ``mmcc_solve``, reuses the
+        last layer without a second check.
         """
-        costs = self._checked_costs(costs)
+        layer = self._checked_costs(costs)
         realized = FlowNetwork(
             node_count=self.network.node_count,
             edges=tuple(
                 Edge(e.tail, e.head, e.capacity, c, e.leaving_rank)
-                for e, c in zip(self.network.edges, costs)
+                for e, c in zip(self.network.edges, layer.values)
             ),
             budgets=self.network.budgets,
             node_names=self.network.node_names,
             edge_labels=self.network.edge_labels,
         )
         realized.__dict__["_start"] = self.network._start
+        realized.__dict__["_costs"] = layer
         return realized
 
-    def _checked_costs(self, costs: Sequence[Fraction]) -> list[Fraction]:
-        """``costs`` as exact numbers, with ``realize``'s errors for a
-        wrong count or a cost outside its interval."""
+    @cached_property
+    def _bounds(self) -> Optional[list[tuple[int, int, int, int]]]:
+        """Each interval's ``lo`` and ``hi`` as integer pairs ``(a, b)``
+        and ``(c, d)``, a/b and c/d with positive denominators, built once
+        per instance; ``None`` when some bound is not exact.  ``hi`` is
+        not reduced: no gcd is taken, and the comparisons do not need one."""
+        bounds = []
+        for interval in self.intervals:
+            lo, width = interval.lo, interval.width
+            if not (isinstance(lo, _EXACT) and isinstance(width, _EXACT)):
+                return None
+            a, b = lo.numerator, lo.denominator
+            wn, wd = width.numerator, width.denominator
+            bounds.append((a, b, a * wd + wn * b, b * wd))
+        return bounds
+
+    def _checked_costs(self, costs: Sequence[Fraction]) -> _Costs:
+        """The cost layer of ``costs``, with ``realize``'s errors for a
+        wrong count or a cost outside its interval.
+
+        When every cost is a ``Fraction`` it is checked against
+        ``_bounds`` cross-multiplied; otherwise, or at the first cost
+        outside, each is checked as ``CostInterval.contains`` does, so
+        the errors, a float's ``TypeError`` included, are the same.  The
+        layer of the last ``tuple`` is kept and returned for that same
+        object.  It is looked up by identity: a list can change between
+        calls, and an equal tuple can hold a float, which must raise.
+        """
+        last = self.__dict__.get("_last_costs")
+        if last is not None and last[0] is costs:
+            return last[1]
         if len(costs) != self.network.edge_count:
             raise ValueError("expected %d costs, got %d" % (self.network.edge_count, len(costs)))
-        checked = []
-        for edge, interval, cost in zip(self.network.edges, self.intervals, costs):
-            cost = rational(cost)
-            if not interval.contains(cost):
-                raise ValueError(
-                    "cost %s for edge (%d,%d) outside its interval [%s, %s]"
-                    % (cost, edge.tail, edge.head, interval.lo, interval.hi)
-                )
-            checked.append(cost)
-        return checked
+        values = tuple(costs)
+        bounds = self._bounds
+        if bounds is None or not _inside(bounds, values):
+            checked = []
+            for edge, interval, cost in zip(self.network.edges, self.intervals, values):
+                cost = rational(cost)
+                if not interval.contains(cost):
+                    raise ValueError(
+                        "cost %s for edge (%d,%d) outside its interval [%s, %s]"
+                        % (cost, edge.tail, edge.head, interval.lo, interval.hi)
+                    )
+                checked.append(cost)
+            values = tuple(checked)
+        layer = _Costs(values)
+        if type(costs) is tuple:
+            self.__dict__["_last_costs"] = (costs, layer)
+        return layer
 
 
 @dataclass(frozen=True)
@@ -618,22 +734,27 @@ class _ResidualArcs:
     """The residual network of a flow as paired integer arcs.
 
     Arc ``2e`` runs along edge ``e`` and arc ``2e + 1`` against it, so
-    ``a ^ 1`` is the reverse of ``a``.  Costs are scaled to integers by
-    ``cost_scale``, the lcm of the cost denominators, and room (residual
-    capacity) by ``flow_scale``, the lcm of the capacity, flow and
-    ``extra`` denominators; room is ``None`` when unbounded.  The arcs
+    ``a ^ 1`` is the reverse of ``a``.  Room (residual capacity) is
+    scaled to integers by ``flow_scale``, the lcm of the capacity, flow
+    and ``extra`` denominators, and is ``None`` when unbounded.  The arcs
     are built in bulk, list by list, and one scan finds the first edge
     whose flow is outside its capacities, which raises as in
-    ``residual``; ``flow`` defaults to zero.  ``costs`` holds the edge
-    costs, the edges' own unless replaced before first read (MMCC puts
-    a realization's sampled costs there); they are scaled on first read,
-    so max flow never pays for them.  The flow of edge ``e`` is the room
-    of arc ``2e + 1``, and ``residual``, the certificate and the MMCC and
-    SSP kernels read the arcs with room in ``with_room``'s order,
-    ascending arc id.
+    ``residual``; ``flow`` defaults to zero.  ``layer`` is the cost layer
+    the arcs read their costs from, ``net._costs`` for the certificate
+    and the solvers, none for max flow; ``cost`` and ``cost_scale`` read
+    it through, so the arcs scale no costs of their own.  The flow of
+    edge ``e`` is the room of arc ``2e + 1``, and ``residual``, the
+    certificate and the MMCC and SSP kernels read the arcs with room in
+    ``with_room``'s order, ascending arc id.
     """
 
-    def __init__(self, net: FlowNetwork, flow: Optional[Flow] = None, extra=()):
+    def __init__(
+        self,
+        net: FlowNetwork,
+        flow: Optional[Flow] = None,
+        extra=(),
+        layer: Optional[_Costs] = None,
+    ):
         edges = net.edges
         m = len(edges)
         caps = [e.capacity for e in edges]
@@ -664,37 +785,23 @@ class _ResidualArcs:
         self.room = room = [None] * (2 * m)
         room[::2] = spare
         room[1::2] = x
-        self.costs: Sequence[Fraction] = tuple(map(attrgetter("cost"), edges))
-        # filled on first read; ``functools.cached_property`` measured
-        # about 4% slower on the certificate
-        self._cost_scale: Optional[int] = None
-        self._cost: Optional[list[int]] = None
+        self.layer = layer
 
     @property
     def cost_scale(self) -> int:
-        if self._cost_scale is None:
-            self._cost_scale = lcm(*{c.denominator for c in self.costs})
-        return self._cost_scale
+        return self.layer.scale
 
     @property
     def cost(self) -> list[int]:
-        if self._cost is None:
-            forward = _scaled_all(self.costs, self.cost_scale)
-            cost = [0] * (2 * len(forward))
-            cost[::2] = forward
-            cost[1::2] = map(neg, forward)
-            self._cost = cost
-        return self._cost
+        return self.layer.paired
 
-    def copy_for(self, net: FlowNetwork) -> _ResidualArcs:
+    def copy_for(self, layer: Optional[_Costs]) -> _ResidualArcs:
         """These arcs with rooms of their own, to push on, and the costs
-        of ``net``, whose edges have the same ends and capacities as
-        those these arcs were built from; the tails and heads are
-        shared, and nothing changes them."""
+        of ``layer``; the tails and heads are shared, and nothing changes
+        them."""
         twin = copy(self)
         twin.room = self.room[:]
-        twin.costs = tuple(map(attrgetter("cost"), net.edges))
-        twin._cost_scale = twin._cost = None
+        twin.layer = layer
         return twin
 
     def with_room(self) -> list[int]:
@@ -715,7 +822,7 @@ class _ResidualArcs:
 
     def residual_edge(self, a: int, r: Optional[int]) -> ResidualEdge:
         """The ``ResidualEdge`` of arc ``a`` at the scaled room ``r``."""
-        c = self.costs[a >> 1]
+        c = self.layer.values[a >> 1]
         return ResidualEdge(
             self.tail[a],
             self.head[a],
@@ -732,7 +839,7 @@ def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
 
     Raises ``CapacityViolation`` if the flow breaks a capacity bound.
     """
-    res = _ResidualArcs(net, flow)
+    res = _ResidualArcs(net, flow, layer=net._costs)
     room = res.room
     return ResidualNetwork(
         net.node_count, tuple(res.residual_edge(a, room[a]) for a in res.with_room())
@@ -740,12 +847,12 @@ def residual(net: FlowNetwork, flow: Flow) -> ResidualNetwork:
 
 
 def flow_cost(net: FlowNetwork, flow: Flow) -> Fraction:
-    """Total cost sum(cost(e) * flow(e)), exact, as one integer dot product."""
-    edges, values = net.edges, _flow_values(net, flow)
-    cost_scale = lcm(*(e.cost.denominator for e in edges))
+    """Total cost sum(cost(e) * flow(e)), exact, as one integer dot
+    product over the scaled costs of ``net``'s cost layer."""
+    layer, values = net._costs, _flow_values(net, flow)
     flow_scale = lcm(*(f.denominator for f in values))
-    total = sum(_scaled(e.cost, cost_scale) * _scaled(f, flow_scale) for e, f in zip(edges, values))
-    return Fraction(total, cost_scale * flow_scale)
+    total = sum(c * _scaled(f, flow_scale) for c, f in zip(layer.paired[::2], values))
+    return Fraction(total, layer.scale * flow_scale)
 
 
 def check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
@@ -804,7 +911,7 @@ def verify_optimality(net: FlowNetwork, flow: Flow) -> Optional[Cycle]:
     ascending arc id, which is ``residual``'s order; only the witness is
     built as ``ResidualEdge`` values.
     """
-    res = _ResidualArcs(net, flow)
+    res = _ResidualArcs(net, flow, layer=net._costs)
     n, tail, head, cost = net.node_count, res.tail, res.head, res.cost
     pred = [-1] * n
     arcs = [(a, tail[a], head[a], cost[a]) for a in res.with_room()]

@@ -29,6 +29,7 @@ from .core import (
     SmoothedInstance,
     Trace,
     UnboundedCycleError,
+    _Costs,
     _ResidualArcs,
     check_feasible,
     default_iteration_cap,
@@ -97,11 +98,11 @@ def _routed(net: FlowNetwork) -> Optional[_ResidualArcs]:
 
     They are kept in ``net._start``, which every realization of one
     instance shares: read them, and push on ``copy_for`` copies only.
-    The maximum flow runs on the arcs of ``net``, followed by one arc
-    pair per supply or drain edge of ``concentrate_budgets``'s widening
-    in the same order, so it is the maximum flow on that widening,
-    without the widened network; the flow scale is the lcm of the
-    capacity and budget denominators.
+    The maximum flow runs on a copy of the start's arcs at zero flow,
+    followed by one arc pair per supply or drain edge of
+    ``concentrate_budgets``'s widening in the same order, so it is the
+    maximum flow on that widening, without the widened network; the
+    flow scale is the lcm of the capacity and budget denominators.
     """
     start = net._start
     if start.error is not None:
@@ -109,7 +110,10 @@ def _routed(net: FlowNetwork) -> Optional[_ResidualArcs]:
     if start.demand == 0:
         return None
     if start.routed is None:
-        res = _ResidualArcs(net, extra=net.budgets)
+        zero = start.zero_arcs(net)
+        res = zero.copy_for(None)
+        # ends of its own too: the widening's arcs are appended to them
+        res.tail, res.head = zero.tail[:], zero.head[:]
         k, up = len(res.room), res.flow_scale // start.scale
         source, sink = net.node_count, net.node_count + 1
         for v, x in enumerate(start.scaled):
@@ -120,7 +124,9 @@ def _routed(net: FlowNetwork) -> Optional[_ResidualArcs]:
                 res.head += (b, a)
                 res.room += (abs(x) * up, 0)
         value = Fraction(_augment(res, net.node_count + 2, source, sink), res.flow_scale)
-        del res.tail[k:], res.head[k:], res.room[k:]
+        del res.room[k:]
+        # the instance's own ends again, shared with the zero-flow arcs
+        res.tail, res.head = zero.tail, zero.head
         if value != start.demand:
             res = "budgets require %s units but only %s can be routed" % (start.demand, value)
         start.routed = res
@@ -129,20 +135,22 @@ def _routed(net: FlowNetwork) -> Optional[_ResidualArcs]:
     return start.routed
 
 
-def _start(net: FlowNetwork, flow: Optional[Flow]) -> _ResidualArcs:
+def _start(
+    net: FlowNetwork, flow: Optional[Flow], layer: Optional[_Costs] = None
+) -> _ResidualArcs:
     """MMCC's and network simplex's start on ``net``: its arcs at
     ``flow``, a stored flow, or at ``initial_feasible_flow(net)`` when
-    ``flow`` is ``None``.  A stored flow that breaks conservation raises
-    ``InfeasibleError``, and one outside its bounds the
-    ``CapacityViolation`` of the residual arcs."""
+    ``flow`` is ``None``, reading the costs of ``layer``.  A stored flow
+    that breaks conservation raises ``InfeasibleError``, and one outside
+    its bounds the ``CapacityViolation`` of the residual arcs."""
     if flow is None:
         res = _routed(net)
-        return _ResidualArcs(net) if res is None else res.copy_for(net)
+        return _ResidualArcs(net, layer=layer) if res is None else res.copy_for(layer)
     bad = check_feasible(net, flow)
     if bad is not None and bad.kind == "conservation":
         raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
     # a capacity bound: building the arcs raises at the first bad edge
-    return _ResidualArcs(net, flow)
+    return _ResidualArcs(net, flow, layer=layer)
 
 
 def mmcc_solve(
@@ -173,22 +181,25 @@ def mmcc_solve(
     rooms, in the scale of the capacities and budgets.  That maximum
     flow is ``initial_feasible_flow``'s, computed once per network:
     solves of one smoothed instance, at any costs and by MMCC or
-    network simplex, share the instance network's.
+    network simplex, share the instance network's.  The costs are
+    those of the draw's cost layer, checked and scaled once: passing the
+    ``tuple`` just given to ``instance.realize`` reuses that call's
+    layer, which the realization's network simplex and shortest-path
+    solves and certificates read too.
     """
     if isinstance(instance, SmoothedInstance):
         if costs is None:
             raise ValueError("a smoothed instance needs sampled costs")
-        # ``realize``'s checks, without building the realized network:
-        # the arcs take the checked costs in place of the network's own
-        checked = instance._checked_costs(costs)
+        # ``realize``'s checks and cost layer, without building the
+        # realized network: the arcs read the draw's layer, never the
+        # instance network's placeholder costs
         net = instance.network
-        res = _start(net, instance.starting_flow)
-        res.costs = checked
+        res = _start(net, instance.starting_flow, instance._checked_costs(costs))
     else:
         if costs is not None:
             raise ValueError("costs are only accepted for smoothed instances")
         net = instance
-        res = _start(net, None)
+        res = _start(net, None, net._costs)
 
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)

@@ -24,7 +24,6 @@ from .core import (
     UnboundedCycleError,
     Violation,
     _DisjointSets,
-    _ResidualArcs,
     _scaled_all,
     _scaled_flow,
     default_iteration_cap,
@@ -242,9 +241,13 @@ def ns_solve(
     The run is exactly the ``Fraction`` loop of ``entering_edge`` and
     ``pivot`` that ``tests/reference.py`` holds, started from the
     tree's flow, with the same options, pivot for pivot.  It is carried
-    out on integers scaled as ``_ResidualArcs`` scales them: costs by
-    their common denominator, flows by that of the capacities and
-    budgets, since tree flows are sums of those.  The tree is hung once
+    out on integers: costs by their common denominator, read from the
+    network's cost layer, which a realization shares with every solver
+    and certificate of its cost draw; flows by that of the capacities
+    and budgets, since tree flows are sums of those.  The scaled
+    capacities are read from the network's arcs at zero flow, which the
+    realizations of one smoothed instance share with its maximum-flow
+    start, so they are built once per instance.  The tree is hung once
     and the start flow and potentials filled down it, with
     ``tree_flow``'s errors; each pivot re-hangs one subtree in place
     and shifts its potentials.  Each pivot is recorded as integers;
@@ -252,16 +255,16 @@ def ns_solve(
     value, and for the pivots when the trace is read.
     """
     # the arcs of ``net`` at zero flow, with the budgets in the flow
-    # scale; built before the structure check, so a negative capacity
+    # scale; read before the structure check, so a negative capacity
     # raises first
-    res = _ResidualArcs(net, extra=net.budgets)
+    zero = net._start.zero_arcs(net)
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
     n, m, root = net.node_count, net.edge_count, structure.root
     tail, head, (order, parent, parent_edge) = _checked_hang(net, structure)
     # edge e's scaled cost and capacity are those of its forward arc 2e
-    cost_scale, flow_scale = res.cost_scale, res.flow_scale
-    cost, cap = res.cost[::2], res.room[::2]
+    layer, flow_scale = net._costs, zero.flow_scale
+    cost_scale, cost, cap = layer.scale, layer.paired[::2], zero.room[::2]
     rank = [e.leaving_rank for e in net.edges]
     # 0: tree edge, +1: pinned at zero (lower), -1: pinned at capacity (upper)
     state = [0] * m

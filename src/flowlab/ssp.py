@@ -25,6 +25,7 @@ from .core import (
     InfeasibleError,
     IterationCapExceeded,
     Trace,
+    _Costs,
     _ResidualArcs,
     _bellman_ford,
     _scaled,
@@ -107,7 +108,7 @@ def ssp_solve(
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
     n = net.node_count
-    res = _ResidualArcs(net, extra=(demand,))
+    res = _ResidualArcs(net, extra=(demand,), layer=net._costs)
     tail, head, cost, room = res.tail, res.head, res.cost, res.room
     # out-arcs by head, then arc id: the order in which ``cheapest_path``
     # tries the tight residual edges leaving a node
@@ -283,7 +284,9 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     network: every realization of one smoothed instance shares them
     with the instance network, and so does the maximum flow of the
     feasible start, which runs on the same widening without building
-    this network.
+    this network.  The widened network's cost layer is ``net``'s,
+    followed by the zero costs of the added edges, so a realization's
+    cost draw is scaled once for its widening too.
     """
     start = net._start
     if start.error is not None:
@@ -309,6 +312,9 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
         node_names=names,
         edge_labels=tuple(labels) if net.edge_labels else None,
     )
+    layer = net._costs
+    zeros = (Fraction(0),) * (len(edges) - net.edge_count)
+    widened.__dict__["_costs"] = _Costs(layer.values + zeros, layer)
     return widened, source, sink, start.demand
 
 

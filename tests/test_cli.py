@@ -172,6 +172,19 @@ def test_parse_seeds_forms():
         _parse_seeds("1,5..3")
 
 
+def test_experiment_names_the_seed_range_that_ends_below_its_start(capsys):
+    # argparse prints the text of the parser's own error, not its
+    # generic "invalid _parse_seeds value"
+    argv = ["experiment", "--family", "random", "--n", "8", "--m", "20", "--phi", "16",
+            "--seeds", "1,5..3"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seeds: seed range '5..3' ends below its start" in err
+    assert "invalid" not in err
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec("nope", 4, 9, Fraction(64), (0,))

@@ -629,7 +629,7 @@ def test_realize_keeps_its_messages_and_its_float_check():
 
 
 def _fused_cost_loop(net):
-    """``_ResidualArcs``'s costs as its constructor used to build them."""
+    """The scaled arc costs as ``_ResidualArcs``'s constructor once built them."""
     scale = lcm(*(e.cost.denominator for e in net.edges))
     cost = []
     for e in net.edges:
@@ -647,20 +647,23 @@ def test_residual_arcs_scale_the_costs_as_the_fused_loop_did():
         inst = gen_random_smoothed(10, 25, 256, seed)
         nets.append(inst.realize(sample_costs(inst, seed)))
     for net in nets:
-        arcs = core._ResidualArcs(net)
-        assert arcs._cost is None and arcs._cost_scale is None
+        # the arcs read the network's cost layer, which scales on first read
+        layer = net._costs
+        assert layer._paired is None and layer._scale is None
+        arcs = core._ResidualArcs(net, layer=layer)
         scale, cost = _fused_cost_loop(net)
         assert (arcs.cost_scale, arcs.cost) == (scale, cost)
         assert all(type(c) is int for c in arcs.cost)
-        assert arcs.cost is arcs.cost
+        assert arcs.cost is arcs.cost is layer.paired
 
 
 def test_max_flow_and_residual_never_scale_the_costs(monkeypatch):
     def refuse(self):
         raise AssertionError("costs scaled")
 
-    monkeypatch.setattr(core._ResidualArcs, "cost", property(refuse))
-    monkeypatch.setattr(core._ResidualArcs, "cost_scale", property(refuse))
+    # costs are scaled in the cost layer only
+    monkeypatch.setattr(core._Costs, "paired", property(refuse))
+    monkeypatch.setattr(core._Costs, "scale", property(refuse))
     inst = gen_random_smoothed(8, 20, 64, 3)
     net = inst.realize(sample_costs(inst, 0))
     value, flow = solve_max_flow(net, 0, 7)

@@ -1,10 +1,13 @@
-"""The computed start that every realization of one instance shares.
+"""The computed start that every realization of one instance shares,
+and the cost layer that every solve of one cost draw shares.
 
-A network's maximum-flow start and budget widening depend on its
-capacities and budgets only, so ``realize`` hands the instance
-network's to every realization, and each is computed once.  These tests
-check that sharing it changes nothing: no trace, flow or error text,
-and no push of one solve leaks into the next.
+A network's maximum-flow start, budget widening and arcs at zero flow
+depend on its capacities and budgets only, so ``realize`` hands the
+instance network's to every realization, and each is computed once.
+A cost draw is checked and scaled once, and its layer is shared by the
+realization, MMCC, network simplex, the widening for SSP and the
+certificates.  These tests check that sharing changes nothing: no
+trace, flow or error text, and no push of one solve leaks into the next.
 """
 
 from dataclasses import replace
@@ -12,7 +15,15 @@ from fractions import Fraction
 
 import pytest
 
-from flowlab.core import FlowNetwork, InfeasibleError
+from flowlab import core
+from flowlab.core import (
+    CostInterval,
+    Flow,
+    FlowNetwork,
+    InfeasibleError,
+    SmoothedInstance,
+    verify_optimality,
+)
 from flowlab.experiment import ALGORITHMS, solve
 from flowlab.generators import gen_random_smoothed, sample_costs
 from flowlab.mmcc import initial_feasible_flow, mmcc_solve
@@ -150,3 +161,141 @@ def test_the_computed_start_builds_no_widened_network(monkeypatch):
     # the widened network is built when it is asked for
     concentrate_budgets(inst.network)
     assert built[-1].node_count == inst.network.node_count + 2
+
+
+def test_one_cost_draw_is_checked_and_scaled_once(monkeypatch):
+    inst = feasible_instances(1)[0]
+    costs = sample_costs(inst, 0)
+    layers, checks, scaled = [], [], []
+    init, inside, scale = core._Costs.__init__, core._inside, core._scaled_all
+    monkeypatch.setattr(
+        core._Costs, "__init__", lambda self, *args: layers.append(self) or init(self, *args)
+    )
+    monkeypatch.setattr(core, "_inside", lambda *args: checks.append(args) or inside(*args))
+    monkeypatch.setattr(
+        core, "_scaled_all", lambda values, *rest: scaled.append(values) or scale(values, *rest)
+    )
+    # the cross_check calls, then a certificate of each flow
+    net = inst.realize(costs)
+    warm = initial_feasible_flow(net)
+    by_cycles = mmcc_solve(inst, costs)
+    structure, _ = basic_structure_from_flow(net, warm)
+    by_pivots = ns_solve(net, structure)
+    wide, source, sink, demand = concentrate_budgets(net)
+    by_paths = ssp_solve(wide, source, sink, demand)
+    cut = Flow(by_paths.final_flow.values[: net.edge_count])
+    for flow in (by_cycles.final_flow, by_pivots.final_flow, cut):
+        assert verify_optimality(net, flow) is None
+    # one check and one layer for the draw; the widening's reads it
+    layer = net._costs
+    assert len(checks) == 1
+    assert layers == [layer, wide._costs]
+    assert wide._costs.values == layer.values + (Fraction(0),) * (wide.edge_count - net.edge_count)
+    assert wide._costs.scale == layer.scale
+    # the costs were scaled to integers once, for all three solvers and
+    # the certificates
+    assert [values for values in scaled if values is layer.values] == [layer.values]
+    assert wide._costs.paired[: len(layer.paired)] == layer.paired
+
+
+def test_the_zero_flow_arcs_are_built_once_per_instance(monkeypatch):
+    inst = without_start(feasible_instances(1)[0])
+    budgets = inst.network.budgets
+    built, pushed = [], []
+    init, push = core._ResidualArcs.__init__, core._ResidualArcs.push
+
+    def counted(self, net, flow=None, extra=(), layer=None):
+        # the zero-flow arcs are the only ones built with the budgets
+        if extra is budgets:
+            built.append(self)
+        init(self, net, flow, extra, layer)
+
+    monkeypatch.setattr(core._ResidualArcs, "__init__", counted)
+    monkeypatch.setattr(
+        core._ResidualArcs, "push", lambda self, *args: pushed.append(self) or push(self, *args)
+    )
+    for seed in range(3):
+        costs = sample_costs(inst, seed)
+        cross_check_calls(inst, costs)
+        for alg in ALGORITHMS:
+            solve(inst, costs, alg)
+        if seed == 0:
+            zero = inst.network._start.arcs
+            rooms = list(zero.room)
+    assert built == [zero]
+    assert zero.layer is None
+    assert pushed and all(res is not zero for res in pushed)
+    assert zero.room == rooms
+    assert not any(zero.room[1::2])
+
+
+def tiny_instance():
+    """One edge whose cost lies in [0, 1/2]."""
+    net = FlowNetwork.from_data(2, [(0, 1, 1, 0)], [1, -1])
+    return SmoothedInstance(net, (CostInterval(Fraction(0), Fraction(1, 2)),), Fraction(2))
+
+
+def test_an_equal_tuple_holding_a_float_still_raises():
+    inst = tiny_instance()
+    kept = (Fraction(1, 2),)
+    assert inst.realize(kept).edges[0].cost == Fraction(1, 2)
+    # equal, but not the kept tuple: the float is refused, never looked up
+    assert (0.5,) == kept
+    for run in (lambda: inst.realize((0.5,)), lambda: mmcc_solve(inst, (0.5,))):
+        with pytest.raises(TypeError, match="refusing to convert float 0.5"):
+            run()
+
+
+def test_a_list_changed_between_calls_is_checked_again():
+    inst = tiny_instance()
+    costs = [Fraction(1, 4)]
+    assert inst.realize(costs).edges[0].cost == Fraction(1, 4)
+    costs[0] = Fraction(1, 3)
+    assert inst.realize(costs).edges[0].cost == Fraction(1, 3)
+    assert mmcc_solve(inst, costs).final_flow == Flow((Fraction(1),))
+    costs[0] = Fraction(3, 4)
+    for run in (lambda: inst.realize(costs), lambda: mmcc_solve(inst, costs)):
+        with pytest.raises(ValueError, match=r"cost 3/4 for edge \(0,1\) outside"):
+            run()
+
+
+def test_a_bad_cost_raises_the_same_text_every_time():
+    inst = tiny_instance()
+    inst.realize((Fraction(1, 4),))
+    message = "cost 3/4 for edge (0,1) outside its interval [0, 1/2]"
+    bad = (Fraction(3, 4),)
+    for run in (
+        lambda: inst.realize(bad),
+        lambda: inst.realize(bad),
+        lambda: mmcc_solve(inst, bad),
+        lambda: solve(inst, bad, "ns"),
+    ):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == message
+    # an int cost takes the general check, and gives the same text
+    with pytest.raises(ValueError) as info:
+        inst.realize((1,))
+    assert str(info.value) == "cost 1 for edge (0,1) outside its interval [0, 1/2]"
+
+
+def test_copies_never_inherit_a_stale_cost_layer():
+    inst = feasible_instances(1)[0]
+    costs = sample_costs(inst, 0)
+    net = inst.realize(costs)
+    assert net._costs.values == tuple(e.cost for e in net.edges)
+    zero = zero_budget_copy(net)
+    assert zero._costs is not net._costs
+    assert zero._costs.values == net._costs.values
+    dearer = replace(net, edges=tuple(replace(e, cost=e.cost + 1) for e in net.edges))
+    assert dearer._costs.values == tuple(e.cost + 1 for e in net.edges)
+    assert dearer._costs.scale == net._costs.scale
+    # an instance with narrower intervals checks the same tuple again
+    narrow = replace(
+        inst, intervals=tuple(CostInterval(i.lo, Fraction(0)) for i in inst.intervals)
+    )
+    with pytest.raises(ValueError, match="outside its interval"):
+        narrow.realize(costs)
+    with pytest.raises(ValueError, match="outside its interval"):
+        mmcc_solve(narrow, costs)
+    assert inst.realize(costs)._costs is net._costs

@@ -1,4 +1,6 @@
-"""Pinned traces of computed starts: the first twenty feasible draws of
+"""Pinned traces of computed starts, and of stored ones.
+
+The computed starts are the first twenty feasible draws of
 perfbench's ``cross_check`` stream at seed 0, solved by all three solvers.
 
 Each draw is ``gen_random_smoothed(n, m, phi, instance_seed)`` with
@@ -9,12 +11,30 @@ row holds the step count, the degenerate count and ``Trace.digest()``.
 A change to any of them is a change of behaviour: edit the table by
 hand and say why.  The three traces of the first draw, one line per
 step in this order, are the cross_check workload's seed-0 digest.
+
+The stored starts are the generated families' own: network simplex on
+``ns_lower(6,10,64)`` from its stored tree, under Dantzig's rule and
+the strongly feasible one; successive shortest paths on its detour-free
+twin, shipping the predicted pivot count from ``s`` to ``t``; and MMCC
+on ``mmcc_general(8,16,256)`` and ``mmcc_large_phi(4,9)`` from their
+stored flows; each at cost seeds 0 and 1.
 """
 
 import pytest
 
 from flowlab.experiment import solve
-from flowlab.generators import gen_random_smoothed, sample_costs
+from flowlab.generators import (
+    MmccGeneralParams,
+    NsParams,
+    gen_mmcc_general,
+    gen_mmcc_large_phi,
+    gen_ns_lower_bound,
+    gen_random_smoothed,
+    predicted_ns_pivots,
+    sample_costs,
+    strip_q_chain,
+)
+from flowlab.ssp import ssp_solve, zero_budget_copy
 
 # (n, m, phi, instance seed, cost seed), then (algorithm, steps, degenerate, digest)
 PINNED = [
@@ -130,3 +150,63 @@ def test_computed_starts_give_the_pinned_traces(draw, pinned):
         trace = solve(inst, costs, algorithm)
         got = (trace.step_count, trace.degenerate_count, trace.digest())
         assert got == (steps, degenerate, digest), algorithm
+
+
+def _ns_lower(seed, strongly_feasible):
+    inst, tree = gen_ns_lower_bound(NsParams(6, 10, 64))
+    costs = sample_costs(inst, seed)
+    return solve(inst, costs, "ns", structure=tree, strongly_feasible=strongly_feasible)
+
+
+def _ssp_twin(seed):
+    lower, _ = gen_ns_lower_bound(NsParams(6, 10, 64))
+    twin = strip_q_chain(lower)
+    names = twin.network.node_names
+    net = zero_budget_copy(twin.realize(sample_costs(twin, seed)))
+    return ssp_solve(net, names.index("s"), names.index("t"), predicted_ns_pivots(lower))
+
+
+def _mmcc(inst, seed):
+    return solve(inst, sample_costs(inst, seed), "mmcc")
+
+
+STORED_ROWS = {
+    "ns_lower-6-10-64": lambda seed: _ns_lower(seed, False),
+    "ns_lower-6-10-64-strong": lambda seed: _ns_lower(seed, True),
+    "ssp_twin-6-10-64": _ssp_twin,
+    "mmcc_general-8-16-256": lambda seed: _mmcc(
+        gen_mmcc_general(MmccGeneralParams(8, 16, 256)), seed
+    ),
+    "mmcc_large_phi-4-9": lambda seed: _mmcc(gen_mmcc_large_phi(4, 9), seed),
+}
+
+# (row, cost seed), then (steps, degenerate, digest)
+STORED = [
+    (("ns_lower-6-10-64", 0),
+     (142, 22, "cf5c6ca38a00e6df8d050252bef8d243a3c635b3edd69dd2909c3d74dad270fb")),
+    (("ns_lower-6-10-64", 1),
+     (142, 22, "9074584905023b0d0f80672fd62dad591286aea161c09ba27261fb0f10aa5561")),
+    (("ns_lower-6-10-64-strong", 0),
+     (131, 11, "6ef73a0e144a660a0413099c1c85c48c14ce2d6bc8bdd6f56541c1c0bcaf6821")),
+    (("ns_lower-6-10-64-strong", 1),
+     (131, 11, "f5a973731b9b1ae95e5ba68d4c11f6b383ba51c28bce48a39612f109cb2c3334")),
+    (("ssp_twin-6-10-64", 0),
+     (120, 0, "e613d691e574bfab9186673708e30426f40ec06be976720b6bf78bf0a1e20592")),
+    (("ssp_twin-6-10-64", 1),
+     (120, 0, "5c29b2ac805cf8d1e44ee2889ca9b58356f0553b74017d72723901562f68548f")),
+    (("mmcc_general-8-16-256", 0),
+     (62, 0, "660984ace15fb6927b90058c7b0e17953929665c7d3a9a21025d31c78f3df51c")),
+    (("mmcc_general-8-16-256", 1),
+     (62, 0, "7064b278c4e9c5d724f520be0b4ec95155c7969849c9b402ebbf97d5a33c6841")),
+    (("mmcc_large_phi-4-9", 0),
+     (78, 0, "147b88b9b26d9a170cc9b61589cfae7c404fd43b132618f2c31063dc7b181e6d")),
+    (("mmcc_large_phi-4-9", 1),
+     (78, 0, "e88dc301c02386ee9ce7e230ff60a857a6181f23f8dd56c9db6deb235a657cb2")),
+]
+
+
+@pytest.mark.parametrize("row, pinned", STORED, ids=["%s-%d" % row for row, _ in STORED])
+def test_stored_starts_give_the_pinned_traces(row, pinned):
+    name, seed = row
+    trace = STORED_ROWS[name](seed)
+    assert (trace.step_count, trace.degenerate_count, trace.digest()) == pinned
