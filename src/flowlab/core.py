@@ -456,18 +456,6 @@ class Trace:
         )
 
 
-def _inside(bounds: Sequence[tuple[int, int, int, int]], values: Sequence) -> bool:
-    """Whether every value is a ``Fraction`` p/q with a/b <= p/q <= c/d
-    for its bounds ``(a, b, c, d)``, compared cross-multiplied."""
-    for (a, b, c, d), x in zip(bounds, values):
-        if type(x) is not Fraction:
-            return False
-        p, q = x.numerator, x.denominator
-        if a * q > p * b or p * d > c * q:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SmoothedInstance:
     """A flow network whose edge costs are intervals, not fixed numbers.
@@ -519,53 +507,30 @@ class SmoothedInstance:
         realized.__dict__["_costs"] = layer
         return realized
 
-    @cached_property
-    def _bounds(self) -> Optional[list[tuple[int, int, int, int]]]:
-        """Each interval's ``lo`` and ``hi`` as integer pairs ``(a, b)``
-        and ``(c, d)``, a/b and c/d with positive denominators, built once
-        per instance; ``None`` when some bound is not exact.  ``hi`` is
-        not reduced: no gcd is taken, and the comparisons do not need one."""
-        bounds = []
-        for interval in self.intervals:
-            lo, width = interval.lo, interval.width
-            if not (isinstance(lo, _EXACT) and isinstance(width, _EXACT)):
-                return None
-            a, b = lo.numerator, lo.denominator
-            wn, wd = width.numerator, width.denominator
-            bounds.append((a, b, a * wd + wn * b, b * wd))
-        return bounds
-
     def _checked_costs(self, costs: Sequence[Fraction]) -> _Costs:
         """The cost layer of ``costs``, with ``realize``'s errors for a
         wrong count or a cost outside its interval.
 
-        When every cost is a ``Fraction`` it is checked against
-        ``_bounds`` cross-multiplied; otherwise, or at the first cost
-        outside, each is checked as ``CostInterval.contains`` does, so
-        the errors, a float's ``TypeError`` included, are the same.  The
-        layer of the last ``tuple`` is kept and returned for that same
-        object.  It is looked up by identity: a list can change between
-        calls, and an equal tuple can hold a float, which must raise.
+        The layer of the last ``tuple`` is kept and returned for that
+        same object without a second check.  It is looked up by
+        identity: a list can change between calls, and an equal tuple
+        can hold a float, which must raise.
         """
         last = self.__dict__.get("_last_costs")
         if last is not None and last[0] is costs:
             return last[1]
         if len(costs) != self.network.edge_count:
             raise ValueError("expected %d costs, got %d" % (self.network.edge_count, len(costs)))
-        values = tuple(costs)
-        bounds = self._bounds
-        if bounds is None or not _inside(bounds, values):
-            checked = []
-            for edge, interval, cost in zip(self.network.edges, self.intervals, values):
-                cost = rational(cost)
-                if not interval.contains(cost):
-                    raise ValueError(
-                        "cost %s for edge (%d,%d) outside its interval [%s, %s]"
-                        % (cost, edge.tail, edge.head, interval.lo, interval.hi)
-                    )
-                checked.append(cost)
-            values = tuple(checked)
-        layer = _Costs(values)
+        checked = []
+        for edge, interval, cost in zip(self.network.edges, self.intervals, costs):
+            cost = rational(cost)
+            if not interval.contains(cost):
+                raise ValueError(
+                    "cost %s for edge (%d,%d) outside its interval [%s, %s]"
+                    % (cost, edge.tail, edge.head, interval.lo, interval.hi)
+                )
+            checked.append(cost)
+        layer = _Costs(tuple(checked))
         if type(costs) is tuple:
             self.__dict__["_last_costs"] = (costs, layer)
         return layer

@@ -167,11 +167,13 @@ def test_one_cost_draw_is_checked_and_scaled_once(monkeypatch):
     inst = feasible_instances(1)[0]
     costs = sample_costs(inst, 0)
     layers, checks, scaled = [], [], []
-    init, inside, scale = core._Costs.__init__, core._inside, core._scaled_all
+    init, contains, scale = core._Costs.__init__, CostInterval.contains, core._scaled_all
     monkeypatch.setattr(
         core._Costs, "__init__", lambda self, *args: layers.append(self) or init(self, *args)
     )
-    monkeypatch.setattr(core, "_inside", lambda *args: checks.append(args) or inside(*args))
+    monkeypatch.setattr(
+        CostInterval, "contains", lambda self, cost: checks.append(cost) or contains(self, cost)
+    )
     monkeypatch.setattr(
         core, "_scaled_all", lambda values, *rest: scaled.append(values) or scale(values, *rest)
     )
@@ -186,9 +188,9 @@ def test_one_cost_draw_is_checked_and_scaled_once(monkeypatch):
     cut = Flow(by_paths.final_flow.values[: net.edge_count])
     for flow in (by_cycles.final_flow, by_pivots.final_flow, cut):
         assert verify_optimality(net, flow) is None
-    # one check and one layer for the draw; the widening's reads it
+    # each cost checked once, and one layer for the draw; the widening's reads it
     layer = net._costs
-    assert len(checks) == 1
+    assert checks == list(costs)
     assert layers == [layer, wide._costs]
     assert wide._costs.values == layer.values + (Fraction(0),) * (wide.edge_count - net.edge_count)
     assert wide._costs.scale == layer.scale
