@@ -273,30 +273,50 @@ class _Start:
     text of the ``InfeasibleError`` of budgets that do not sum to zero,
     else ``None``.  ``zero_arcs`` builds ``arcs`` on first use, and
     ``mmcc._routed`` fills ``routed``: the arcs at the maximum flow, or
-    the text of its ``InfeasibleError``.  Errors are kept as text, so no
-    traceback and its frames stay alive with the network.
+    the text of its ``InfeasibleError``; ``initial_feasible_flow`` keeps
+    their ``Flow`` in ``flow``.  Errors are kept as text, so no
+    traceback and its frames stay alive with the network.  The start of
+    a widening that ``concentrate_budgets`` built keeps ``origin``, the
+    network widened, whose start lays out its arcs.
     """
 
-    __slots__ = ("scale", "scaled", "demand", "error", "arcs", "routed")
+    __slots__ = ("scale", "scaled", "demand", "error", "arcs", "routed", "flow", "origin")
 
-    def __init__(self, budgets: Sequence[Fraction]):
-        self.scale = scale = lcm(*(b.denominator for b in budgets))
-        self.scaled = scaled = [_scaled(b, scale) for b in budgets]
+    def __init__(self, budgets: Sequence[Fraction], origin: Optional[FlowNetwork] = None):
+        self.scale = scale = lcm(*{b.denominator for b in budgets})
+        self.scaled = scaled = _scaled_all(budgets, scale)
         total = sum(scaled)
         self.error = "budgets sum to %s, not zero" % Fraction(total, scale) if total else None
-        self.demand = Fraction(sum(x for x in scaled if x > 0), scale)
+        self.demand = Fraction(sum(filter((0).__lt__, scaled)), scale)
         self.arcs: Optional[_ResidualArcs] = None
         self.routed: Union[None, _ResidualArcs, str] = None
+        self.flow: Optional[Flow] = None
+        self.origin = origin
 
     def zero_arcs(self, net: FlowNetwork) -> _ResidualArcs:
-        """The arcs of ``net``, whose start this is, at zero flow, with
-        rooms in the scale of the capacities and budgets.  They are built
-        once, with ``_ResidualArcs``'s ``CapacityViolation`` for a
-        negative capacity, and shared: never push on them.  They carry no
-        costs, since the network they were built from may be the instance
-        network with its placeholder costs."""
+        """The arcs of ``concentrate_budgets(net)``, where ``net`` is the
+        network whose start this is, at zero flow: ``net``'s own arcs,
+        then one pair per supply or drain edge of the widening, in its
+        order.  Their rooms are in the scale of the capacities and
+        budgets, which is the widening's scale of its capacities and
+        demand too.  They are built once, with ``_ResidualArcs``'s
+        ``CapacityViolation`` for a negative capacity, and shared: never
+        push on them.  They carry no costs, since the network they were
+        built from may be the instance network with its placeholder
+        costs.  A widening's arcs are its origin's, which hold the same
+        arcs as its own."""
+        if self.arcs is None and self.origin is not None:
+            self.arcs = self.origin._start.zero_arcs(self.origin)
         if self.arcs is None:
-            self.arcs = _ResidualArcs(net, extra=net.budgets)
+            self.arcs = arcs = _ResidualArcs(net, extra=net.budgets)
+            up, source, sink = arcs.flow_scale // self.scale, net.node_count, net.node_count + 1
+            for v, x in enumerate(self.scaled):
+                if x:
+                    # the supply edge (source, v) or the drain edge (v, sink)
+                    a, b = (source, v) if x > 0 else (v, sink)
+                    arcs.tail += (a, b)
+                    arcs.head += (b, a)
+                    arcs.room += (abs(x) * up, 0)
         return self.arcs
 
 
@@ -482,8 +502,8 @@ class SmoothedInstance:
         """Return a concrete network using ``costs`` for the edge costs.
 
         Only the costs differ from ``network``, so the realization shares
-        the instance network's computed start: its budget widening, its
-        arcs at zero flow and, once some solver or
+        the instance network's computed start: its budget widening, the
+        widening's arcs at zero flow and, once some solver or
         ``initial_feasible_flow`` has computed it, its maximum flow.
         Each is computed once per instance, however many cost draws and
         solvers read it.  The realization also carries the draw's cost
@@ -493,18 +513,23 @@ class SmoothedInstance:
         last layer without a second check.
         """
         layer = self._checked_costs(costs)
-        realized = FlowNetwork(
-            node_count=self.network.node_count,
+        net = self.network
+        # the instance network without its checks, which only the costs
+        # could fail; the edges are built by ``Edge``, since a copy of
+        # each one's ``__dict__`` makes every later read of it slower
+        realized = object.__new__(FlowNetwork)
+        realized.__dict__.update(
+            node_count=net.node_count,
             edges=tuple(
                 Edge(e.tail, e.head, e.capacity, c, e.leaving_rank)
-                for e, c in zip(self.network.edges, layer.values)
+                for e, c in zip(net.edges, layer.values)
             ),
-            budgets=self.network.budgets,
-            node_names=self.network.node_names,
-            edge_labels=self.network.edge_labels,
+            budgets=net.budgets,
+            node_names=net.node_names,
+            edge_labels=net.edge_labels,
+            _start=net._start,
+            _costs=layer,
         )
-        realized.__dict__["_start"] = self.network._start
-        realized.__dict__["_costs"] = layer
         return realized
 
     def _checked_costs(self, costs: Sequence[Fraction]) -> _Costs:

@@ -24,7 +24,7 @@ from .generators import (
     predicted_ns_pivots,
     sample_costs,
 )
-from .mmcc import _start, initial_feasible_flow, mmcc_solve
+from .mmcc import initial_feasible_flow, mmcc_solve
 from .netsimplex import basic_structure_from_flow, ns_solve
 from .ssp import concentrate_budgets, ssp_solve
 
@@ -93,8 +93,9 @@ def solve(
         return trace
     if structure is None:
         flow = instance.starting_flow
-        # a stored flow is checked as MMCC's start checks it
-        flow = initial_feasible_flow(net) if flow is None else _start(net, flow).flow()
+        if flow is None:
+            flow = initial_feasible_flow(net)
+        # a stored flow is checked there as MMCC's start checks it
         structure, _ = basic_structure_from_flow(net, flow)
     return ns_solve(net, structure, strongly_feasible=strongly_feasible)
 

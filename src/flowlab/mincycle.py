@@ -46,7 +46,7 @@ import math
 from fractions import Fraction
 from functools import partial
 from itertools import compress, repeat
-from operator import ne, sub, truediv
+from operator import ge, ne, sub, truediv
 from typing import Iterable, Optional, Sequence
 
 from .core import Cycle, FlowLabError, ResidualNetwork, _scaled
@@ -113,9 +113,10 @@ class _MeanSearch:
     A search checks the module's certificate at some levels of its
     table, and stops at the first level where it holds.  Where none
     holds, it builds the rest of the rows, up to level n, and takes
-    Karp's min-max step and cut over the full table.  The candidate mean
-    at level k is the least mean among the cycles cut off the cheapest
-    walk of each level seen so far.
+    Karp's min-max step and cut over the full table, unless it was asked
+    for a negative cycle only and the table shows none.  The candidate
+    mean at level k is the least mean among the cycles cut off the
+    cheapest walk of each level seen so far.
 
     *Check schedule.*  A check costs about as much as building 7 levels
     of a float table (about 16 of an integer table), so checks run only
@@ -205,7 +206,7 @@ class _MeanSearch:
                 if c == row[h]:
                     row[h] = min((table_arcs[b][2] for b in self.into[h] if b in present), default=self.far)
 
-    def __call__(self) -> Optional[tuple[list[int], int, int]]:
+    def __call__(self, negative_only: bool = False) -> Optional[tuple[list[int], int, int]]:
         """The minimum-mean cycle over the arc set ``present``: its arcs
         in walk order and the minimum mean as a pair (num, den) with
         den > 0, or ``None`` when they are acyclic.
@@ -216,6 +217,13 @@ class _MeanSearch:
         witness is the cycle cut of the length-n walk into that node,
         so ties between arcs go to the lowest arc.  A search that stops
         early returns the same cycle and mean.
+
+        With ``negative_only``, a search that builds the full table also
+        returns ``None`` when no cycle has a negative mean, without
+        Karp's min-max step.  By Karp's formula that is when
+        D[n][v] >= min over k < n of D[k][v] at every node v; row 0 is
+        all zeros, so a node with no walk of n arcs, whose entry stays
+        far above 0, passes too.
         """
         n, far = self.n, self.far
         if n == 0 or not self.present:
@@ -250,6 +258,8 @@ class _MeanSearch:
         self._rows += n
 
         last = table[n]
+        if negative_only and all(map(ge, last, map(min, zip(*table[:n])))):
+            return None
         ends = [v for v in range(n) if last[v] <= self.limit]
         if not ends:
             return None

@@ -86,47 +86,37 @@ def initial_feasible_flow(net: FlowNetwork) -> Flow:
     exactly when all virtual arcs saturate.  The flow depends on the
     capacities and budgets only, so it is computed once per network,
     and every realization of one smoothed instance shares the instance
-    network's, its ``InfeasibleError`` text included.
+    network's, its ``InfeasibleError`` text included: each call returns
+    the same ``Flow`` object.
     """
     res = _routed(net)
-    return Flow.zero(net.edge_count) if res is None else res.flow()
+    start = net._start
+    if start.flow is None:
+        start.flow = res.flow()
+    return start.flow
 
 
-def _routed(net: FlowNetwork) -> Optional[_ResidualArcs]:
+def _routed(net: FlowNetwork) -> _ResidualArcs:
     """The arcs of ``net`` at ``initial_feasible_flow``'s flow, with its
-    ``InfeasibleError``, or ``None`` when every budget is zero.
+    ``InfeasibleError``.
 
     They are kept in ``net._start``, which every realization of one
     instance shares: read them, and push on ``copy_for`` copies only.
-    The maximum flow runs on a copy of the start's arcs at zero flow,
-    followed by one arc pair per supply or drain edge of
-    ``concentrate_budgets``'s widening in the same order, so it is the
-    maximum flow on that widening, without the widened network; the
-    flow scale is the lcm of the capacity and budget denominators.
+    The maximum flow runs on a copy of the start's arcs of the budget
+    widening at zero flow, and keeps the rooms of the first ``2m``, the
+    arcs of ``net``; the flow scale is the lcm of the capacity and
+    budget denominators.
     """
     start = net._start
     if start.error is not None:
         raise InfeasibleError(start.error)
-    if start.demand == 0:
-        return None
     if start.routed is None:
-        zero = start.zero_arcs(net)
-        res = zero.copy_for(None)
-        # ends of its own too: the widening's arcs are appended to them
-        res.tail, res.head = zero.tail[:], zero.head[:]
-        k, up = len(res.room), res.flow_scale // start.scale
-        source, sink = net.node_count, net.node_count + 1
-        for v, x in enumerate(start.scaled):
-            if x:
-                # the supply edge (source, v) or the drain edge (v, sink)
-                a, b = (source, v) if x > 0 else (v, sink)
-                res.tail += (a, b)
-                res.head += (b, a)
-                res.room += (abs(x) * up, 0)
-        value = Fraction(_augment(res, net.node_count + 2, source, sink), res.flow_scale)
+        wide = start.zero_arcs(net)
+        res, n, k = wide.copy_for(None), net.node_count, 2 * net.edge_count
+        # from the widening's source n to its sink n + 1
+        value = Fraction(_augment(res, n + 2, n, n + 1), res.flow_scale)
         del res.room[k:]
-        # the instance's own ends again, shared with the zero-flow arcs
-        res.tail, res.head = zero.tail, zero.head
+        res.tail, res.head = wide.tail[:k], wide.head[:k]
         if value != start.demand:
             res = "budgets require %s units but only %s can be routed" % (start.demand, value)
         start.routed = res
@@ -144,8 +134,7 @@ def _start(
     that breaks conservation raises ``InfeasibleError``, and one outside
     its bounds the ``CapacityViolation`` of the residual arcs."""
     if flow is None:
-        res = _routed(net)
-        return _ResidualArcs(net, layer=layer) if res is None else res.copy_for(layer)
+        return _routed(net).copy_for(layer)
     bad = check_feasible(net, flow)
     if bad is not None and bad.kind == "conservation":
         raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
@@ -210,7 +199,9 @@ def mmcc_solve(
     trace = MmccTrace(_step=partial(_iteration, res))
     iterations = trace._records
     while True:
-        found = search()
+        # the last search finds no negative cycle, which ends the run,
+        # so it need not find the minimum mean
+        found = search(negative_only=True)
         if found is None:
             break
         cycle_arcs, mean_num, _ = found

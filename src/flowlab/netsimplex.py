@@ -28,6 +28,7 @@ from .core import (
     _scaled_flow,
     default_iteration_cap,
 )
+from .mmcc import _start
 
 __all__ = [
     "InfeasibleStructureError",
@@ -254,9 +255,9 @@ def ns_solve(
     ``Fraction`` values are built for the final flow, one per distinct
     value, and for the pivots when the trace is read.
     """
-    # the arcs of ``net`` at zero flow, with the budgets in the flow
-    # scale; read before the structure check, so a negative capacity
-    # raises first
+    # the arcs of ``net``'s budget widening at zero flow, the first 2m
+    # of them ``net``'s own, with the budgets in the flow scale; read
+    # before the structure check, so a negative capacity raises first
     zero = net._start.zero_arcs(net)
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
@@ -264,7 +265,7 @@ def ns_solve(
     tail, head, (order, parent, parent_edge) = _checked_hang(net, structure)
     # edge e's scaled cost and capacity are those of its forward arc 2e
     layer, flow_scale = net._costs, zero.flow_scale
-    cost_scale, cost, cap = layer.scale, layer.paired[::2], zero.room[::2]
+    cost_scale, cost, cap = layer.scale, layer.paired[::2], zero.room[: 2 * m : 2]
     rank = [e.leaving_rank for e in net.edges]
     # 0: tree edge, +1: pinned at zero (lower), -1: pinned at capacity (upper)
     state = [0] * m
@@ -299,12 +300,12 @@ def ns_solve(
     def close(termination: str) -> NsTrace:
         trace.termination = termination
         trace.final_flow = _scaled_flow(flow, flow_scale)
-        trace.final_structure = SpanningTreeStructure(
-            tree_edges=frozenset(e for e in range(m) if state[e] == 0),
-            lower=frozenset(e for e in range(m) if state[e] == 1),
-            upper=frozenset(e for e in range(m) if state[e] == -1),
-            root=root,
-        )
+        # the tree, lower and upper edges in one pass: ``state`` 0, 1, -1
+        # picks the list
+        parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+        for e, where in enumerate(state):
+            parts[where].append(e)
+        trace.final_structure = SpanningTreeStructure(*map(frozenset, parts), root=root)
         return trace
 
     mags = ranked = None
@@ -455,39 +456,44 @@ def basic_structure_from_flow(net: FlowNetwork, flow: Flow) -> tuple[SpanningTre
     (choosing the direction that does not increase cost) until the
     strictly-interior edges form a forest; that forest is extended to a
     spanning tree and the remaining edges land in the lower or upper
-    set according to their value.
+    set according to their value.  A flow that breaks conservation
+    raises ``InfeasibleError``, and one outside its bounds
+    ``CapacityViolation``, as MMCC's start from a stored flow does.
+
+    The pushes run on the flow's residual arcs, in integers.  The flow
+    ``initial_feasible_flow(net)`` returns is recognised by identity:
+    its arcs are the start's, already checked and shared by every
+    realization of one smoothed instance.
     """
-    values = list(flow.values)
-
-    def is_free(idx):
-        cap = net.edges[idx].capacity
-        return values[idx] > 0 and (cap is None or values[idx] < cap)
-
+    res = _start(net, None if flow is net._start.flow else flow)
+    m, room = net.edge_count, res.room
+    pushed = False
     while True:
-        cycle = _free_cycle(net, [idx for idx in range(net.edge_count) if is_free(idx)])
+        # free: some flow, and room below an upper bound or no bound
+        free = [e for e in range(m) if room[2 * e + 1] and room[2 * e] != 0]
+        cycle = _free_cycle(net, free)
         if cycle is None:
             break
-        cost = sum(
-            (net.edges[idx].cost if fwd else -net.edges[idx].cost for idx, fwd in cycle),
-            Fraction(0),
-        )
-        if cost > 0:
-            cycle = [(idx, not fwd) for idx, fwd in cycle]
-            cost = -cost
-        delta = _cycle_headroom(net, values, cycle)
-        if delta is None:
-            if cost < 0:
+        # the cycle's arcs, pushed the way that does not raise the cost
+        arcs = [2 * e if fwd else 2 * e + 1 for e, fwd in cycle]
+        cost = net._costs.paired
+        total = sum(cost[a] for a in arcs)
+        if total > 0:
+            arcs = [a ^ 1 for a in arcs]
+        bounded = [room[a] for a in arcs if room[a] is not None]
+        if not bounded:
+            if total:
                 raise UnboundedCycleError("free cycle with negative cost and no cap")
-            cycle = [(idx, not fwd) for idx, fwd in cycle]
-            delta = _cycle_headroom(net, values, cycle)
-        for idx, fwd in cycle:
-            values[idx] += delta if fwd else -delta
+            # the other way every arc is backward, with the flow as room
+            arcs = [a ^ 1 for a in arcs]
+            bounded = [room[a] for a in arcs]
+        res.push(arcs, min(bounded))
+        pushed = True
 
     sets = _DisjointSets(net.node_count)
     tree = []
-    free_ids = [idx for idx in range(net.edge_count) if is_free(idx)]
-    free_set = set(free_ids)
-    for idx in free_ids + [i for i in range(net.edge_count) if i not in free_set]:
+    free_set = set(free)
+    for idx in free + [e for e in range(m) if e not in free_set]:
         e = net.edges[idx]
         if sets.union(e.tail, e.head):
             tree.append(idx)
@@ -496,28 +502,10 @@ def basic_structure_from_flow(net: FlowNetwork, flow: Flow) -> tuple[SpanningTre
             "network is not weakly connected; no spanning tree exists"
         )
     tree_set = frozenset(tree)
-    lower, upper = set(), set()
-    for idx in range(net.edge_count):
-        if idx in tree_set:
-            continue
-        if values[idx] == 0:
-            lower.add(idx)
-        else:
-            cap = net.edges[idx].capacity
-            if cap is None or values[idx] != cap:
-                raise FlowLabError("internal error: off-tree edge still strictly inside bounds")
-            upper.add(idx)
-    return SpanningTreeStructure(tree_set, frozenset(lower), frozenset(upper)), Flow(tuple(values))
-
-
-def _cycle_headroom(net, values, cycle):
-    delta = None
-    for idx, fwd in cycle:
-        cap = net.edges[idx].capacity
-        room = (None if cap is None else cap - values[idx]) if fwd else values[idx]
-        if room is not None and (delta is None or room < delta):
-            delta = room
-    return delta
+    # off the tree every edge is at a bound: no flow, or no room left
+    lower = frozenset(e for e in range(m) if e not in tree_set and not room[2 * e + 1])
+    upper = frozenset(range(m)).difference(tree_set, lower)
+    return SpanningTreeStructure(tree_set, lower, upper), res.flow() if pushed else flow
 
 
 def _free_cycle(net, free_ids):

@@ -27,6 +27,7 @@ from .core import (
     Trace,
     _Costs,
     _ResidualArcs,
+    _Start,
     _bellman_ford,
     _scaled,
     default_iteration_cap,
@@ -86,15 +87,17 @@ def ssp_solve(
 
     The run is exactly the ``Fraction`` loop of ``residual`` and
     ``cheapest_path`` that ``tests/reference.py`` holds, step for step.
-    It is carried out on integers: costs are scaled
-    once by their common denominator, flows by that of the capacities
-    and the demand, and the residual network is kept as paired arcs
-    whose room each augmentation updates in place.  The first labels
-    come from Bellman–Ford; every later step keeps the previous labels
-    as node potentials and runs Dijkstra on the non-negative reduced
-    costs (Edmonds and Karp, 1972).  Each step is recorded as integers;
-    ``Fraction`` values are built for the final flow, and for the steps
-    when the trace is read.
+    It is carried out on integers: costs are scaled once by their common
+    denominator, flows by that of the capacities and the demand, and the
+    residual network is kept as paired arcs whose room each augmentation
+    updates in place.  They start as a copy of the start's arcs at zero
+    flow; on a widening from ``concentrate_budgets`` those are the arcs
+    that the instance's maximum flow runs on, laid out once per smoothed
+    instance.  The first labels come from Bellman–Ford; every later step
+    keeps the previous labels as node potentials and runs Dijkstra on
+    the non-negative reduced costs (Edmonds and Karp, 1972).  Each step
+    is recorded as integers; ``Fraction`` values are built for the final
+    flow, and for the steps when the trace is read.
     """
     demand = rational(demand)
     if demand < 0:
@@ -108,7 +111,11 @@ def ssp_solve(
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
     n = net.node_count
-    res = _ResidualArcs(net, extra=(demand,), layer=net._costs)
+    # a widening's demand is a sum of the budgets, so its denominator
+    # divides the arcs' scale; only another demand may need arcs of its own
+    res = net._start.zero_arcs(net).copy_for(net._costs)
+    if res.flow_scale % demand.denominator:
+        res = _ResidualArcs(net, extra=(demand,), layer=net._costs)
     tail, head, cost, room = res.tail, res.head, res.cost, res.room
     # out-arcs by head, then arc id: the order in which ``cheapest_path``
     # tries the tight residual edges leaving a node
@@ -284,9 +291,11 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     network: every realization of one smoothed instance shares them
     with the instance network, and so does the maximum flow of the
     feasible start, which runs on the same widening without building
-    this network.  The widened network's cost layer is ``net``'s,
-    followed by the zero costs of the added edges, so a realization's
-    cost draw is scaled once for its widening too.
+    this network.  The widened network's start reads the arcs of that
+    maximum flow at zero flow, so ``ssp_solve`` on it builds no arcs of
+    its own.  The widened network's cost layer is ``net``'s, followed
+    by the zero costs of the added edges, so a realization's cost draw
+    is scaled once for its widening too.
     """
     start = net._start
     if start.error is not None:
@@ -315,6 +324,7 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     layer = net._costs
     zeros = (Fraction(0),) * (len(edges) - net.edge_count)
     widened.__dict__["_costs"] = _Costs(layer.values + zeros, layer)
+    widened.__dict__["_start"] = _Start(widened.budgets, net)
     return widened, source, sink, start.demand
 
 

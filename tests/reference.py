@@ -5,11 +5,12 @@ step for step with a loop here: ``reference_solve`` (``entering_edge``
 and ``pivot``), ``reference_ssp`` (``cheapest_path`` over
 ``residual``), ``reference_mmcc`` (``karp_min_mean`` over ``residual``
 and ``augment_cycle``), ``reference_karp``,
-``reference_verify_optimality`` and ``reference_check_feasible``.  The
-other oracles the tests use live here too: ``walk_cost_table`` (Karp's
-table back in rationals), the exhaustive ``brute_force_min_mean`` over
-``enumerate_simple_cycles``, and ``nondegenerate_cycle_paths``, which
-carves paths out of an NS trace.
+``reference_verify_optimality``, ``reference_check_feasible`` and
+``reference_basic_structure`` (free cycles pushed flat in ``Fraction``
+values).  The other oracles the tests use live here too:
+``walk_cost_table`` (Karp's table back in rationals), the exhaustive
+``brute_force_min_mean`` over ``enumerate_simple_cycles``, and
+``nondegenerate_cycle_paths``, which carves paths out of an NS trace.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from flowlab.core import (
     ResidualNetwork,
     UnboundedCycleError,
     Violation,
+    _DisjointSets,
     residual,
 )
 from flowlab.mincycle import _scaled_arcs, _walk_table, karp_min_mean
@@ -38,6 +40,7 @@ from flowlab.netsimplex import (
     NsPivot,
     NsTrace,
     SpanningTreeStructure,
+    _free_cycle,
     _hang,
     compute_potentials,
     tree_flow,
@@ -643,3 +646,68 @@ def reference_check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation
                 "node %s is off by %s" % (net.name_of(v), balance[v]),
             )
     return None
+
+
+def reference_basic_structure(net: FlowNetwork, flow: Flow) -> tuple[SpanningTreeStructure, Flow]:
+    """``basic_structure_from_flow`` as it was over ``Fraction`` values:
+    free cycles, found by the same ``_free_cycle``, are pushed flat the
+    way that does not raise the cost, by the least headroom; the reference
+    for the integer version on feasible flows."""
+    values = list(flow.values)
+
+    def is_free(idx):
+        cap = net.edges[idx].capacity
+        return values[idx] > 0 and (cap is None or values[idx] < cap)
+
+    def headroom(cycle):
+        delta = None
+        for idx, fwd in cycle:
+            cap = net.edges[idx].capacity
+            room = (None if cap is None else cap - values[idx]) if fwd else values[idx]
+            if room is not None and (delta is None or room < delta):
+                delta = room
+        return delta
+
+    while True:
+        cycle = _free_cycle(net, [idx for idx in range(net.edge_count) if is_free(idx)])
+        if cycle is None:
+            break
+        cost = sum(
+            (net.edges[idx].cost if fwd else -net.edges[idx].cost for idx, fwd in cycle),
+            Fraction(0),
+        )
+        if cost > 0:
+            cycle = [(idx, not fwd) for idx, fwd in cycle]
+            cost = -cost
+        delta = headroom(cycle)
+        if delta is None:
+            if cost < 0:
+                raise UnboundedCycleError("free cycle with negative cost and no cap")
+            cycle = [(idx, not fwd) for idx, fwd in cycle]
+            delta = headroom(cycle)
+        for idx, fwd in cycle:
+            values[idx] += delta if fwd else -delta
+
+    sets = _DisjointSets(net.node_count)
+    tree = []
+    free_ids = [idx for idx in range(net.edge_count) if is_free(idx)]
+    free_set = set(free_ids)
+    for idx in free_ids + [i for i in range(net.edge_count) if i not in free_set]:
+        e = net.edges[idx]
+        if sets.union(e.tail, e.head):
+            tree.append(idx)
+    if len(tree) != net.node_count - 1:
+        raise InfeasibleStructureError("network is not weakly connected; no spanning tree exists")
+    tree_set = frozenset(tree)
+    lower, upper = set(), set()
+    for idx in range(net.edge_count):
+        if idx in tree_set:
+            continue
+        if values[idx] == 0:
+            lower.add(idx)
+        else:
+            cap = net.edges[idx].capacity
+            if cap is None or values[idx] != cap:
+                raise FlowLabError("internal error: off-tree edge still strictly inside bounds")
+            upper.add(idx)
+    return SpanningTreeStructure(tree_set, frozenset(lower), frozenset(upper)), Flow(tuple(values))

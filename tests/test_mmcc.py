@@ -546,14 +546,14 @@ def test_the_search_keeps_the_arcs_with_room_across_cancellations(monkeypatch):
     searched = []
     search = _MeanSearch.__call__
 
-    def recorded(self):
+    def recorded(self, *args, **kwargs):
         places = self.present.values()
         assert sorted(places) == list(range(len(self.present_ids))) and len(self.present_arcs) == len(places)
         assert [self.present_ids[i] for i in places] == list(self.present)
         assert [self.present_arcs[i] for i in places] == [self.table_arcs[a] for a in self.present]
         assert self.first_rows == _MeanSearch(self.n, self.arcs, sorted(self.present)).first_rows
         searched.append(set(self.present))
-        return search(self)
+        return search(self, *args, **kwargs)
 
     monkeypatch.setattr(_MeanSearch, "__call__", recorded)
     runs = cancelled = unbounded = 0

@@ -1,5 +1,6 @@
 """Tree-structure bookkeeping and pivot mechanics."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from flowlab import (
+    CapacityViolation,
     Flow,
     FlowNetwork,
     IterationCapExceeded,
@@ -24,8 +26,8 @@ from flowlab.generators import (
     gen_random_smoothed,
     sample_costs,
 )
-from flowlab import netsimplex
-from flowlab.mmcc import initial_feasible_flow, mmcc_solve
+from flowlab import core, netsimplex
+from flowlab.mmcc import _start, initial_feasible_flow, mmcc_solve
 from flowlab.netsimplex import (
     InfeasibleStructureError,
     SpanningTreeStructure,
@@ -37,12 +39,13 @@ from flowlab.netsimplex import (
 )
 from flowlab.core import InfeasibleError
 
-from conftest import random_network
+from conftest import random_network, random_simple_digraph
 from reference import (
     entering_edge,
     nondegenerate_cycle_paths,
     pivot,
     reduced_cost,
+    reference_basic_structure,
     reference_solve,
 )
 
@@ -721,6 +724,140 @@ def test_basic_structure_from_flow_on_an_uncapacitated_free_cycle():
     s, flat = basic_structure_from_flow(zero, one)
     assert flat.values == (Fraction(0),) * 3
     assert s == SpanningTreeStructure(frozenset({0, 1}), frozenset({2}), frozenset())
+
+
+def test_basic_structure_from_flow_rejects_flows_as_mmcc_does():
+    # a negative flow, a flow off conservation, and a flow above its
+    # capacity that also breaks conservation
+    net = FlowNetwork.from_data(3, [(0, 1, 2, 1), (1, 2, 2, 1), (0, 2, 2, 3)], [1, 0, -1])
+    cases = [
+        ((-1, 0, 1), CapacityViolation, "edge 0 carries negative flow -1"),
+        ((1, 0, 0), InfeasibleError, "stored starting flow: conservation: node 1 is off by 1"),
+        ((3, 3, -2), CapacityViolation, "edge 0 carries 3 above capacity 2"),
+    ]
+    for values, error, message in cases:
+        flow = Flow.from_values(values)
+        with pytest.raises(error) as info:
+            basic_structure_from_flow(net, flow)
+        assert str(info.value) == message
+        # the same error as MMCC from that stored flow
+        with pytest.raises(error) as again:
+            _start(net, flow)
+        assert str(again.value) == message
+
+
+def random_feasible_flows(rng):
+    """Networks with fractional capacities, a quarter of the edges
+    uncapacitated, each with its computed start and flows reached from it
+    by random cycle pushes: some to a bound, most to the interior, so
+    they hold free cycles."""
+    while True:
+        n = rng.randint(3, 8)
+        edges = []
+        for t, h in random_simple_digraph(rng, n, rng.randint(n, 3 * n)):
+            cap = None if rng.random() < 0.25 else Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
+            edges.append((t, h, cap, Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+        budgets = [Fraction(0)] * n
+        for _ in range(n // 2):
+            a, b = rng.sample(range(n), 2)
+            amount = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
+            budgets[a] += amount
+            budgets[b] -= amount
+        net = FlowNetwork.from_data(n, edges, budgets)
+        try:
+            start = initial_feasible_flow(net)
+        except InfeasibleError:
+            continue
+        yield net, start
+        values = list(start.values)
+        for _ in range(rng.randint(1, 4)):
+            push_random_cycle(rng, net, values)
+            yield net, Flow(tuple(values))
+
+
+def push_random_cycle(rng, net, values):
+    """Push along the cycle that a random edge closes with a path back,
+    if any, by a random share of its headroom in a random direction."""
+    e = rng.randrange(net.edge_count)
+    tail, head = net.edges[e].tail, net.edges[e].head
+    # a breadth-first path from head back to tail, avoiding edge e
+    back = {head: None}
+    queue = [head]
+    for v in queue:
+        for i, edge in enumerate(net.edges):
+            if i != e and v in (edge.tail, edge.head):
+                w = edge.head if edge.tail == v else edge.tail
+                if w not in back:
+                    back[w] = (v, i, edge.tail == v)
+                    queue.append(w)
+    if tail not in back:
+        return
+    cycle, v = [(e, True)], tail
+    while v != head:
+        v, i, along = back[v]
+        cycle.append((i, along))
+    if rng.random() < 0.5:
+        cycle = [(i, not along) for i, along in cycle]
+    caps = [net.edges[i].capacity for i, _ in cycle]
+    rooms = [
+        values[i] if not along else (None if cap is None else cap - values[i])
+        for (i, along), cap in zip(cycle, caps)
+    ]
+    bounded = [r for r in rooms if r is not None]
+    limit = min(bounded) if bounded else Fraction(rng.randint(1, 4))
+    amount = limit if rng.random() < 0.3 else limit * Fraction(rng.randint(1, 5), 6)
+    for i, along in cycle:
+        values[i] += amount if along else -amount
+
+
+def outcome(build, net, flow):
+    try:
+        return build(net, flow)
+    except (UnboundedCycleError, InfeasibleStructureError) as exc:
+        return type(exc), str(exc)
+
+
+def test_basic_structure_from_flow_matches_the_fraction_reference():
+    rng = random.Random(91)
+    compared = pushed = unbounded = uncapacitated = 0
+    flows = random_feasible_flows(rng)
+    while compared < 400 or unbounded < 3:
+        net, flow = next(flows)
+        expected = outcome(reference_basic_structure, net, flow)
+        # the start itself, an equal copy of it and other flows
+        assert outcome(basic_structure_from_flow, net, flow) == expected
+        assert outcome(basic_structure_from_flow, net, Flow(tuple(flow.values))) == expected
+        compared += 1
+        if expected[0] is UnboundedCycleError:
+            unbounded += 1
+        elif type(expected[0]) is SpanningTreeStructure:
+            pushed += expected[1] != flow
+            uncapacitated += any(e.capacity is None and f > 0 for e, f in zip(net.edges, flow.values))
+    assert pushed > 100 and uncapacitated > 100
+
+
+def test_basic_structure_from_flow_reads_the_start_it_shares():
+    # the computed start is recognised by identity: its arcs are read, not
+    # built again, and never pushed on
+    rng = random.Random(92)
+    for net, flow in itertools.islice(random_feasible_flows(rng), 200):
+        start = net._start
+        if flow is not start.flow:
+            continue
+        rooms = list(start.routed.room)
+        built = []
+        init = core._ResidualArcs.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core._ResidualArcs, "__init__", counted)
+            got = outcome(basic_structure_from_flow, net, flow)
+        assert built == []
+        assert start.routed.room == rooms
+        assert got == outcome(reference_basic_structure, net, flow)
 
 
 def test_ns_solve_hangs_the_tree_once(monkeypatch):

@@ -10,6 +10,7 @@ certificates.  These tests check that sharing changes nothing: no
 trace, flow or error text, and no push of one solve leaks into the next.
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,13 +23,17 @@ from flowlab.core import (
     FlowNetwork,
     InfeasibleError,
     SmoothedInstance,
+    residual,
     verify_optimality,
 )
 from flowlab.experiment import ALGORITHMS, solve
 from flowlab.generators import gen_random_smoothed, sample_costs
+from flowlab.mincycle import _MeanSearch, karp_min_mean
 from flowlab.mmcc import initial_feasible_flow, mmcc_solve
 from flowlab.netsimplex import basic_structure_from_flow, ns_solve
 from flowlab.ssp import concentrate_budgets, ssp_solve, zero_budget_copy
+
+from reference import reference_karp, reference_mmcc, reference_ssp
 
 
 def feasible_instances(count=4):
@@ -156,8 +161,9 @@ def test_the_computed_start_builds_no_widened_network(monkeypatch):
     mmcc_solve(inst, costs)
     assert built == []
     solve(inst, costs, "ns")
-    # the realization only, with the instance's nodes
-    assert [net.node_count for net in built] == [inst.network.node_count]
+    # the realization is a copy of the instance network, checked when
+    # that was built
+    assert built == []
     # the widened network is built when it is asked for
     concentrate_budgets(inst.network)
     assert built[-1].node_count == inst.network.node_count + 2
@@ -201,16 +207,16 @@ def test_one_cost_draw_is_checked_and_scaled_once(monkeypatch):
 
 
 def test_the_zero_flow_arcs_are_built_once_per_instance(monkeypatch):
+    # the arcs of the budget widening at zero flow, which max flow, NS
+    # and SSP read: no other arcs are built, since each solver copies them
+    # or the max flow's
     inst = without_start(feasible_instances(1)[0])
-    budgets = inst.network.budgets
     built, pushed = [], []
     init, push = core._ResidualArcs.__init__, core._ResidualArcs.push
 
-    def counted(self, net, flow=None, extra=(), layer=None):
-        # the zero-flow arcs are the only ones built with the budgets
-        if extra is budgets:
-            built.append(self)
-        init(self, net, flow, extra, layer)
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(core._ResidualArcs, "__init__", counted)
     monkeypatch.setattr(
@@ -221,14 +227,115 @@ def test_the_zero_flow_arcs_are_built_once_per_instance(monkeypatch):
         cross_check_calls(inst, costs)
         for alg in ALGORITHMS:
             solve(inst, costs, alg)
+        wide, *_ = concentrate_budgets(inst.realize(costs))
         if seed == 0:
             zero = inst.network._start.arcs
             rooms = list(zero.room)
+        assert wide._start.zero_arcs(wide) is zero
     assert built == [zero]
+    assert len(zero.room) == 2 * wide.edge_count
     assert zero.layer is None
     assert pushed and all(res is not zero for res in pushed)
     assert zero.room == rooms
     assert not any(zero.room[1::2])
+
+
+def widened_by_hand(net):
+    """``concentrate_budgets(net)`` built from plain tuples: a network
+    that computes its own start."""
+    n = net.node_count
+    edges = [(e.tail, e.head, e.capacity, e.cost) for e in net.edges]
+    for v, b in enumerate(net.budgets):
+        if b > 0:
+            edges.append((n, v, b, 0))
+        elif b < 0:
+            edges.append((v, n + 1, -b, 0))
+    demand = sum((b for b in net.budgets if b > 0), Fraction(0))
+    return FlowNetwork.from_data(n + 2, edges), n, n + 1, demand
+
+
+def ssp_outcome(wide, source, sink, demand):
+    try:
+        trace = ssp_solve(wide, source, sink, demand)
+    except InfeasibleError as exc:
+        return str(exc)
+    return trace, trace.final_flow
+
+
+def test_ssp_on_a_widening_equals_ssp_on_the_same_network_built_by_hand():
+    infeasible = gen_random_smoothed(8, 20, 16, 0)
+    draws = [(inst, sample_costs(inst, k)) for k, inst in enumerate(feasible_instances())]
+    draws.append((infeasible, sample_costs(infeasible, 0)))
+    for inst, costs in draws:
+        net = inst.realize(costs)
+        wide = concentrate_budgets(net)
+        by_hand = widened_by_hand(net)
+        assert wide[0] == by_hand[0] and wide[1:] == by_hand[1:]
+        got = ssp_outcome(*wide)
+        assert got == ssp_outcome(*by_hand)
+        # its own start lays out the same arcs as the shared one
+        own, shared = by_hand[0]._start.zero_arcs(by_hand[0]), wide[0]._start.zero_arcs(wide[0])
+        assert shared is net._start.arcs
+        assert (own.tail, own.head, own.room, own.flow_scale) == (
+            shared.tail, shared.head, shared.room, shared.flow_scale
+        )
+    assert got == "no residual path left with 4 of 4 still to ship"
+
+
+def test_a_demand_finer_than_the_capacities_gets_arcs_of_its_own():
+    # integer capacities, a third of a unit: the start's arcs are in
+    # whole units, so SSP scales its own
+    net = FlowNetwork.from_data(3, [(0, 1, 2, 1), (1, 2, 2, 1), (0, 2, 1, 3)])
+    assert net._start.zero_arcs(net).flow_scale == 1
+    trace = ssp_solve(net, 0, 2, Fraction(7, 3))
+    steps, flow = reference_ssp(net, 0, 2, Fraction(7, 3))
+    assert trace.steps == steps and trace.final_flow == flow
+    assert [s.amount for s in steps] == [Fraction(2), Fraction(1, 3)]
+    assert net._start.zero_arcs(net).flow_scale == 1
+
+
+def test_the_last_search_of_a_solve_skips_the_min_max_step(monkeypatch):
+    # cross_check-sized draws, under the 18 nodes at which a search may
+    # stop early: every search builds the full table, and every one but
+    # the last, which finds no negative cycle, takes Karp's min-max step
+    searches, steps = [], []
+    call, least_worst = _MeanSearch.__call__, _MeanSearch._least_worst
+
+    def counted(self, *args, **kwargs):
+        searches.append(self)
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(_MeanSearch, "__call__", counted)
+    monkeypatch.setattr(
+        _MeanSearch, "_least_worst", lambda search, *args: steps.append(search) or least_worst(search, *args)
+    )
+    rng = random.Random(28)
+    solved = 0
+    while solved < 20:
+        n = rng.randint(10, 16)
+        m, phi = rng.randint(2 * n, 4 * n), rng.choice((16, 64, 256))
+        inst = gen_random_smoothed(n, m, phi, rng.getrandbits(32))
+        costs = sample_costs(inst, rng.getrandbits(32))
+        searches.clear()
+        steps.clear()
+        try:
+            trace = mmcc_solve(inst, costs)
+        except InfeasibleError:
+            continue
+        assert len(searches) == trace.iteration_count + 1
+        assert len(steps) == len(searches) - 1
+        iterations, flow = reference_mmcc(inst.realize(costs), initial_feasible_flow(inst.network))
+        assert trace.iterations == iterations and trace.final_flow == flow
+        solved += 1
+
+
+def test_karp_still_returns_a_cycle_when_no_mean_is_negative():
+    for k, inst in enumerate(feasible_instances()):
+        net = inst.realize(sample_costs(inst, k))
+        r = residual(net, mmcc_solve(net).final_flow)
+        cycle = karp_min_mean(r)
+        assert cycle is not None and cycle.mean_cost >= 0
+        assert cycle == reference_karp(r)
 
 
 def tiny_instance():

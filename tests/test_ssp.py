@@ -459,14 +459,17 @@ def kernel_labels(net, source, sink, demand):
     ``nxt``.  A demand that cannot be met ends the run as usual."""
     arcs, pushed, seen = [], [], []
 
-    class Recorded(ssp._ResidualArcs):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            arcs.append(self)
+    def recorded(make):
+        # the kernel's arcs: a copy of the start's, or arcs of their own
+        def made(*args, **kwargs):
+            arcs.append(make(*args, **kwargs))
+            return arcs[-1]
 
-        def push(self, path, amount):
-            pushed.append(list(path))
-            super().push(path, amount)
+        return made
+
+    def push(res, path, amount):
+        pushed.append(list(path))
+        push_arcs(res, path, amount)
 
     def record(labels, nxt):
         res = arcs[-1]
@@ -482,9 +485,11 @@ def kernel_labels(net, source, sink, demand):
         record(labels, nxt)
         return labels
 
-    dijkstra = ssp._dijkstra_labels
+    dijkstra, push_arcs = ssp._dijkstra_labels, core._ResidualArcs.push
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ssp, "_ResidualArcs", Recorded)
+        patch.setattr(ssp, "_ResidualArcs", recorded(ssp._ResidualArcs))
+        patch.setattr(core._ResidualArcs, "copy_for", recorded(core._ResidualArcs.copy_for))
+        patch.setattr(core._ResidualArcs, "push", push)
         patch.setattr(ssp, "_bellman_ford", bellman_ford)
         patch.setattr(ssp, "_dijkstra_labels", dijkstra_labels)
         try:
