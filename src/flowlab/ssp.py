@@ -12,6 +12,7 @@ and can be compared step by step against other algorithms.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -33,6 +34,7 @@ from .core import (
     default_iteration_cap,
     rational,
 )
+from .mincycle import _FLOAT_EXACT
 
 __all__ = [
     "NegativeCycleError",
@@ -95,8 +97,16 @@ def ssp_solve(
     that the instance's maximum flow runs on, laid out once per smoothed
     instance.  The first labels come from Bellman–Ford; every later step
     keeps the previous labels as node potentials and runs Dijkstra on
-    the non-negative reduced costs (Edmonds and Karp, 1972).  Each step
-    is recorded as integers; ``Fraction`` values are built for the final
+    the non-negative reduced costs (Edmonds and Karp, 1972), over lists
+    of the arcs with room into each node that each augmentation keeps up
+    to date.  With no negative residual cycle a label is the cost of a
+    path of fewer than n arcs, and every sum the searches form stays
+    below ``4 * (n + 1)`` times the largest scaled cost in magnitude;
+    while that is below 2**53 they read a float copy of the costs, in
+    which each of those sums is an exact integer.  Bellman–Ford's labels
+    outgrow the bound only by going round negative cycles whose cost
+    dwarfs the rounding, so such a cycle is still found.  Each step is
+    recorded as integers; ``Fraction`` values are built for the final
     flow, and for the steps when the trace is read.
     """
     demand = rational(demand)
@@ -117,15 +127,21 @@ def ssp_solve(
     if res.flow_scale % demand.denominator:
         res = _ResidualArcs(net, extra=(demand,), layer=net._costs)
     tail, head, cost, room = res.tail, res.head, res.cost, res.room
+    if 4 * (n + 1) * max(map(abs, cost), default=0) < _FLOAT_EXACT:
+        cost = [float(c) for c in cost]
     # out-arcs by head, then arc id: the order in which ``cheapest_path``
     # tries the tight residual edges leaving a node
     out_arcs: list[list[int]] = [[] for _ in range(n)]
-    in_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for a in range(len(tail)):
         out_arcs[tail[a]].append(a)
-        in_arcs[head[a]].append((a, tail[a], cost[a]))
     for arcs in out_arcs:
         arcs.sort(key=head.__getitem__)
+    # the arcs with room at the start, in ascending arc id: the first
+    # labels run over them, and so, listed by head, does every later one
+    live = [(a, head[a], tail[a], cost[a]) for a in res.with_room()]
+    in_arcs: list[list[tuple]] = [[] for _ in range(n)]
+    for a, h, t, c in live:
+        in_arcs[h].append((a, t, c))
 
     trace = SspTrace(_step=partial(_step, source, res))
     steps = trace._records
@@ -167,11 +183,10 @@ def ssp_solve(
             # sink against the arcs with room, in ascending arc id
             dist = [None] * n
             dist[sink] = 0
-            live = [(a, head[a], tail[a], cost[a]) for a in res.with_room()]
             if _bellman_ford(n, live, dist, nxt) is not None:
                 raise NegativeCycleError("path costs keep dropping; negative residual cycle")
         else:
-            dist = _dijkstra_labels(n, sink, in_arcs, room, dist, nxt)
+            dist = _dijkstra_labels(n, sink, in_arcs, dist, nxt)
         if dist[source] is None:
             raise InfeasibleError(
                 "no residual path left with %s of %s still to ship"
@@ -214,47 +229,57 @@ def ssp_solve(
             if r is not None and r < amount:
                 amount = r
         res.push(path, amount)
+        # a path arc may have run out of room, and its reverse, whose room
+        # grew by ``amount``, may have had none; a simple path holds no
+        # arc together with its reverse
+        for a in path:
+            if room[a] == 0:
+                in_arcs[head[a]].remove((a, tail[a], cost[a]))
+            b = a ^ 1
+            if room[b] == amount:
+                insort(in_arcs[head[b]], (b, tail[b], cost[b]))
         steps.append((path, amount))
         remaining -= amount
     trace.final_flow = res.flow()
     return trace
 
 
-def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
+def _dijkstra_labels(n, sink, in_arcs, pot, nxt):
     """Distances to the sink from a reverse Dijkstra on the reduced
     costs ``cost + pot[head] - pot[tail]``, which are non-negative on
-    every arc between nodes that reach the sink.  A node with no
-    potential could not reach the sink before and cannot now.
-    ``nxt[v]`` is set to the arc that gave ``v`` its label, whose head
-    was settled before ``v``.
+    every arc between nodes that reach the sink.  ``in_arcs[v]`` lists
+    the ``(arc, tail, cost)`` of the arcs with room into ``v``, in
+    ascending arc id.  A node with no potential could not reach the sink
+    before and cannot now.  A node's label is written when it is
+    settled, and ``nxt[v]`` is the arc that gave ``v`` its label, whose
+    head was settled before ``v``.
 
     Every heap key is at least the key ``d`` being settled, so a tail
     whose reduced cost makes its candidate equal ``d`` is settled at
     once, from a local stack, without going through the heap.  Every
     node that reaches the sink still gets its exact label."""
-    reduced: list[Optional[int]] = [None] * n
+    labels: list = [None] * n
+    reduced: list = [None] * n
     reduced[sink] = 0
-    done = [False] * n
     heap = [(0, sink)]
     while heap:
         d, v = heappop(heap)
-        if done[v]:
+        if labels[v] is not None:
             continue
-        done[v] = True
+        labels[v] = d + pot[v]
         stack = [v]
         while stack:
             v = stack.pop()
-            base = d + pot[v]
+            base = labels[v]
             for a, u, c in in_arcs[v]:
-                if done[u] or room[a] == 0:
+                if labels[u] is not None:
                     continue
                 pu = pot[u]
                 if pu is None:
                     continue
                 candidate = base + c - pu
                 if candidate == d:
-                    done[u] = True
-                    reduced[u] = d
+                    labels[u] = d + pu
                     nxt[u] = a
                     stack.append(u)
                     continue
@@ -263,7 +288,7 @@ def _dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
                     reduced[u] = candidate
                     nxt[u] = a
                     heappush(heap, (candidate, u))
-    return [None if d is None else d + p for d, p in zip(reduced, pot)]
+    return labels
 
 
 def _step(source: int, res: _ResidualArcs, record) -> SspStep:

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from flowlab.core import (
@@ -23,6 +25,8 @@ from flowlab.core import (
     ResidualEdge,
     SmoothedInstance,
     UnboundedCycleError,
+    check_feasible,
+    flow_cost,
     verify_optimality,
 )
 from flowlab.experiment import solve
@@ -35,7 +39,12 @@ from flowlab.generators import (
     sample_costs,
 )
 from flowlab.mmcc import MmccIteration, initial_feasible_flow, mmcc_solve
-from flowlab.netsimplex import NsPivot, basic_structure_from_flow, ns_solve
+from flowlab.netsimplex import (
+    InfeasibleStructureError,
+    NsPivot,
+    basic_structure_from_flow,
+    ns_solve,
+)
 from flowlab.ssp import NegativeCycleError, SspStep, concentrate_budgets, ssp_solve
 
 NS_LOWER, NS_TREE = gen_ns_lower_bound(NsParams(6, 10, 64))
@@ -152,6 +161,82 @@ def test_each_solver_raises_its_pinned_error(edges, budgets, algorithm, error, m
         solve(inst, [e.cost for e in net.edges], algorithm)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def _random_agreement_case(rng):
+    """A network on 2 to 6 nodes with rational budgets that sum to zero,
+    rational and unbounded capacities and rational costs, a third of them
+    negative; some are disconnected, infeasible or unbounded."""
+    n = rng.randint(2, 6)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = []
+    for a, b in rng.sample(pairs, rng.randint(min(n - 1, len(pairs)), len(pairs))):
+        tail, head = (a, b) if rng.randrange(2) else (b, a)
+        cap = None if rng.randrange(3) == 0 else Fraction(rng.randint(0, 9), rng.randint(1, 3))
+        edges.append((tail, head, cap, Fraction(rng.randint(-5, 9), rng.randint(1, 3))))
+    budgets = [
+        Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.randrange(2) else Fraction(0)
+        for _ in range(n - 1)
+    ]
+    budgets.append(-sum(budgets))
+    return FlowNetwork.from_data(n, edges, budgets=budgets)
+
+
+def _outcome(inst, algorithm):
+    """The solver's trace, or the class of its error."""
+    try:
+        return solve(inst, [e.cost for e in inst.network.edges], algorithm)
+    except FlowLabError as exc:
+        return type(exc)
+
+
+def test_three_solvers_agree_on_random_small_networks():
+    # SSP answers for the others only when the zero flow of the widening
+    # leaves no negative residual cycle, and NS needs a spanning tree;
+    # past those two, the error class or the flow's cost agree.  Where
+    # such a cycle never reaches the sink, SSP does not see it and
+    # returns a feasible flow that is not optimal.
+    rng = random.Random(10)
+    seen = Counter()
+    for _ in range(2000):
+        net = _random_agreement_case(rng)
+        inst = SmoothedInstance(
+            net, tuple(CostInterval(e.cost, Fraction(0)) for e in net.edges), Fraction(1)
+        )
+        traces = {algorithm: _outcome(inst, algorithm) for algorithm in ("mmcc", "ns", "ssp")}
+        got = {
+            algorithm: t if isinstance(t, type) else flow_cost(net, t.final_flow)
+            for algorithm, t in traces.items()
+        }
+        widened = concentrate_budgets(net)[0]
+        negative = verify_optimality(widened, Flow.zero(widened.edge_count)) is not None
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(net.node_count))
+        graph.add_edges_from((e.tail, e.head) for e in net.edges)
+        no_tree = not nx.is_weakly_connected(graph) and got["mmcc"] is not InfeasibleError
+        assert (got["ns"] is InfeasibleStructureError) == no_tree
+        assert got["ssp"] is not NegativeCycleError or negative
+        assert got["mmcc"] is not UnboundedCycleError or negative
+        answers = {got["mmcc"]}
+        answers |= set() if no_tree else {got["ns"]}
+        answers |= set() if negative else {got["ssp"]}
+        assert len(answers) == 1, got
+        kind = got["mmcc"] if isinstance(got["mmcc"], type) else Fraction
+        seen[kind] += 1
+        seen["no tree"] += no_tree
+        if negative:
+            ssp_kind = got["ssp"] if isinstance(got["ssp"], type) else Fraction
+            seen[kind, ssp_kind] += 1
+            if ssp_kind is Fraction:
+                flow = traces["ssp"].final_flow
+                assert check_feasible(net, flow) is None
+                assert verify_optimality(net, flow) is not None
+    # every kind of input, and of answer on a negative cycle, turns up
+    assert seen[Fraction] > 800 and seen[InfeasibleError] > 800
+    assert seen["no tree"] > 10
+    assert seen[Fraction, NegativeCycleError] > 50 and seen[InfeasibleError, NegativeCycleError] > 30
+    assert seen[UnboundedCycleError, NegativeCycleError] > 5
+    assert seen[Fraction, Fraction] + seen[UnboundedCycleError, Fraction] > 10
 
 
 def test_solve_needs_costs():

@@ -456,7 +456,9 @@ def kernel_labels(net, source, sink, demand):
     """Run ``ssp_solve`` and return its residual arcs, the arc ids of
     each path it pushed, and, for every step, the flow and arc rooms the
     kernel's labels were computed on, with the labels and label arcs
-    ``nxt``.  A demand that cannot be met ends the run as usual."""
+    ``nxt``.  Before every Dijkstra run, each node's kept in-arc list
+    must be the arcs with room into it, in ascending arc id, with their
+    tails and costs.  A demand that cannot be met ends the run as usual."""
     arcs, pushed, seen = [], [], []
 
     def recorded(make):
@@ -480,8 +482,14 @@ def kernel_labels(net, source, sink, demand):
         record(dist, nxt)
         return lowered
 
-    def dijkstra_labels(n, sink, in_arcs, room, pot, nxt):
-        labels = dijkstra(n, sink, in_arcs, room, pot, nxt)
+    def dijkstra_labels(n, sink, in_arcs, pot, nxt):
+        res = arcs[-1]
+        expected = [[] for _ in range(n)]
+        for a in res.with_room():
+            expected[res.head[a]].append((a, res.tail[a], res.cost[a]))
+        # a float cost equals the integer it copies
+        assert in_arcs == expected
+        labels = dijkstra(n, sink, in_arcs, pot, nxt)
         record(labels, nxt)
         return labels
 
@@ -503,12 +511,15 @@ def assert_labels_are_distances(net, source, sink, demand):
     """At every step the kernel's labels are ``distances_to_sink`` of
     that step's residual network, each label arc chain runs to the sink
     over tight arcs with room without repeating a node, and the path
-    taken is ``cheapest_path``'s.  Returns the number of steps."""
+    taken is ``cheapest_path``'s.  Labels may be floats, and must then
+    be integral.  Returns the number of steps."""
     res, pushed, seen = kernel_labels(net, source, sink, demand)
     for k, (flow, room, labels, nxt) in enumerate(seen):
         r = residual(net, flow)
         expected = distances_to_sink(r, sink)
-        assert [None if d is None else Fraction(d, res.cost_scale) for d in labels] == expected
+        assert all(d is None or d == int(d) for d in labels)
+        scaled = [None if d is None else Fraction(int(d), res.cost_scale) for d in labels]
+        assert scaled == expected
         for start, label in enumerate(labels):
             if label is None:
                 continue
@@ -557,6 +568,131 @@ def test_ssp_labels_are_the_reference_distances_through_zero_cost_ties(costs, ma
 def test_ssp_labels_are_the_reference_distances_on_ns_lower_twin(params, cost_seed):
     net, source, sink, demand = twin_run(params, cost_seed)
     assert assert_labels_are_distances(net, source, sink, demand) == demand
+
+
+def label_arithmetic(net, source, sink, demand):
+    """The outcome of ``ssp_solve``, the types of the arc costs that its
+    label searches read, and the labels of each search, Bellman–Ford's
+    first."""
+    kinds, searches = set(), []
+
+    def bellman_ford(n, live, dist, nxt):
+        kinds.update(type(c) for _, _, _, c in live)
+        lowered = core._bellman_ford(n, live, dist, nxt)
+        searches.append(list(dist))
+        return lowered
+
+    def dijkstra_labels(n, sink, in_arcs, pot, nxt):
+        kinds.update(type(c) for kept in in_arcs for _, _, c in kept)
+        searches.append(dijkstra(n, sink, in_arcs, pot, nxt))
+        return searches[-1]
+
+    dijkstra = ssp._dijkstra_labels
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ssp, "_bellman_ford", bellman_ford)
+        patch.setattr(ssp, "_dijkstra_labels", dijkstra_labels)
+        got = outcome(ssp_solve, net, source, sink, demand)
+    return got, kinds, searches
+
+
+def float_labels_are_exact(net):
+    """Whether 4 (n + 1) times the largest scaled cost is below 2**53."""
+    scale = lcm(*(e.cost.denominator for e in net.edges))
+    top = max(abs(e.cost) * scale for e in net.edges)
+    return 4 * (net.node_count + 1) * top < 2**53
+
+
+def random_priced_run(rng, n, cost):
+    """A zero-budget network on ``n`` nodes with costs from ``cost()``,
+    rational and unbounded capacities, and a rational demand from the
+    first node to the last, mostly along edges toward the last node."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = []
+    for a, b in rng.sample(pairs, rng.randint(min(len(pairs), n), min(len(pairs), 3 * n))):
+        tail, head = (a, b) if rng.randrange(4) else (b, a)
+        cap = None if rng.randrange(4) == 0 else Fraction(rng.randint(0, 4), rng.randint(1, 3))
+        edges.append((tail, head, cap, cost()))
+    demand = Fraction(rng.randint(0, 16), rng.randint(1, 3))
+    return FlowNetwork.from_data(n, edges), 0, n - 1, demand
+
+
+def assert_labels_match_the_reference(runs):
+    """Every run of ``runs`` ends as ``reference_ssp`` does, and its label
+    searches read float costs exactly when ``float_labels_are_exact``
+    says so (a run with no arc with room reads none).  Returns how many
+    runs read each type, and how many Dijkstra searches they ran."""
+    kinds = Counter()
+    dijkstras = 0
+    for run in runs:
+        got, seen, searches = label_arithmetic(*run)
+        assert got == outcome(reference_ssp, *run)
+        kind = float if float_labels_are_exact(run[0]) else int
+        assert seen <= {kind}
+        kinds[kind] += bool(seen)
+        dijkstras += max(len(searches) - 1, 0)
+    return kinds, dijkstras
+
+
+@pytest.mark.parametrize("scale, kind", [(1, float), (2**50, int)], ids=["floats", "ints"])
+def test_ssp_labels_match_the_reference_in_either_arithmetic(scale, kind):
+    # negative and rational costs, as they are, then scaled by 2**50 and
+    # moved by a few units, which nearly always puts the labels beyond
+    # exact floats, and their sums off the floats' grid
+    rng = random.Random(29)
+
+    def cost():
+        jitter = rng.randint(-3, 3) if scale > 1 else 0
+        return Fraction(rng.randint(-6, 9) * scale + jitter, rng.randint(1, 4))
+
+    runs = [random_priced_run(rng, rng.randint(2, 7), cost) for _ in range(400)]
+    kinds, dijkstras = assert_labels_match_the_reference(runs)
+    assert kinds[kind] > 300
+    assert dijkstras > 200
+
+
+@pytest.mark.parametrize("over, kind", [(0, float), (1, int)], ids=["under", "over"])
+def test_ssp_labels_match_the_reference_at_the_float_bound(over, kind):
+    # integer costs that differ only in their last bits: the largest is
+    # the largest the float labels allow on the network's nodes, or one
+    # more; a fifth of them are negative
+    rng = random.Random(53)
+    runs = []
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        top = (2**53 - 1) // (4 * (n + 1)) + over
+
+        def cost():
+            size = top - rng.randrange(16) if rng.randrange(4) else top
+            return -size if rng.randrange(5) == 0 else size
+
+        runs.append(random_priced_run(rng, n, cost))
+    kinds, dijkstras = assert_labels_match_the_reference(runs)
+    assert kinds[kind] > 120
+    assert dijkstras > 150
+
+
+def test_ssp_float_labels_find_a_negative_cycle_beyond_exact_floats():
+    # a 7-cycle of arcs at minus the float bound, whose edge ids rise
+    # against the sink's direction, so that each Bellman–Ford round goes
+    # round it once and the labels pass 2**53; the cycle is still found
+    n = 8
+    top = (2**53 - 1) // (4 * (n + 1))
+    edges = [(v - 1, v, 1, -top) for v in range(7, 1, -1)] + [(7, 1, 1, -top), (0, 1, 1, 1)]
+    net = FlowNetwork.from_data(n, edges)
+    got, seen, searches = label_arithmetic(net, 0, 7, 1)
+    assert seen == {float}
+    assert min(searches[0]) < -(2**53)
+    assert got == outcome(reference_ssp, net, 0, 7, 1) == (
+        NegativeCycleError,
+        "path costs keep dropping; negative residual cycle",
+    )
+
+
+def test_ssp_twin_labels_run_on_floats():
+    net, source, sink, demand = twin_run((8, 16, 128), 0)
+    got, seen, _ = label_arithmetic(net, source, sink, demand)
+    assert seen == {float}
+    assert len(got[0]) == demand
 
 
 def test_ssp_solve_pins_the_ns_lower_twin_beyond_the_replays():

@@ -15,7 +15,9 @@ step in this order, are the cross_check workload's seed-0 digest.
 The stored starts are the generated families' own: network simplex on
 ``ns_lower(6,10,64)`` from its stored tree, under Dantzig's rule and
 the strongly feasible one; successive shortest paths on its detour-free
-twin, shipping the predicted pivot count from ``s`` to ``t``; and MMCC
+twin and on those of ``ns_lower(8,16,128)`` (perfbench's ``ssp_twin``)
+and ``ns_lower(20,40,64)``, shipping the predicted pivot count from
+``s`` to ``t``; and MMCC
 on ``mmcc_general(8,16,256)`` and ``mmcc_large_phi(4,9)`` from their
 stored flows; each at cost seeds 0 and 1.
 """
@@ -158,8 +160,8 @@ def _ns_lower(seed, strongly_feasible):
     return solve(inst, costs, "ns", structure=tree, strongly_feasible=strongly_feasible)
 
 
-def _ssp_twin(seed):
-    lower, _ = gen_ns_lower_bound(NsParams(6, 10, 64))
+def _ssp_twin(params, seed):
+    lower, _ = gen_ns_lower_bound(NsParams(*params))
     twin = strip_q_chain(lower)
     names = twin.network.node_names
     net = zero_budget_copy(twin.realize(sample_costs(twin, seed)))
@@ -173,7 +175,9 @@ def _mmcc(inst, seed):
 STORED_ROWS = {
     "ns_lower-6-10-64": lambda seed: _ns_lower(seed, False),
     "ns_lower-6-10-64-strong": lambda seed: _ns_lower(seed, True),
-    "ssp_twin-6-10-64": _ssp_twin,
+    "ssp_twin-6-10-64": lambda seed: _ssp_twin((6, 10, 64), seed),
+    "ssp_twin-8-16-128": lambda seed: _ssp_twin((8, 16, 128), seed),
+    "ssp_twin-20-40-64": lambda seed: _ssp_twin((20, 40, 64), seed),
     "mmcc_general-8-16-256": lambda seed: _mmcc(
         gen_mmcc_general(MmccGeneralParams(8, 16, 256)), seed
     ),
@@ -194,6 +198,14 @@ STORED = [
      (120, 0, "e613d691e574bfab9186673708e30426f40ec06be976720b6bf78bf0a1e20592")),
     (("ssp_twin-6-10-64", 1),
      (120, 0, "5c29b2ac805cf8d1e44ee2889ca9b58356f0553b74017d72723901562f68548f")),
+    (("ssp_twin-8-16-128", 0),
+     (512, 0, "10e977bd553b3562b99e79d237cb6ee949fbd7ac63a2dc70c44eb47ccbe70cec")),
+    (("ssp_twin-8-16-128", 1),
+     (512, 0, "3a423499655c5a08a970ed2dfb9ab248ac449f0ac01b7ea60314712f441767ef")),
+    (("ssp_twin-20-40-64", 0),
+     (1120, 0, "7bf55effa5ff0678bff6581f1fc39ce46f155c49065f0550d431c8e0de43072c")),
+    (("ssp_twin-20-40-64", 1),
+     (1120, 0, "569d07ede5b7c8094e9530a0182cfddb877fc83f8eab9b917bd1c07a4ead8000")),
     (("mmcc_general-8-16-256", 0),
      (62, 0, "660984ace15fb6927b90058c7b0e17953929665c7d3a9a21025d31c78f3df51c")),
     (("mmcc_general-8-16-256", 1),
