@@ -56,20 +56,19 @@ class _SeedListError(ValueError, argparse.ArgumentTypeError):
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """Comma-separated seed list; ``a..b`` expands to the inclusive range,
-    and one that ends below its start raises ``ValueError``."""
+    """Comma-separated seed list; ``a..b`` expands to the inclusive range.
+    A chunk that is not an integer or a range, empty ones included, and a
+    range that ends below its start raise ``ValueError``."""
     seeds = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = map(int, chunk.split("..", 1))
-            if hi < lo:
-                raise _SeedListError("seed range %r ends below its start" % chunk)
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(chunk))
-    if not seeds:
-        raise _SeedListError("empty seed list")
+        try:
+            lo, hi = map(int, chunk.split("..", 1)) if ".." in chunk else (int(chunk),) * 2
+        except ValueError:
+            raise _SeedListError("seed %r is not an integer" % chunk) from None
+        if hi < lo:
+            raise _SeedListError("seed range %r ends below its start" % chunk)
+        seeds.extend(range(lo, hi + 1))
     return tuple(seeds)
 
 

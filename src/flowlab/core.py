@@ -508,12 +508,30 @@ class SmoothedInstance:
         Each is computed once per instance, however many cost draws and
         solvers read it.  The realization also carries the draw's cost
         layer: the costs checked once and scaled to integers once, for
-        every solver and certificate of the draw.  Passing the same
-        ``tuple`` again, to ``realize`` or to ``mmcc_solve``, reuses the
-        last layer without a second check.
+        every solver and certificate of the draw.
+
+        The realization of the last ``tuple`` is kept and returned for
+        that same object without a second check, so ``realize(costs)``
+        followed by ``mmcc_solve(instance, costs)`` checks once.  It is
+        looked up by identity: a list can change between calls, and an
+        equal tuple can hold a float, which must raise.
         """
-        layer = self._checked_costs(costs)
+        last = self.__dict__.get("_last_costs")
+        if last is not None and last[0] is costs:
+            return last[1]
         net = self.network
+        if len(costs) != net.edge_count:
+            raise ValueError("expected %d costs, got %d" % (net.edge_count, len(costs)))
+        checked = []
+        for edge, interval, cost in zip(net.edges, self.intervals, costs):
+            cost = rational(cost)
+            if not interval.contains(cost):
+                raise ValueError(
+                    "cost %s for edge (%d,%d) outside its interval [%s, %s]"
+                    % (cost, edge.tail, edge.head, interval.lo, interval.hi)
+                )
+            checked.append(cost)
+        layer = _Costs(tuple(checked))
         # the instance network without its checks, which only the costs
         # could fail; the edges are built by ``Edge``, since a copy of
         # each one's ``__dict__`` makes every later read of it slower
@@ -530,35 +548,9 @@ class SmoothedInstance:
             _start=net._start,
             _costs=layer,
         )
-        return realized
-
-    def _checked_costs(self, costs: Sequence[Fraction]) -> _Costs:
-        """The cost layer of ``costs``, with ``realize``'s errors for a
-        wrong count or a cost outside its interval.
-
-        The layer of the last ``tuple`` is kept and returned for that
-        same object without a second check.  It is looked up by
-        identity: a list can change between calls, and an equal tuple
-        can hold a float, which must raise.
-        """
-        last = self.__dict__.get("_last_costs")
-        if last is not None and last[0] is costs:
-            return last[1]
-        if len(costs) != self.network.edge_count:
-            raise ValueError("expected %d costs, got %d" % (self.network.edge_count, len(costs)))
-        checked = []
-        for edge, interval, cost in zip(self.network.edges, self.intervals, costs):
-            cost = rational(cost)
-            if not interval.contains(cost):
-                raise ValueError(
-                    "cost %s for edge (%d,%d) outside its interval [%s, %s]"
-                    % (cost, edge.tail, edge.head, interval.lo, interval.hi)
-                )
-            checked.append(cost)
-        layer = _Costs(tuple(checked))
         if type(costs) is tuple:
-            self.__dict__["_last_costs"] = (costs, layer)
-        return layer
+            self.__dict__["_last_costs"] = (costs, realized)
+        return realized
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,12 @@ def solve_max_flow(net: FlowNetwork, source: int, sink: int) -> tuple[Fraction, 
 
     The flow value is always finite when every path from the source
     crosses at least one capacitated edge; an unbounded flow raises
-    ``ValueError``.
+    ``ValueError``, as does a source or sink outside the nodes.
     """
     if source == sink:
         raise ValueError("source and sink must differ")
+    if not (0 <= source < net.node_count and 0 <= sink < net.node_count):
+        raise ValueError("source and sink must be nodes")
     res = _ResidualArcs(net)
     value = _augment(res, net.node_count, source, sink)
     return Fraction(value, res.flow_scale), res.flow()

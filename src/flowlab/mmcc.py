@@ -29,7 +29,6 @@ from .core import (
     SmoothedInstance,
     Trace,
     UnboundedCycleError,
-    _Costs,
     _ResidualArcs,
     check_feasible,
     default_iteration_cap,
@@ -125,21 +124,19 @@ def _routed(net: FlowNetwork) -> _ResidualArcs:
     return start.routed
 
 
-def _start(
-    net: FlowNetwork, flow: Optional[Flow], layer: Optional[_Costs] = None
-) -> _ResidualArcs:
+def _start(net: FlowNetwork, flow: Optional[Flow]) -> _ResidualArcs:
     """MMCC's and network simplex's start on ``net``: its arcs at
     ``flow``, a stored flow, or at ``initial_feasible_flow(net)`` when
-    ``flow`` is ``None``, reading the costs of ``layer``.  A stored flow
-    that breaks conservation raises ``InfeasibleError``, and one outside
-    its bounds the ``CapacityViolation`` of the residual arcs."""
+    ``flow`` is ``None``, reading the costs of ``net._costs``.  A stored
+    flow that breaks conservation raises ``InfeasibleError``, and one
+    outside its bounds the ``CapacityViolation`` of the residual arcs."""
     if flow is None:
-        return _routed(net).copy_for(layer)
+        return _routed(net).copy_for(net._costs)
     bad = check_feasible(net, flow)
     if bad is not None and bad.kind == "conservation":
         raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
     # a capacity bound: building the arcs raises at the first bad edge
-    return _ResidualArcs(net, flow, layer=layer)
+    return _ResidualArcs(net, flow, layer=net._costs)
 
 
 def mmcc_solve(
@@ -170,25 +167,21 @@ def mmcc_solve(
     rooms, in the scale of the capacities and budgets.  That maximum
     flow is ``initial_feasible_flow``'s, computed once per network:
     solves of one smoothed instance, at any costs and by MMCC or
-    network simplex, share the instance network's.  The costs are
-    those of the draw's cost layer, checked and scaled once: passing the
-    ``tuple`` just given to ``instance.realize`` reuses that call's
-    layer, which the realization's network simplex and shortest-path
-    solves and certificates read too.
+    network simplex, share the instance network's.  On a smoothed
+    instance the run is on ``instance.realize(costs)``, whose cost layer
+    is checked and scaled once: passing the ``tuple`` just given to
+    ``instance.realize`` solves that call's network, which network
+    simplex, shortest paths and the certificates read too.
     """
     if isinstance(instance, SmoothedInstance):
         if costs is None:
             raise ValueError("a smoothed instance needs sampled costs")
-        # ``realize``'s checks and cost layer, without building the
-        # realized network: the arcs read the draw's layer, never the
-        # instance network's placeholder costs
-        net = instance.network
-        res = _start(net, instance.starting_flow, instance._checked_costs(costs))
+        net, flow = instance.realize(costs), instance.starting_flow
     else:
         if costs is not None:
             raise ValueError("costs are only accepted for smoothed instances")
-        net = instance
-        res = _start(net, None, net._costs)
+        net, flow = instance, None
+    res = _start(net, flow)
 
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
@@ -263,6 +256,8 @@ def shrink_violation(
     """
     if window <= 0:
         raise ValueError("window must be positive")
+    if nodes < 1:
+        raise ValueError("nodes must be positive")
     factor = 1 - Fraction(1, nodes)
     for t in range(len(mean_costs) - window):
         if abs(mean_costs[t + window]) > factor * abs(mean_costs[t]):

@@ -476,7 +476,7 @@ def basic_structure_from_flow(net: FlowNetwork, flow: Flow) -> tuple[SpanningTre
             break
         # the cycle's arcs, pushed the way that does not raise the cost
         arcs = [2 * e if fwd else 2 * e + 1 for e, fwd in cycle]
-        cost = net._costs.paired
+        cost = res.cost
         total = sum(cost[a] for a in arcs)
         if total > 0:
             arcs = [a ^ 1 for a in arcs]

@@ -185,6 +185,18 @@ def test_experiment_names_the_seed_range_that_ends_below_its_start(capsys):
     assert "invalid" not in err
 
 
+@pytest.mark.parametrize("seeds, chunk", [("1,x", "x"), ("1,,2", ""), ("3..x", "3..x")])
+def test_experiment_names_the_seed_that_is_not_an_integer(capsys, seeds, chunk):
+    argv = ["experiment", "--family", "random", "--n", "8", "--m", "20", "--phi", "16",
+            "--seeds", seeds]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seeds: seed %r is not an integer" % chunk in err
+    assert "invalid" not in err
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec("nope", 4, 9, Fraction(64), (0,))

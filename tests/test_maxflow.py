@@ -49,6 +49,12 @@ def test_source_equal_to_sink_rejected():
         max_flow(2, [(0, 1, Fraction(1))], 1, 1)
 
 
+@pytest.mark.parametrize("source, sink", [(0, 5), (0, -1), (-1, 2)])
+def test_source_or_sink_outside_the_nodes_rejected(source, sink):
+    with pytest.raises(ValueError, match="source and sink must be nodes"):
+        max_flow(3, [(0, 1, 2), (1, 2, 3)], source, sink)
+
+
 def test_fractional_capacities():
     arcs = [(0, 1, Fraction(1, 3)), (0, 1, Fraction(1, 6))]
     # parallel arcs are fine at this layer

@@ -261,6 +261,10 @@ def test_halving_violation_detects_slow_decay():
     assert shrink_violation([Fraction(-1)], 2, 5) is None
     with pytest.raises(ValueError):
         shrink_violation(ok, 2, 0)
+    # below one node, 1 - 1/n is undefined or above 1
+    for nodes in (0, -1):
+        with pytest.raises(ValueError, match="nodes must be positive"):
+            shrink_violation(bad, nodes, 2)
 
 
 def test_falling_mean_violation_detects_a_drop():

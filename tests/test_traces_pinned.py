@@ -14,12 +14,15 @@ step in this order, are the cross_check workload's seed-0 digest.
 
 The stored starts are the generated families' own: network simplex on
 ``ns_lower(6,10,64)`` from its stored tree, under Dantzig's rule and
-the strongly feasible one; successive shortest paths on its detour-free
-twin and on those of ``ns_lower(8,16,128)`` (perfbench's ``ssp_twin``)
-and ``ns_lower(20,40,64)``, shipping the predicted pivot count from
-``s`` to ``t``; and MMCC
-on ``mmcc_general(8,16,256)`` and ``mmcc_large_phi(4,9)`` from their
-stored flows; each at cost seeds 0 and 1.
+the strongly feasible one, and on ``ns_lower(10,40,128)`` (perfbench's
+``ns_pivots``) and ``ns_lower(20,40,64)`` under Dantzig's rule;
+successive shortest paths on the detour-free twins of
+``ns_lower(6,10,64)``, ``ns_lower(8,16,128)`` (perfbench's
+``ssp_twin``) and ``ns_lower(20,40,64)``, shipping the predicted pivot
+count from ``s`` to ``t``; and MMCC on ``mmcc_general(8,16,256)``,
+``mmcc_general(12,48,4096)`` (perfbench's ``mmcc_waves``),
+``mmcc_large_phi(4,9)`` and ``mmcc_large_phi(6,16)`` from their stored
+flows; each at cost seeds 0 and 1.
 """
 
 import pytest
@@ -154,8 +157,8 @@ def test_computed_starts_give_the_pinned_traces(draw, pinned):
         assert got == (steps, degenerate, digest), algorithm
 
 
-def _ns_lower(seed, strongly_feasible):
-    inst, tree = gen_ns_lower_bound(NsParams(6, 10, 64))
+def _ns_lower(params, seed, strongly_feasible=False):
+    inst, tree = gen_ns_lower_bound(NsParams(*params))
     costs = sample_costs(inst, seed)
     return solve(inst, costs, "ns", structure=tree, strongly_feasible=strongly_feasible)
 
@@ -173,15 +176,21 @@ def _mmcc(inst, seed):
 
 
 STORED_ROWS = {
-    "ns_lower-6-10-64": lambda seed: _ns_lower(seed, False),
-    "ns_lower-6-10-64-strong": lambda seed: _ns_lower(seed, True),
+    "ns_lower-6-10-64": lambda seed: _ns_lower((6, 10, 64), seed),
+    "ns_lower-6-10-64-strong": lambda seed: _ns_lower((6, 10, 64), seed, True),
+    "ns_lower-10-40-128": lambda seed: _ns_lower((10, 40, 128), seed),
+    "ns_lower-20-40-64": lambda seed: _ns_lower((20, 40, 64), seed),
     "ssp_twin-6-10-64": lambda seed: _ssp_twin((6, 10, 64), seed),
     "ssp_twin-8-16-128": lambda seed: _ssp_twin((8, 16, 128), seed),
     "ssp_twin-20-40-64": lambda seed: _ssp_twin((20, 40, 64), seed),
     "mmcc_general-8-16-256": lambda seed: _mmcc(
         gen_mmcc_general(MmccGeneralParams(8, 16, 256)), seed
     ),
+    "mmcc_general-12-48-4096": lambda seed: _mmcc(
+        gen_mmcc_general(MmccGeneralParams(12, 48, 4096)), seed
+    ),
     "mmcc_large_phi-4-9": lambda seed: _mmcc(gen_mmcc_large_phi(4, 9), seed),
+    "mmcc_large_phi-6-16": lambda seed: _mmcc(gen_mmcc_large_phi(6, 16), seed),
 }
 
 # (row, cost seed), then (steps, degenerate, digest)
@@ -194,6 +203,14 @@ STORED = [
      (131, 11, "6ef73a0e144a660a0413099c1c85c48c14ce2d6bc8bdd6f56541c1c0bcaf6821")),
     (("ns_lower-6-10-64-strong", 1),
      (131, 11, "f5a973731b9b1ae95e5ba68d4c11f6b383ba51c28bce48a39612f109cb2c3334")),
+    (("ns_lower-10-40-128", 0),
+     (1678, 78, "9c463db861d36f3932867f5dd0f43aa783f2566d3bea13c37cbd7c79cec02a6a")),
+    (("ns_lower-10-40-128", 1),
+     (1678, 78, "281904f3c846b57c3749016d4378fd2937476bde82e5cad61d9bb63bac6a01e7")),
+    (("ns_lower-20-40-64", 0),
+     (1174, 54, "a95df25f55b0c8557ba653407bcfbae9515cd576f5398194b7595d89b8ba3de1")),
+    (("ns_lower-20-40-64", 1),
+     (1174, 54, "c247fe2076e12b979625e999583af03e11e9704cc7255dcdebbe01049a28feb2")),
     (("ssp_twin-6-10-64", 0),
      (120, 0, "e613d691e574bfab9186673708e30426f40ec06be976720b6bf78bf0a1e20592")),
     (("ssp_twin-6-10-64", 1),
@@ -210,10 +227,18 @@ STORED = [
      (62, 0, "660984ace15fb6927b90058c7b0e17953929665c7d3a9a21025d31c78f3df51c")),
     (("mmcc_general-8-16-256", 1),
      (62, 0, "7064b278c4e9c5d724f520be0b4ec95155c7969849c9b402ebbf97d5a33c6841")),
+    (("mmcc_general-12-48-4096", 0),
+     (358, 0, "a378039df9075e475dc208eb089c410f57743718d27702fb279973740878b130")),
+    (("mmcc_general-12-48-4096", 1),
+     (358, 0, "3e0d1ca4f7b905cb826cdde7f3385ee12ee6ba0ceb79a02d1062ef40f2ccc73b")),
     (("mmcc_large_phi-4-9", 0),
      (78, 0, "147b88b9b26d9a170cc9b61589cfae7c404fd43b132618f2c31063dc7b181e6d")),
     (("mmcc_large_phi-4-9", 1),
      (78, 0, "e88dc301c02386ee9ce7e230ff60a857a6181f23f8dd56c9db6deb235a657cb2")),
+    (("mmcc_large_phi-6-16", 0),
+     (202, 0, "30dfa920871cd77a9aa15aff2d6417218a43eb5534a2f1ef8d447d3ad0b02ef1")),
+    (("mmcc_large_phi-6-16", 1),
+     (202, 0, "6d263a342238415c044e20d488167d22895194b0906f787f682ec9374eacfe60")),
 ]
 
 
