@@ -57,8 +57,10 @@ class _SeedListError(ValueError, argparse.ArgumentTypeError):
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """Comma-separated seed list; ``a..b`` expands to the inclusive range.
-    A chunk that is not an integer or a range, empty ones included, and a
-    range that ends below its start raise ``ValueError``."""
+    A chunk that is not an integer or a range, empty ones included, a
+    range that ends below its start and a negative seed raise
+    ``ValueError``: ``random.Random`` takes the absolute value of a seed,
+    so seed -k would repeat seed k."""
     seeds = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -68,8 +70,22 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
             raise _SeedListError("seed %r is not an integer" % chunk) from None
         if hi < lo:
             raise _SeedListError("seed range %r ends below its start" % chunk)
+        if lo < 0:
+            raise _SeedListError("seed %r is negative" % chunk)
         seeds.extend(range(lo, hi + 1))
     return tuple(seeds)
+
+
+def _parse_seed(text: str) -> int:
+    """One seed; a negative one raises as in ``_parse_seeds``, and one
+    that is not an integer with argparse's text for ``type=int``."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise _SeedListError("invalid int value: %r" % text) from None
+    if seed < 0:
+        raise _SeedListError("seed %r is negative" % text)
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,20 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--phi", type=Fraction)
-    gen.add_argument("--seed", type=int, default=0, help="structure seed")
+    gen.add_argument("--seed", type=_parse_seed, default=0, help="structure seed")
     gen.add_argument("--out", help="output path; stdout when omitted")
 
     solve = sub.add_parser("solve", help="solve one realization of an instance file")
     solve.add_argument("--input", required=True)
     solve.add_argument("--algorithm", choices=ALGORITHMS, default="mmcc")
-    solve.add_argument("--seed", type=int, default=0, help="cost sample seed")
+    solve.add_argument("--seed", type=_parse_seed, default=0, help="cost sample seed")
     solve.add_argument("--flow-out", help="write the final flow here")
     solve.add_argument("--strongly-feasible", action="store_true")
 
     verify = sub.add_parser("verify", help="check a flow file against an instance")
     verify.add_argument("instance")
     verify.add_argument("flow")
-    verify.add_argument("--seed", type=int, default=0, help="cost sample seed")
+    verify.add_argument("--seed", type=_parse_seed, default=0, help="cost sample seed")
 
     exp = sub.add_parser("experiment", help="sweep seeds and emit a CSV report")
     exp.add_argument("--family", choices=tuple(FAMILIES), required=True)
@@ -106,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--phi", type=Fraction)
     exp.add_argument("--seeds", type=_parse_seeds, required=True)
     exp.add_argument("--algorithm", choices=ALGORITHMS + ("all",), default="mmcc")
-    exp.add_argument("--pair-seed", type=int, default=0)
+    exp.add_argument("--pair-seed", type=_parse_seed, default=0)
     exp.add_argument("--out", help="CSV path; stdout when omitted")
     return parser
 

@@ -11,6 +11,7 @@ by their node sequences.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from copy import copy
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -257,67 +258,121 @@ class FlowNetwork:
     def _costs(self) -> _Costs:
         """The cost layer of these edges' costs, built on first read and
         kept in the instance ``__dict__`` like ``_start``.  A realization
-        gets its cost draw's layer from ``realize`` instead, and a
-        widened network its origin's from ``concentrate_budgets``."""
+        and the widening that ``concentrate_budgets`` returns get theirs
+        from ``_recosted`` instead."""
         return _Costs(tuple(map(attrgetter("cost"), self.edges)))
 
 
 class _Start:
-    """A network's computed start.  It reads the capacities and budgets,
-    never the costs, so every realization of one smoothed instance
-    shares the instance network's (``SmoothedInstance.realize``).
+    """A network's computed start, filled by its own methods only.  It
+    reads the capacities and budgets, never the costs, so every
+    realization of one smoothed instance shares the instance network's
+    (``SmoothedInstance.realize``).
 
     ``scaled`` holds the budgets scaled to integers by their lcm
-    ``scale``, and ``demand`` the supply that ``concentrate_budgets``
-    ships from the source ``n`` to the sink ``n + 1``; ``error`` is the
-    text of the ``InfeasibleError`` of budgets that do not sum to zero,
-    else ``None``.  ``zero_arcs`` builds ``arcs`` on first use, and
-    ``mmcc._routed`` fills ``routed``: the arcs at the maximum flow, or
-    the text of its ``InfeasibleError``; ``initial_feasible_flow`` keeps
-    their ``Flow`` in ``flow``.  Errors are kept as text, so no
-    traceback and its frames stay alive with the network.  The start of
-    a widening that ``concentrate_budgets`` built keeps ``origin``, the
-    network widened, whose start lays out its arcs.
+    ``scale``, and ``demand`` the supply that the widening ships from
+    its source ``n`` to its sink ``n + 1``; ``error`` is the text of the
+    ``InfeasibleError`` of budgets that do not sum to zero, else
+    ``None``.  The widening ``wide``, the arcs at the maximum flow or
+    the text of its ``InfeasibleError`` (``kept``) and their ``flow``
+    are built on first use; ``arcs`` is set on a widening's own start
+    only.  Errors are kept as text, so no traceback and its frames stay
+    alive with the network.
     """
 
-    __slots__ = ("scale", "scaled", "demand", "error", "arcs", "routed", "flow", "origin")
+    __slots__ = ("scale", "scaled", "demand", "error", "wide", "arcs", "kept", "flow")
 
-    def __init__(self, budgets: Sequence[Fraction], origin: Optional[FlowNetwork] = None):
+    def __init__(self, budgets: Sequence[Fraction]):
         self.scale = scale = lcm(*{b.denominator for b in budgets})
         self.scaled = scaled = _scaled_all(budgets, scale)
         total = sum(scaled)
         self.error = "budgets sum to %s, not zero" % Fraction(total, scale) if total else None
         self.demand = Fraction(sum(filter((0).__lt__, scaled)), scale)
+        self.wide: Optional[FlowNetwork] = None
         self.arcs: Optional[_ResidualArcs] = None
-        self.routed: Union[None, _ResidualArcs, str] = None
+        self.kept: Union[None, _ResidualArcs, str] = None
         self.flow: Optional[Flow] = None
-        self.origin = origin
+
+    def widening(self, net: FlowNetwork) -> FlowNetwork:
+        """The budgets of ``net``, whose start this is, widened into one
+        source and one sink, built once: two extra nodes, a cost-free
+        supply edge from the source to every node with positive budget
+        and a matching drain edge into the sink from every node with
+        negative budget, in node order.  Its first ``m`` edges carry the
+        costs of the network it was first built from.  Its own start
+        shares its arcs at zero flow, laid out here, so a negative
+        capacity raises ``_ResidualArcs``'s ``CapacityViolation``."""
+        if self.wide is None:
+            n = net.node_count
+            edges = list(net.edges)
+            labels = list(net.edge_labels) if net.edge_labels else ["" for _ in net.edges]
+            for v, (b, x) in enumerate(zip(net.budgets, self.scaled)):
+                if x > 0:
+                    edges.append(Edge(n, v, b, Fraction(0)))
+                    labels.append("supply")
+                elif x < 0:
+                    edges.append(Edge(v, n + 1, -b, Fraction(0)))
+                    labels.append("drain")
+            names = None
+            if net.node_names is not None:
+                names = (*net.node_names, "super_source", "super_sink")
+            wide = FlowNetwork(
+                n + 2,
+                tuple(edges),
+                (Fraction(0),) * (n + 2),
+                node_names=names,
+                edge_labels=tuple(labels) if net.edge_labels else None,
+            )
+            wide._start.arcs = _ResidualArcs(wide)
+            self.wide = wide
+        return self.wide
 
     def zero_arcs(self, net: FlowNetwork) -> _ResidualArcs:
-        """The arcs of ``concentrate_budgets(net)``, where ``net`` is the
-        network whose start this is, at zero flow: ``net``'s own arcs,
-        then one pair per supply or drain edge of the widening, in its
-        order.  Their rooms are in the scale of the capacities and
-        budgets, which is the widening's scale of its capacities and
-        demand too.  They are built once, with ``_ResidualArcs``'s
-        ``CapacityViolation`` for a negative capacity, and shared: never
-        push on them.  They carry no costs, since the network they were
-        built from may be the instance network with its placeholder
-        costs.  A widening's arcs are its origin's, which hold the same
-        arcs as its own."""
-        if self.arcs is None and self.origin is not None:
-            self.arcs = self.origin._start.zero_arcs(self.origin)
-        if self.arcs is None:
-            self.arcs = arcs = _ResidualArcs(net, extra=net.budgets)
-            up, source, sink = arcs.flow_scale // self.scale, net.node_count, net.node_count + 1
-            for v, x in enumerate(self.scaled):
-                if x:
-                    # the supply edge (source, v) or the drain edge (v, sink)
-                    a, b = (source, v) if x > 0 else (v, sink)
-                    arcs.tail += (a, b)
-                    arcs.head += (b, a)
-                    arcs.room += (abs(x) * up, 0)
-        return self.arcs
+        """The arcs of ``widening(net)`` at zero flow: ``net``'s own, then
+        one pair per supply or drain edge, with rooms in the scale of the
+        capacities and budgets.  They are shared, so never push on them,
+        and carry no costs."""
+        return self.widening(net)._start.arcs if self.arcs is None else self.arcs
+
+    def routed(self, net: FlowNetwork) -> _ResidualArcs:
+        """The arcs of ``net`` at the maximum flow from the widening's
+        source to its sink, run on a copy of ``zero_arcs``, or its
+        ``InfeasibleError``; push on ``copy_for`` copies only."""
+        if self.error is not None:
+            raise InfeasibleError(self.error)
+        if self.kept is None:
+            zero = self.zero_arcs(net)
+            res, n, k = zero.copy_for(None), net.node_count, 2 * net.edge_count
+            value = Fraction(_augment(res, n + 2, n, n + 1), res.flow_scale)
+            del res.room[k:]
+            res.tail, res.head = zero.tail[:k], zero.head[:k]
+            if value != self.demand:
+                res = "budgets require %s units but only %s can be routed" % (self.demand, value)
+            self.kept = res
+        if type(self.kept) is str:
+            raise InfeasibleError(self.kept)
+        return self.kept
+
+    def feasible_flow(self, net: FlowNetwork) -> Flow:
+        """The ``Flow`` of ``routed(net)``, built once."""
+        res = self.routed(net)
+        if self.flow is None:
+            self.flow = res.flow()
+        return self.flow
+
+    def arcs_at(self, net: FlowNetwork, flow: Optional[Flow]) -> _ResidualArcs:
+        """MMCC's and network simplex's start: the arcs of ``net`` at
+        ``flow`` with the costs of ``net._costs``, copied from
+        ``routed(net)`` when ``flow`` is ``None`` or ``feasible_flow``'s.
+        Another flow that breaks conservation raises ``InfeasibleError``,
+        and one outside its bounds the arcs' ``CapacityViolation``."""
+        if flow is None or flow is self.flow:
+            return self.routed(net).copy_for(net._costs)
+        bad = check_feasible(net, flow)
+        if bad is not None and bad.kind == "conservation":
+            raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
+        # a capacity bound: building the arcs raises at the first bad edge
+        return _ResidualArcs(net, flow, layer=net._costs)
 
 
 class _Costs:
@@ -361,6 +416,14 @@ class _Costs:
                 paired[1::2] = map(neg, forward)
             self._paired = paired
         return self._paired
+
+
+def _recosted(net: FlowNetwork, edges: tuple[Edge, ...], layer: _Costs) -> FlowNetwork:
+    """``net`` with ``edges``, which differ from its own in cost only, and
+    their cost layer ``layer``, unchecked and sharing ``net``'s start."""
+    copied = object.__new__(FlowNetwork)
+    copied.__dict__.update(net.__dict__, edges=edges, _start=net._start, _costs=layer)
+    return copied
 
 
 @dataclass(frozen=True)
@@ -532,22 +595,13 @@ class SmoothedInstance:
                 )
             checked.append(cost)
         layer = _Costs(tuple(checked))
-        # the instance network without its checks, which only the costs
-        # could fail; the edges are built by ``Edge``, since a copy of
-        # each one's ``__dict__`` makes every later read of it slower
-        realized = object.__new__(FlowNetwork)
-        realized.__dict__.update(
-            node_count=net.node_count,
-            edges=tuple(
-                Edge(e.tail, e.head, e.capacity, c, e.leaving_rank)
-                for e, c in zip(net.edges, layer.values)
-            ),
-            budgets=net.budgets,
-            node_names=net.node_names,
-            edge_labels=net.edge_labels,
-            _start=net._start,
-            _costs=layer,
+        # the edges are built by ``Edge``, since a copy of each one's
+        # ``__dict__`` makes every later read of it slower
+        edges = tuple(
+            Edge(e.tail, e.head, e.capacity, c, e.leaving_rank)
+            for e, c in zip(net.edges, layer.values)
         )
+        realized = _recosted(net, edges, layer)
         if type(costs) is tuple:
             self.__dict__["_last_costs"] = (costs, realized)
         return realized
@@ -857,6 +911,41 @@ def check_feasible(net: FlowNetwork, flow: Flow) -> Optional[Violation]:
                 "conservation", "node %s is off by %s" % (net.name_of(v), Fraction(b, scale))
             )
     return None
+
+
+def _augment(res: _ResidualArcs, node_count: int, source: int, sink: int) -> int:
+    """Push along shortest paths of ``res`` from ``source`` to ``sink``
+    until none is left, updating its rooms in place; the value shipped,
+    in the flow scale."""
+    head, room = res.head, res.room
+    out: list[list[int]] = [[] for _ in range(node_count)]
+    for a, v in enumerate(res.tail):
+        out[v].append(a)
+
+    value = 0
+    while True:
+        parent_arc = [-1] * node_count
+        parent_arc[source] = -2
+        queue = deque([source])
+        while queue and parent_arc[sink] == -1:
+            for a in out[queue.popleft()]:
+                w = head[a]
+                if parent_arc[w] == -1 and room[a] != 0:
+                    parent_arc[w] = a
+                    queue.append(w)
+        if parent_arc[sink] == -1:
+            return value
+        path = []
+        v = sink
+        while v != source:
+            a = parent_arc[v]
+            path.append(a)
+            v = head[a ^ 1]
+        bottleneck = min((room[a] for a in path if room[a] is not None), default=None)
+        if bottleneck is None:
+            raise ValueError("augmenting path with unbounded capacity; flow is infinite")
+        res.push(path, bottleneck)
+        value += bottleneck
 
 
 def _bellman_ford(n: int, arcs, dist: list, pred: list) -> Optional[int]:

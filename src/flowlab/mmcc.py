@@ -24,16 +24,13 @@ from .core import (
     Cycle,
     Flow,
     FlowNetwork,
-    InfeasibleError,
     IterationCapExceeded,
     SmoothedInstance,
     Trace,
     UnboundedCycleError,
     _ResidualArcs,
-    check_feasible,
     default_iteration_cap,
 )
-from .maxflow import _augment
 from .mincycle import _MeanSearch
 
 __all__ = [
@@ -88,55 +85,7 @@ def initial_feasible_flow(net: FlowNetwork) -> Flow:
     network's, its ``InfeasibleError`` text included: each call returns
     the same ``Flow`` object.
     """
-    res = _routed(net)
-    start = net._start
-    if start.flow is None:
-        start.flow = res.flow()
-    return start.flow
-
-
-def _routed(net: FlowNetwork) -> _ResidualArcs:
-    """The arcs of ``net`` at ``initial_feasible_flow``'s flow, with its
-    ``InfeasibleError``.
-
-    They are kept in ``net._start``, which every realization of one
-    instance shares: read them, and push on ``copy_for`` copies only.
-    The maximum flow runs on a copy of the start's arcs of the budget
-    widening at zero flow, and keeps the rooms of the first ``2m``, the
-    arcs of ``net``; the flow scale is the lcm of the capacity and
-    budget denominators.
-    """
-    start = net._start
-    if start.error is not None:
-        raise InfeasibleError(start.error)
-    if start.routed is None:
-        wide = start.zero_arcs(net)
-        res, n, k = wide.copy_for(None), net.node_count, 2 * net.edge_count
-        # from the widening's source n to its sink n + 1
-        value = Fraction(_augment(res, n + 2, n, n + 1), res.flow_scale)
-        del res.room[k:]
-        res.tail, res.head = wide.tail[:k], wide.head[:k]
-        if value != start.demand:
-            res = "budgets require %s units but only %s can be routed" % (start.demand, value)
-        start.routed = res
-    if type(start.routed) is str:
-        raise InfeasibleError(start.routed)
-    return start.routed
-
-
-def _start(net: FlowNetwork, flow: Optional[Flow]) -> _ResidualArcs:
-    """MMCC's and network simplex's start on ``net``: its arcs at
-    ``flow``, a stored flow, or at ``initial_feasible_flow(net)`` when
-    ``flow`` is ``None``, reading the costs of ``net._costs``.  A stored
-    flow that breaks conservation raises ``InfeasibleError``, and one
-    outside its bounds the ``CapacityViolation`` of the residual arcs."""
-    if flow is None:
-        return _routed(net).copy_for(net._costs)
-    bad = check_feasible(net, flow)
-    if bad is not None and bad.kind == "conservation":
-        raise InfeasibleError("stored starting flow: %s: %s" % (bad.kind, bad.detail))
-    # a capacity bound: building the arcs raises at the first bad edge
-    return _ResidualArcs(net, flow, layer=net._costs)
+    return net._start.feasible_flow(net)
 
 
 def mmcc_solve(
@@ -181,7 +130,7 @@ def mmcc_solve(
         if costs is not None:
             raise ValueError("costs are only accepted for smoothed instances")
         net, flow = instance, None
-    res = _start(net, flow)
+    res = net._start.arcs_at(net, flow)
 
     if iteration_cap is None:
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)

@@ -28,7 +28,6 @@ from .core import (
     _scaled_flow,
     default_iteration_cap,
 )
-from .mmcc import _start
 
 __all__ = [
     "InfeasibleStructureError",
@@ -461,11 +460,11 @@ def basic_structure_from_flow(net: FlowNetwork, flow: Flow) -> tuple[SpanningTre
     ``CapacityViolation``, as MMCC's start from a stored flow does.
 
     The pushes run on the flow's residual arcs, in integers.  The flow
-    ``initial_feasible_flow(net)`` returns is recognised by identity:
-    its arcs are the start's, already checked and shared by every
-    realization of one smoothed instance.
+    ``initial_feasible_flow(net)`` returns is recognised by identity
+    (``_Start.arcs_at``): its arcs are the start's, already checked and
+    shared by every realization of one smoothed instance.
     """
-    res = _start(net, None if flow is net._start.flow else flow)
+    res = net._start.arcs_at(net, flow)
     m, room = net.edge_count, res.room
     pushed = False
     while True:

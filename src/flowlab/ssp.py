@@ -20,7 +20,6 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .core import (
-    Edge,
     FlowLabError,
     FlowNetwork,
     InfeasibleError,
@@ -28,8 +27,8 @@ from .core import (
     Trace,
     _Costs,
     _ResidualArcs,
-    _Start,
     _bellman_ford,
+    _recosted,
     _scaled,
     default_iteration_cap,
     rational,
@@ -103,11 +102,14 @@ def ssp_solve(
     path of fewer than n arcs, and every sum the searches form stays
     below ``4 * (n + 1)`` times the largest scaled cost in magnitude;
     while that is below 2**53 they read a float copy of the costs, in
-    which each of those sums is an exact integer.  Bellman–Ford's labels
-    outgrow the bound only by going round negative cycles whose cost
-    dwarfs the rounding, so such a cycle is still found.  Each step is
-    recorded as integers; ``Fraction`` values are built for the final
-    flow, and for the steps when the trace is read.
+    which each of those sums is an exact integer.  Before any path, and
+    whatever the demand, Bellman–Ford from zero labels at every node
+    looks for a negative cycle among the arcs with room, and raises
+    ``NegativeCycleError`` on one, whether or not it reaches the sink.
+    Its labels outgrow the bound only by going round negative cycles
+    whose cost dwarfs the rounding, so such a cycle is still found.
+    Each step is recorded as integers; ``Fraction`` values are built
+    for the final flow, and for the steps when the trace is read.
     """
     demand = rational(demand)
     if demand < 0:
@@ -139,6 +141,11 @@ def ssp_solve(
     # the arcs with room at the start, in ascending arc id: the first
     # labels run over them, and so, listed by head, does every later one
     live = [(a, head[a], tail[a], cost[a]) for a in res.with_room()]
+    # shortest paths need a start with no negative residual cycle, and
+    # labels from the sink never see one that cannot reach it; from zero
+    # at every node, over the reversed arcs, the check sees every one
+    if _bellman_ford(n, live, [0] * n, [-1] * n) is not None:
+        raise NegativeCycleError("path costs keep dropping; negative residual cycle")
     in_arcs: list[list[tuple]] = [[] for _ in range(n)]
     for a, h, t, c in live:
         in_arcs[h].append((a, t, c))
@@ -180,11 +187,11 @@ def ssp_solve(
             )
         if dist is None:
             # the reference ``distances_to_sink``: labels run from the
-            # sink against the arcs with room, in ascending arc id
+            # sink against the arcs with room, in ascending arc id, and
+            # settle, since the check found no negative cycle
             dist = [None] * n
             dist[sink] = 0
-            if _bellman_ford(n, live, dist, nxt) is not None:
-                raise NegativeCycleError("path costs keep dropping; negative residual cycle")
+            _bellman_ford(n, live, dist, nxt)
         else:
             dist = _dijkstra_labels(n, sink, in_arcs, dist, nxt)
         if dist[source] is None:
@@ -311,46 +318,23 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     budget, plus the source id, sink id, and total demand.  A flow on
     the original network corresponds to a widened flow that saturates
     all the added edges.  Budgets that do not sum to zero raise
-    ``InfeasibleError``: no flow meets them.  The sums and signs are
-    taken on the budgets scaled to integers by their lcm, once per
-    network: every realization of one smoothed instance shares them
-    with the instance network, and so does the maximum flow of the
-    feasible start, which runs on the same widening without building
-    this network.  The widened network's start reads the arcs of that
-    maximum flow at zero flow, so ``ssp_solve`` on it builds no arcs of
-    its own.  The widened network's cost layer is ``net``'s, followed
-    by the zero costs of the added edges, so a realization's cost draw
-    is scaled once for its widening too.
+    ``InfeasibleError``: no flow meets them, and a negative capacity
+    ``CapacityViolation``.  The widening is built once per network, by
+    ``net._start``, which every realization of one smoothed instance
+    shares with the instance network, and so does the maximum flow of
+    the feasible start, which runs on its arcs at zero flow; each call
+    only gives it ``net``'s costs.  The result shares the widening's
+    start, so ``ssp_solve`` on it builds no arcs of its own.  Its cost
+    layer is ``net``'s, followed by the zero costs of the added edges,
+    so a realization's cost draw is scaled once for its widening too.
     """
     start = net._start
     if start.error is not None:
         raise InfeasibleError(start.error)
-    n = net.node_count
-    source, sink = n, n + 1
-    edges = list(net.edges)
-    labels = list(net.edge_labels) if net.edge_labels else ["" for _ in net.edges]
-    for v, (b, x) in enumerate(zip(net.budgets, start.scaled)):
-        if x > 0:
-            edges.append(Edge(source, v, b, Fraction(0)))
-            labels.append("supply")
-        elif x < 0:
-            edges.append(Edge(v, sink, -b, Fraction(0)))
-            labels.append("drain")
-    names = None
-    if net.node_names is not None:
-        names = (*net.node_names, "super_source", "super_sink")
-    widened = FlowNetwork(
-        n + 2,
-        tuple(edges),
-        (Fraction(0),) * (n + 2),
-        node_names=names,
-        edge_labels=tuple(labels) if net.edge_labels else None,
-    )
-    layer = net._costs
-    zeros = (Fraction(0),) * (len(edges) - net.edge_count)
-    widened.__dict__["_costs"] = _Costs(layer.values + zeros, layer)
-    widened.__dict__["_start"] = _Start(widened.budgets, net)
-    return widened, source, sink, start.demand
+    wide, m, n = start.widening(net), net.edge_count, net.node_count
+    added = wide.edges[m:]
+    layer = _Costs(net._costs.values + (Fraction(0),) * len(added), net._costs)
+    return _recosted(wide, net.edges + added, layer), n, n + 1, start.demand
 
 
 def zero_budget_copy(net: FlowNetwork) -> FlowNetwork:

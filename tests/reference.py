@@ -32,6 +32,7 @@ from flowlab.core import (
     Violation,
     _DisjointSets,
     residual,
+    verify_optimality,
 )
 from flowlab.mincycle import _scaled_arcs, _walk_table, karp_min_mean
 from flowlab.mmcc import MmccIteration, initial_feasible_flow
@@ -394,7 +395,11 @@ def cheapest_path(
 
 def reference_ssp(net, source, sink, demand, limit=None):
     """``ssp_solve`` spelled out as a loop of ``residual`` and
-    ``cheapest_path``: the steps and the flow after them."""
+    ``cheapest_path``: the steps and the flow after them.  A negative
+    cycle in the residual network of the zero flow raises
+    ``NegativeCycleError`` first, whatever the demand."""
+    if verify_optimality(net, Flow.zero(net.edge_count)) is not None:
+        raise NegativeCycleError("path costs keep dropping; negative residual cycle")
     demand = Fraction(demand)
     values = [Fraction(0)] * net.edge_count
     steps = []

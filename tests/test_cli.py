@@ -197,6 +197,36 @@ def test_experiment_names_the_seed_that_is_not_an_integer(capsys, seeds, chunk):
     assert "invalid" not in err
 
 
+EXPERIMENT = ["experiment", "--family", "random", "--n", "8", "--m", "20", "--phi", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (EXPERIMENT + ["--seeds=-2..1"], "argument --seeds: seed '-2..1' is negative"),
+        (EXPERIMENT + ["--seeds", "0,-1"], "argument --seeds: seed '-1' is negative"),
+        (EXPERIMENT + ["--seeds", "0", "--pair-seed", "-3"],
+         "argument --pair-seed: seed '-3' is negative"),
+        (["gen", "--family", "random", "--n", "8", "--m", "20", "--phi", "16", "--seed", "-1"],
+         "argument --seed: seed '-1' is negative"),
+        (["solve", "--input", "none.min", "--seed", "-1"],
+         "argument --seed: seed '-1' is negative"),
+        (["verify", "a.min", "b.flow", "--seed=-2"], "argument --seed: seed '-2' is negative"),
+        # a single seed that is not an integer keeps argparse's text for ``type=int``
+        (EXPERIMENT + ["--seeds", "0", "--pair-seed", "1..2"],
+         "argument --pair-seed: invalid int value: '1..2'"),
+    ],
+    ids=["seed-range", "seed-list", "pair-seed", "gen", "solve", "verify", "not-an-integer"],
+)
+def test_the_command_line_rejects_negative_seeds(capsys, argv, message):
+    # ``random.Random`` takes the absolute value of a seed, so -k would
+    # name the same instance and cost draw as k
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec("nope", 4, 9, Fraction(64), (0,))

@@ -39,7 +39,7 @@ from flowlab.generators import (
     sample_costs,
 )
 from flowlab.maxflow import solve_max_flow
-from flowlab.mmcc import _start, initial_feasible_flow, mmcc_solve
+from flowlab.mmcc import initial_feasible_flow, mmcc_solve
 from flowlab.ssp import concentrate_budgets
 
 from conftest import (
@@ -673,7 +673,7 @@ def test_max_flow_and_residual_never_scale_the_costs(monkeypatch):
     # realization, copied for MMCC and network simplex, and widened
     other = inst.realize(sample_costs(inst, 1))
     assert initial_feasible_flow(inst.network) == initial_feasible_flow(other)
-    assert _start(other, None).flow() == initial_feasible_flow(net)
+    assert other._start.arcs_at(other, None).flow() == initial_feasible_flow(net)
     assert concentrate_budgets(other)[3] > 0
     with pytest.raises(AssertionError, match="costs scaled"):
         verify_optimality(net, flow)

@@ -33,7 +33,6 @@ from flowlab.generators import (
 from flowlab.mincycle import _MeanSearch
 from flowlab.mmcc import (
     MmccTrace,
-    _start,
     default_iteration_cap,
     falling_mean_violation,
     initial_feasible_flow,
@@ -564,7 +563,7 @@ def test_the_search_keeps_the_arcs_with_room_across_cancellations(monkeypatch):
     for inst, seed in kept_arc_set_instances():
         searched.clear()
         trace = mmcc_solve(inst, sample_costs(inst, seed))
-        res = _start(inst.network, inst.starting_flow)
+        res = inst.network._start.arcs_at(inst.network, inst.starting_flow)
         assert len(searched) == trace.iteration_count + 1
         for arcs_searched, (arcs, _, amount) in zip(searched, trace._records):
             assert arcs_searched == set(res.with_room())

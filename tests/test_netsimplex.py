@@ -27,7 +27,7 @@ from flowlab.generators import (
     sample_costs,
 )
 from flowlab import core, netsimplex
-from flowlab.mmcc import _start, initial_feasible_flow, mmcc_solve
+from flowlab.mmcc import initial_feasible_flow, mmcc_solve
 from flowlab.netsimplex import (
     InfeasibleStructureError,
     SpanningTreeStructure,
@@ -742,7 +742,7 @@ def test_basic_structure_from_flow_rejects_flows_as_mmcc_does():
         assert str(info.value) == message
         # the same error as MMCC from that stored flow
         with pytest.raises(error) as again:
-            _start(net, flow)
+            net._start.arcs_at(net, flow)
         assert str(again.value) == message
 
 
@@ -844,7 +844,7 @@ def test_basic_structure_from_flow_reads_the_start_it_shares():
         start = net._start
         if flow is not start.flow:
             continue
-        rooms = list(start.routed.room)
+        rooms = list(start.kept.room)
         built = []
         init = core._ResidualArcs.__init__
 
@@ -856,7 +856,7 @@ def test_basic_structure_from_flow_reads_the_start_it_shares():
             patch.setattr(core._ResidualArcs, "__init__", counted)
             got = outcome(basic_structure_from_flow, net, flow)
         assert built == []
-        assert start.routed.room == rooms
+        assert start.kept.room == rooms
         assert got == outcome(reference_basic_structure, net, flow)
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from flowlab import core
 from flowlab.core import (
+    CapacityViolation,
     CostInterval,
     Flow,
     FlowNetwork,
@@ -97,9 +98,9 @@ def test_realizations_share_the_instance_networks_start():
     assert a._start is b._start is inst.network._start
     flow = initial_feasible_flow(a)
     # the maximum flow ran once, for all three networks
-    routed = inst.network._start.routed
+    kept = inst.network._start.kept
     assert initial_feasible_flow(b) == initial_feasible_flow(inst.network) == flow
-    assert inst.network._start.routed is routed
+    assert inst.network._start.kept is kept
 
 
 def test_a_push_in_one_solve_never_reaches_the_next_start():
@@ -131,7 +132,7 @@ def test_an_infeasible_instance_raises_the_same_text_every_time():
             run()
         assert str(info.value) == message
     # the text is kept, never the exception and its traceback
-    assert inst.network._start.routed == message
+    assert inst.network._start.kept == message
 
 
 def test_replaced_networks_compute_their_own_start():
@@ -151,22 +152,22 @@ def test_replaced_networks_compute_their_own_start():
     assert initial_feasible_flow(net) == flow
 
 
-def test_the_computed_start_builds_no_widened_network(monkeypatch):
+def test_the_widening_is_built_once_per_instance(monkeypatch):
+    # the max-flow start, every solver and every widening for SSP read
+    # the one widened network of the instance's start; a realization and
+    # the network ``concentrate_budgets`` returns are copies with new costs
     inst = without_start(feasible_instances(1)[0])
-    costs = sample_costs(inst, 0)
     built = []
     check = FlowNetwork.__post_init__
     monkeypatch.setattr(FlowNetwork, "__post_init__", lambda net: built.append(net) or check(net))
-    initial_feasible_flow(inst.network)
-    mmcc_solve(inst, costs)
-    assert built == []
-    solve(inst, costs, "ns")
-    # the realization is a copy of the instance network, checked when
-    # that was built
-    assert built == []
-    # the widened network is built when it is asked for
-    concentrate_budgets(inst.network)
-    assert built[-1].node_count == inst.network.node_count + 2
+    for seed in range(3):
+        costs = sample_costs(inst, seed)
+        cross_check_calls(inst, costs)
+        for alg in ALGORITHMS:
+            solve(inst, costs, alg)
+        concentrate_budgets(inst.realize(costs))
+    assert len(built) == 1
+    assert built[0].node_count == inst.network.node_count + 2
 
 
 def test_one_cost_draw_is_checked_and_scaled_once(monkeypatch):
@@ -229,7 +230,7 @@ def test_the_zero_flow_arcs_are_built_once_per_instance(monkeypatch):
             solve(inst, costs, alg)
         wide, *_ = concentrate_budgets(inst.realize(costs))
         if seed == 0:
-            zero = inst.network._start.arcs
+            zero = inst.network._start.zero_arcs(inst.network)
             rooms = list(zero.room)
         assert wide._start.zero_arcs(wide) is zero
     assert built == [zero]
@@ -275,11 +276,27 @@ def test_ssp_on_a_widening_equals_ssp_on_the_same_network_built_by_hand():
         assert got == ssp_outcome(*by_hand)
         # its own start lays out the same arcs as the shared one
         own, shared = by_hand[0]._start.zero_arcs(by_hand[0]), wide[0]._start.zero_arcs(wide[0])
-        assert shared is net._start.arcs
+        assert shared is net._start.zero_arcs(net)
         assert (own.tail, own.head, own.room, own.flow_scale) == (
             shared.tail, shared.head, shared.room, shared.flow_scale
         )
     assert got == "no residual path left with 4 of 4 still to ship"
+
+
+def test_a_negative_capacity_raises_where_the_widening_is_built():
+    # the widening lays out its arcs when it is built, so
+    # ``concentrate_budgets`` raises the text that SSP on the same
+    # network built by hand raises, as the max-flow start does
+    net = FlowNetwork.from_data(3, [(0, 1, 2, 1), (1, 2, -1, 1)], [1, 0, -1])
+    for run in (
+        lambda: concentrate_budgets(net),
+        lambda: concentrate_budgets(net),
+        lambda: ssp_solve(*widened_by_hand(net)),
+        lambda: initial_feasible_flow(net),
+    ):
+        with pytest.raises(CapacityViolation) as info:
+            run()
+        assert str(info.value) == "edge 1 carries 0 above capacity -1"
 
 
 def test_a_demand_finer_than_the_capacities_gets_arcs_of_its_own():

@@ -371,10 +371,23 @@ def test_ssp_solve_raises_on_negative_cycle_at_the_first_step():
     with pytest.raises(NegativeCycleError) as info:
         ssp_solve(net, 0, 4, 1)
     assert outcome(reference_ssp, net, 0, 4, 1) == (NegativeCycleError, str(info.value))
-    # the same triangle cut off from the sink is never seen
+    # the same triangle cut off from the sink raises too, at any demand
     cut = FlowNetwork.from_data(5, edges[:4] + [(0, 4, 2, 1)])
-    assert outcome(ssp_solve, cut, 0, 4, 2) == outcome(reference_ssp, cut, 0, 4, 2)
-    assert [s.path for s in ssp_solve(cut, 0, 4, 2).steps] == [(0, 4)]
+    for demand in (2, 0):
+        assert outcome(ssp_solve, cut, 0, 4, demand) == (NegativeCycleError, str(info.value))
+        assert outcome(reference_ssp, cut, 0, 4, demand) == (NegativeCycleError, str(info.value))
+
+
+def test_ssp_raises_on_a_negative_cycle_that_cannot_reach_the_sink():
+    # the cycle 2 -> 3 -> 2 costs -1: shipping the unit on edge 0 alone,
+    # at cost 1, is not optimal, and MMCC's cost 0 is
+    edges = [(0, 1, 1, 1), (2, 3, 1, -1), (3, 2, 1, 0)]
+    net = FlowNetwork.from_data(4, edges, budgets=[1, -1, 0, 0])
+    assert flow_cost(net, mmcc_solve(net).final_flow) == 0
+    with pytest.raises(NegativeCycleError, match="negative residual cycle"):
+        ssp_solve(*concentrate_budgets(net))
+    with pytest.raises(NegativeCycleError, match="negative residual cycle"):
+        reference_ssp(*concentrate_budgets(net))
 
 
 def test_ssp_solve_iteration_cap_trace_holds_the_first_steps():
@@ -478,6 +491,10 @@ def kernel_labels(net, source, sink, demand):
         seen.append((res.flow(), list(res.room), list(labels), list(nxt)))
 
     def bellman_ford(n, live, dist, nxt):
+        # the negative-cycle check starts from zero at every node; only
+        # the first labels, from the sink, are recorded
+        if None not in dist:
+            return core._bellman_ford(n, live, dist, nxt)
         lowered = core._bellman_ford(n, live, dist, nxt)
         record(dist, nxt)
         return lowered
@@ -578,6 +595,10 @@ def label_arithmetic(net, source, sink, demand):
 
     def bellman_ford(n, live, dist, nxt):
         kinds.update(type(c) for _, _, _, c in live)
+        # the negative-cycle check starts from zero at every node; only
+        # the first labels, from the sink, are recorded
+        if None not in dist:
+            return core._bellman_ford(n, live, dist, nxt)
         lowered = core._bellman_ford(n, live, dist, nxt)
         searches.append(list(dist))
         return lowered
@@ -673,15 +694,26 @@ def test_ssp_labels_match_the_reference_at_the_float_bound(over, kind):
 
 def test_ssp_float_labels_find_a_negative_cycle_beyond_exact_floats():
     # a 7-cycle of arcs at minus the float bound, whose edge ids rise
-    # against the sink's direction, so that each Bellman–Ford round goes
-    # round it once and the labels pass 2**53; the cycle is still found
+    # against the sink's direction, so that each round of the check from
+    # zero labels goes round it once and the labels pass 2**53; the cycle
+    # is still found, before any label from the sink
     n = 8
     top = (2**53 - 1) // (4 * (n + 1))
     edges = [(v - 1, v, 1, -top) for v in range(7, 1, -1)] + [(7, 1, 1, -top), (0, 1, 1, 1)]
     net = FlowNetwork.from_data(n, edges)
-    got, seen, searches = label_arithmetic(net, 0, 7, 1)
+    checks = []
+
+    def bellman_ford(n, live, dist, nxt):
+        lowered = core._bellman_ford(n, live, dist, nxt)
+        checks.append(({type(c) for _, _, _, c in live}, min(dist)))
+        return lowered
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ssp, "_bellman_ford", bellman_ford)
+        got = outcome(ssp_solve, net, 0, 7, 1)
+    [(seen, least)] = checks
     assert seen == {float}
-    assert min(searches[0]) < -(2**53)
+    assert least < -(2**53)
     assert got == outcome(reference_ssp, net, 0, 7, 1) == (
         NegativeCycleError,
         "path costs keep dropping; negative residual cycle",
