@@ -490,22 +490,20 @@ class Trace:
 
     A kernel appends to ``_records`` one compact record per step, made
     of integers it already holds, and sets ``_step``, the function that
-    turns a record into the step object.  ``steps`` builds the step
-    objects on first read and keeps them; the counts read the records.
-    Two traces are equal when their steps and public fields are.
+    turns a record into the step object.  ``steps`` builds a new list of
+    step objects on each read and keeps none, so an unread trace holds
+    only its records; the counts read the records.  Two traces are equal
+    when their steps and public fields are.
     """
 
     final_flow: Optional[Flow] = None
     termination: str = "optimal"
     _records: list = field(default_factory=list, repr=False, compare=False)
     _step: Optional[Callable] = field(default=None, repr=False, compare=False)
-    _steps: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def steps(self) -> list:
-        if self._steps is None:
-            self._steps = list(map(self._step, self._records))
-        return self._steps
+        return list(map(self._step, self._records))
 
     @property
     def step_count(self) -> int:
@@ -950,19 +948,15 @@ def _augment(res: _ResidualArcs, node_count: int, source: int, sink: int) -> int
 
 def _bellman_ford(n: int, arcs, dist: list, pred: list) -> Optional[int]:
     """Relax the ``(arc, from, to, cost)`` tuples of ``arcs`` in order
-    for up to ``n`` rounds; a ``None`` label is not reached yet, and
-    ``pred[v]`` is the arc that last lowered ``v``.  Returns ``None`` when
-    the labels settle, else the last node lowered in round ``n``."""
+    for up to ``n`` rounds; ``pred[v]`` is the arc that last lowered
+    ``v``.  Returns ``None`` when the labels settle, else the last node
+    lowered in round ``n``."""
     lowered = None
     for _ in range(n):
         lowered = None
         for i, a, b, c in arcs:
-            d = dist[a]
-            if d is None:
-                continue
-            candidate = d + c
-            seen = dist[b]
-            if seen is None or candidate < seen:
+            candidate = dist[a] + c
+            if candidate < dist[b]:
                 dist[b] = candidate
                 pred[b] = i
                 lowered = b

@@ -94,20 +94,21 @@ def ssp_solve(
     updates in place.  They start as a copy of the start's arcs at zero
     flow; on a widening from ``concentrate_budgets`` those are the arcs
     that the instance's maximum flow runs on, laid out once per smoothed
-    instance.  The first labels come from Bellman–Ford; every later step
-    keeps the previous labels as node potentials and runs Dijkstra on
-    the non-negative reduced costs (Edmonds and Karp, 1972), over lists
-    of the arcs with room into each node that each augmentation keeps up
-    to date.  With no negative residual cycle a label is the cost of a
-    path of fewer than n arcs, and every sum the searches form stays
-    below ``4 * (n + 1)`` times the largest scaled cost in magnitude;
-    while that is below 2**53 they read a float copy of the costs, in
-    which each of those sums is an exact integer.  Before any path, and
-    whatever the demand, Bellman–Ford from zero labels at every node
-    looks for a negative cycle among the arcs with room, and raises
-    ``NegativeCycleError`` on one, whether or not it reaches the sink.
-    Its labels outgrow the bound only by going round negative cycles
-    whose cost dwarfs the rounding, so such a cycle is still found.
+    instance.  Before any path, and whatever the demand, one
+    Bellman–Ford from zero labels at every node raises
+    ``NegativeCycleError`` on a negative cycle among the arcs with room,
+    whether or not it reaches the sink.  Else its labels, shifted to
+    zero at the sink, are the node potentials of the first step's
+    Dijkstra on non-negative reduced costs, and each step's labels those
+    of the next (Edmonds and Karp, 1972; Johnson, 1977), over lists of
+    the arcs with room into each node that each augmentation keeps up to
+    date.  With no negative residual cycle a label is the cost of a path
+    of fewer than n arcs, and every sum the searches form stays below
+    ``4 * (n + 1)`` times the largest scaled cost in magnitude; while
+    that is below 2**53 they read a float copy of the costs, in which
+    each of those sums is an exact integer.  The check's labels outgrow
+    the bound only by going round negative cycles whose cost dwarfs the
+    rounding, so such a cycle is still found.
     Each step is recorded as integers; ``Fraction`` values are built
     for the final flow, and for the steps when the trace is read.
     """
@@ -138,14 +139,16 @@ def ssp_solve(
         out_arcs[tail[a]].append(a)
     for arcs in out_arcs:
         arcs.sort(key=head.__getitem__)
-    # the arcs with room at the start, in ascending arc id: the first
-    # labels run over them, and so, listed by head, does every later one
+    # the arcs with room at the start, in ascending arc id: the check
+    # runs over them reversed, and so, listed by head, does every search
     live = [(a, head[a], tail[a], cost[a]) for a in res.with_room()]
-    # shortest paths need a start with no negative residual cycle, and
-    # labels from the sink never see one that cannot reach it; from zero
-    # at every node, over the reversed arcs, the check sees every one
-    if _bellman_ford(n, live, [0] * n, [-1] * n) is not None:
+    # from zero at every node the check sees every negative cycle, and
+    # its labels meet ``dist[tail] <= dist[head] + cost`` on every arc
+    # with room: potentials for the first search, once the sink's is 0
+    dist = [0] * n
+    if _bellman_ford(n, live, dist, [-1] * n) is not None:
         raise NegativeCycleError("path costs keep dropping; negative residual cycle")
+    dist = [d - dist[sink] for d in dist]
     in_arcs: list[list[tuple]] = [[] for _ in range(n)]
     for a, h, t, c in live:
         in_arcs[h].append((a, t, c))
@@ -176,7 +179,6 @@ def ssp_solve(
         return False
 
     remaining = _scaled(demand, res.flow_scale)
-    dist = None
     nxt = [-1] * n
     while remaining > 0:
         if len(steps) >= iteration_cap:
@@ -185,15 +187,7 @@ def ssp_solve(
             raise IterationCapExceeded(
                 "demand not met after %d augmentations" % iteration_cap, trace=trace
             )
-        if dist is None:
-            # the reference ``distances_to_sink``: labels run from the
-            # sink against the arcs with room, in ascending arc id, and
-            # settle, since the check found no negative cycle
-            dist = [None] * n
-            dist[sink] = 0
-            _bellman_ford(n, live, dist, nxt)
-        else:
-            dist = _dijkstra_labels(n, sink, in_arcs, dist, nxt)
+        dist = _dijkstra_labels(n, sink, in_arcs, dist, nxt)
         if dist[source] is None:
             raise InfeasibleError(
                 "no residual path left with %s of %s still to ship"
@@ -256,10 +250,13 @@ def _dijkstra_labels(n, sink, in_arcs, pot, nxt):
     costs ``cost + pot[head] - pot[tail]``, which are non-negative on
     every arc between nodes that reach the sink.  ``in_arcs[v]`` lists
     the ``(arc, tail, cost)`` of the arcs with room into ``v``, in
-    ascending arc id.  A node with no potential could not reach the sink
-    before and cannot now.  A node's label is written when it is
-    settled, and ``nxt[v]`` is the arc that gave ``v`` its label, whose
-    head was settled before ``v``.
+    ascending arc id.  Every tail met has a potential: the first
+    search's are all numbers, and an augmentation gives room only to
+    reverses of path arcs, whose tails reached the sink, so the nodes
+    that reach it only shrink, and the tail of an arc with room into a
+    settled node had a label the step before.  A node's label is written
+    when it is settled, and ``nxt[v]`` is the arc that gave ``v`` its
+    label, whose head was settled before ``v``.
 
     Every heap key is at least the key ``d`` being settled, so a tail
     whose reduced cost makes its candidate equal ``d`` is settled at
@@ -282,8 +279,6 @@ def _dijkstra_labels(n, sink, in_arcs, pot, nxt):
                 if labels[u] is not None:
                     continue
                 pu = pot[u]
-                if pu is None:
-                    continue
                 candidate = base + c - pu
                 if candidate == d:
                     labels[u] = d + pu

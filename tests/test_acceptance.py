@@ -76,8 +76,9 @@ def _check_wave_blocks(inst, trace, m: int, schedule: list) -> None:
     ladder rung and spend every bipartite pair edge exactly once."""
     names = inst.network.node_names
     labels = inst.network.edge_labels
+    iterations = trace.iterations
     for b, anchor in enumerate(schedule):
-        block = trace.iterations[b * m : (b + 1) * m]
+        block = iterations[b * m : (b + 1) * m]
         assert len(block) == m
         pair_ids = []
         for it in block:

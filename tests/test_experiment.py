@@ -12,6 +12,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlab.core import (
     CapacityViolation,
@@ -162,11 +163,12 @@ def test_each_solver_raises_its_pinned_error(edges, budgets, algorithm, error, m
     assert str(info.value) == message
 
 
-def _random_agreement_case(rng):
-    """A network on 2 to 6 nodes with rational budgets that sum to zero,
-    rational and unbounded capacities and rational costs, a third of them
-    negative; some are disconnected, infeasible or unbounded."""
-    n = rng.randint(2, 6)
+def _random_agreement_case(rng, nodes=(2, 6)):
+    """A network on ``nodes[0]`` to ``nodes[1]`` nodes with rational
+    budgets that sum to zero, rational and unbounded capacities and
+    rational costs, a third of them negative; some are disconnected,
+    infeasible or unbounded."""
+    n = rng.randint(*nodes)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = []
     for a, b in rng.sample(pairs, rng.randint(min(n - 1, len(pairs)), len(pairs))):
@@ -189,37 +191,44 @@ def _outcome(inst, algorithm):
         return type(exc)
 
 
+def _assert_three_solvers_agree(net):
+    """SSP answers for the others only when the zero flow of the widening
+    leaves no negative residual cycle, and raises exactly when it does,
+    at any demand, zero included; NS needs a spanning tree.  Past those
+    two, the error class or the flow's cost agree.  Returns MMCC's error
+    class, or ``Fraction`` for a cost, whether NS had no tree, and
+    whether the widening's zero flow had a negative cycle."""
+    inst = SmoothedInstance(
+        net, tuple(CostInterval(e.cost, Fraction(0)) for e in net.edges), Fraction(1)
+    )
+    traces = {algorithm: _outcome(inst, algorithm) for algorithm in ("mmcc", "ns", "ssp")}
+    got = {
+        algorithm: t if isinstance(t, type) else flow_cost(net, t.final_flow)
+        for algorithm, t in traces.items()
+    }
+    widened = concentrate_budgets(net)[0]
+    negative = verify_optimality(widened, Flow.zero(widened.edge_count)) is not None
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(net.node_count))
+    graph.add_edges_from((e.tail, e.head) for e in net.edges)
+    no_tree = not nx.is_weakly_connected(graph) and got["mmcc"] is not InfeasibleError
+    assert (got["ns"] is InfeasibleStructureError) == no_tree
+    assert (got["ssp"] is NegativeCycleError) == negative
+    assert got["mmcc"] is not UnboundedCycleError or negative
+    answers = {got["mmcc"]}
+    answers |= set() if no_tree else {got["ns"]}
+    answers |= set() if negative else {got["ssp"]}
+    assert len(answers) == 1, got
+    kind = got["mmcc"] if isinstance(got["mmcc"], type) else Fraction
+    return kind, no_tree, negative
+
+
 def test_three_solvers_agree_on_random_small_networks():
-    # SSP answers for the others only when the zero flow of the widening
-    # leaves no negative residual cycle, and raises exactly when it does,
-    # at any demand, zero included; NS needs a spanning tree.  Past those
-    # two, the error class or the flow's cost agree.
     rng = random.Random(10)
     seen = Counter()
     for _ in range(2000):
         net = _random_agreement_case(rng)
-        inst = SmoothedInstance(
-            net, tuple(CostInterval(e.cost, Fraction(0)) for e in net.edges), Fraction(1)
-        )
-        traces = {algorithm: _outcome(inst, algorithm) for algorithm in ("mmcc", "ns", "ssp")}
-        got = {
-            algorithm: t if isinstance(t, type) else flow_cost(net, t.final_flow)
-            for algorithm, t in traces.items()
-        }
-        widened = concentrate_budgets(net)[0]
-        negative = verify_optimality(widened, Flow.zero(widened.edge_count)) is not None
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(net.node_count))
-        graph.add_edges_from((e.tail, e.head) for e in net.edges)
-        no_tree = not nx.is_weakly_connected(graph) and got["mmcc"] is not InfeasibleError
-        assert (got["ns"] is InfeasibleStructureError) == no_tree
-        assert (got["ssp"] is NegativeCycleError) == negative
-        assert got["mmcc"] is not UnboundedCycleError or negative
-        answers = {got["mmcc"]}
-        answers |= set() if no_tree else {got["ns"]}
-        answers |= set() if negative else {got["ssp"]}
-        assert len(answers) == 1, got
-        kind = got["mmcc"] if isinstance(got["mmcc"], type) else Fraction
+        kind, no_tree, negative = _assert_three_solvers_agree(net)
         seen[kind] += 1
         seen["no tree"] += no_tree
         if negative:
@@ -231,6 +240,12 @@ def test_three_solvers_agree_on_random_small_networks():
     assert seen["negative", Fraction] > 50 and seen["negative", InfeasibleError] > 30
     assert seen["negative", UnboundedCycleError] > 5
     assert seen["negative at zero demand"] > 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(7, 14))
+def test_three_solvers_agree_on_wider_random_networks(rng, n):
+    _assert_three_solvers_agree(_random_agreement_case(rng, (n, n)))
 
 
 def test_solve_needs_costs():
@@ -345,7 +360,9 @@ def test_counts_read_the_records_of_a_capped_trace(built):
     assert degenerate["mmcc"] == degenerate["ssp"] == 0 < degenerate["ns"] < 100
 
 
-def test_steps_are_built_once_and_kept(built):
+def test_steps_are_built_on_each_read(built):
+    # a trace keeps its records only: each read of the steps builds a new
+    # list of new step objects, equal to the last
     inst = CASES["mmcc_general"][0]
     costs = sample_costs(inst, 0)
     net = NS_LOWER.realize(sample_costs(NS_LOWER, 0))
@@ -356,13 +373,19 @@ def test_steps_are_built_once_and_kept(built):
     }
     for name, trace in traces.items():
         first = trace.steps
-        assert trace.steps is first
-        assert built[name] == len(first) == trace.step_count
+        assert built[name] == len(first) == trace.step_count > 0
+        second = trace.steps
+        assert built[name] == 2 * trace.step_count
+        assert second == first and second is not first
+        assert all(a is not b for a, b in zip(first, second))
+        assert pickle.loads(pickle.dumps(trace)).steps == first
     mmcc_trace = traces["MmccIteration"]
-    assert mmcc_trace.iterations is mmcc_trace.steps
-    assert built["Cycle"] == mmcc_trace.step_count
-    assert built["ResidualEdge"] == sum(len(it.cycle) for it in mmcc_trace.iterations)
-    assert traces["NsPivot"].pivots is traces["NsPivot"].steps
+    built.clear()
+    iterations = mmcc_trace.iterations
+    assert built["Cycle"] == len(iterations) == mmcc_trace.step_count
+    assert built["ResidualEdge"] == sum(len(it.cycle) for it in iterations)
+    assert iterations == mmcc_trace.steps
+    assert traces["NsPivot"].pivots == traces["NsPivot"].steps
     # equality compares the steps, and a trace equals a fresh run of itself
     assert traces["NsPivot"] == ns_solve(net, NS_TREE)
     assert traces["NsPivot"] != ns_solve(NS_LOWER.realize(sample_costs(NS_LOWER, 1)), NS_TREE)

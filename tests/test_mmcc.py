@@ -218,12 +218,13 @@ def test_mmcc_cost_strictly_decreases_each_iteration():
             trace = mmcc_solve(net)
         except InfeasibleError:
             continue
-        if not trace.iterations:
+        iterations = trace.iterations
+        if not iterations:
             continue
         # replay and watch the cost drop
         flow = initial_feasible_flow(net)
         cost = flow_cost(net, flow)
-        for it in trace.iterations:
+        for it in iterations:
             flow, amount = augment_cycle(net, flow, it.cycle)
             new_cost = flow_cost(net, flow)
             assert new_cost < cost
