@@ -102,13 +102,21 @@ def ssp_solve(
     Dijkstra on non-negative reduced costs, and each step's labels those
     of the next (Edmonds and Karp, 1972; Johnson, 1977), over lists of
     the arcs with room into each node that each augmentation keeps up to
-    date.  With no negative residual cycle a label is the cost of a path
-    of fewer than n arcs, and every sum the searches form stays below
-    ``4 * (n + 1)`` times the largest scaled cost in magnitude; while
-    that is below 2**53 they read a float copy of the costs, in which
-    each of those sums is an exact integer.  The check's labels outgrow
-    the bound only by going round negative cycles whose cost dwarfs the
-    rounding, so such a cycle is still found.
+    date.  Each search stops once the source is settled: the labels are
+    exact up to the source's distance and capped beyond it, which keeps
+    every path (Ahuja, Magnanti and Orlin, 1993, §9.7).  With no negative
+    residual cycle an exact label is the cost of a path of fewer than n
+    arcs, at most ``(n - 1) * top`` in magnitude, where ``top`` is the
+    largest scaled cost in magnitude.  A capped label is the source's
+    label plus the node's offset to the source in the last search that
+    settled it, or in the check's shifted labels; that offset is at most
+    ``2 * (n - 1) * top``, so every label is at most ``3 * (n - 1) *
+    top`` and every sum the searches, the path walk and its ``reaches``
+    tests form stays within ``(4 * n - 3) * top``, below ``4 * (n + 1) *
+    top``.  While that is below 2**53 they read a float copy of the
+    costs, in which each of those sums is an exact integer.  The check's
+    labels outgrow the bound only by going round negative cycles whose
+    cost dwarfs the rounding, so such a cycle is still found.
     Each step is recorded as integers; ``Fraction`` values are built
     for the final flow, and for the steps when the trace is read.
     """
@@ -168,8 +176,7 @@ def ssp_solve(
             dv = dist[v]
             for a in out_arcs[v]:
                 w = head[a]
-                dw = dist[w]
-                if dw is None or room[a] == 0 or cost[a] + dw != dv:
+                if room[a] == 0 or cost[a] + dist[w] != dv:
                     continue
                 if w == sink:
                     return True
@@ -187,7 +194,7 @@ def ssp_solve(
             raise IterationCapExceeded(
                 "demand not met after %d augmentations" % iteration_cap, trace=trace
             )
-        dist = _dijkstra_labels(n, sink, in_arcs, dist, nxt)
+        dist = _dijkstra_labels(n, sink, in_arcs, dist, nxt, source)
         if dist[source] is None:
             raise InfeasibleError(
                 "no residual path left with %s of %s still to ship"
@@ -208,10 +215,7 @@ def ssp_solve(
             label_arc = nxt[node] if on_chain else -1
             for a in out_arcs[node]:
                 w = head[a]
-                if visited[w]:
-                    continue
-                dw = dist[w]
-                if dw is None or room[a] == 0 or cost[a] + dw != here:
+                if visited[w] or room[a] == 0 or cost[a] + dist[w] != here:
                     continue
                 if a == label_arc:
                     break
@@ -245,23 +249,30 @@ def ssp_solve(
     return trace
 
 
-def _dijkstra_labels(n, sink, in_arcs, pot, nxt):
-    """Distances to the sink from a reverse Dijkstra on the reduced
-    costs ``cost + pot[head] - pot[tail]``, which are non-negative on
-    every arc between nodes that reach the sink.  ``in_arcs[v]`` lists
-    the ``(arc, tail, cost)`` of the arcs with room into ``v``, in
-    ascending arc id.  Every tail met has a potential: the first
-    search's are all numbers, and an augmentation gives room only to
-    reverses of path arcs, whose tails reached the sink, so the nodes
-    that reach it only shrink, and the tail of an arc with room into a
-    settled node had a label the step before.  A node's label is written
-    when it is settled, and ``nxt[v]`` is the arc that gave ``v`` its
-    label, whose head was settled before ``v``.
+def _dijkstra_labels(n, sink, in_arcs, pot, nxt, source):
+    """Labels for one step, from a reverse Dijkstra on the reduced costs
+    ``cost + pot[head] - pot[tail]``, which are non-negative on every
+    arc with room.  ``in_arcs[v]`` lists the ``(arc, tail, cost)`` of
+    the arcs with room into ``v``, in ascending arc id.  ``pot`` gives
+    every node a number: the negative-cycle check's labels do, and so do
+    those of every search that settles the source, as each search before
+    a path does.  A node's label is written when it is
+    settled, and ``nxt[v]`` is the arc that gave ``v`` its label, whose
+    head was settled before ``v``.
 
     Every heap key is at least the key ``d`` being settled, so a tail
     whose reduced cost makes its candidate equal ``d`` is settled at
-    once, from a local stack, without going through the heap.  Every
-    node that reaches the sink still gets its exact label."""
+    once, from a local stack, without going through the heap.  The
+    search stops as soon as the source is settled, at key ``d``: every
+    label written is the exact distance to the sink, and every node not
+    yet settled, whose distance is at least ``d`` above its potential,
+    is capped at ``d + pot[v]`` (Ahuja, Magnanti and Orlin, 1993,
+    §9.7).  So each label is ``pot[v] + min(dist[v] - pot[v], d)``, the
+    reduced costs under the labels stay non-negative, and the source's
+    and the sink's labels are exact, so the tight paths from the source
+    to the sink are still its cheapest paths.  A source that never
+    settles leaves every node that reaches the sink with its exact
+    label and every other node with ``None``."""
     labels: list = [None] * n
     reduced: list = [None] * n
     reduced[sink] = 0
@@ -271,6 +282,8 @@ def _dijkstra_labels(n, sink, in_arcs, pot, nxt):
         if labels[v] is not None:
             continue
         labels[v] = d + pot[v]
+        if v == source:
+            return _capped(labels, pot, d)
         stack = [v]
         while stack:
             v = stack.pop()
@@ -283,6 +296,8 @@ def _dijkstra_labels(n, sink, in_arcs, pot, nxt):
                 if candidate == d:
                     labels[u] = d + pu
                     nxt[u] = a
+                    if u == source:
+                        return _capped(labels, pot, d)
                     stack.append(u)
                     continue
                 seen = reduced[u]
@@ -290,6 +305,15 @@ def _dijkstra_labels(n, sink, in_arcs, pot, nxt):
                     reduced[u] = candidate
                     nxt[u] = a
                     heappush(heap, (candidate, u))
+    return labels
+
+
+def _capped(labels, pot, d):
+    """``labels``, with every missing label set in place to ``d`` above
+    the node's potential."""
+    for v, label in enumerate(labels):
+        if label is None:
+            labels[v] = d + pot[v]
     return labels
 
 

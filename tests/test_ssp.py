@@ -468,12 +468,12 @@ def test_ssp_solve_replays_reference_through_zero_cost_ties():
 def kernel_labels(net, source, sink, demand):
     """Run ``ssp_solve`` and return its residual arcs, the arc ids of
     each path it pushed, and, for every step, the flow and arc rooms the
-    kernel's labels were computed on, with the labels and label arcs
-    ``nxt``.  The solve must run Bellman–Ford once, the negative-cycle
-    check.  Before every Dijkstra run, each node's kept in-arc list must
-    be the arcs with room into it, in ascending arc id, with their tails
-    and costs, and every tail of an arc into a node with a potential must
-    have one.  A demand that cannot be met ends the run as usual."""
+    kernel's labels were computed on, with the potentials, the labels
+    and the label arcs ``nxt``.  The solve must run Bellman–Ford once,
+    the negative-cycle check.  Before every Dijkstra run, each node's
+    kept in-arc list must be the arcs with room into it, in ascending arc
+    id, with their tails and costs, and every node must have a
+    potential.  A demand that cannot be met ends the run as usual."""
     arcs, pushed, seen, checks = [], [], [], []
 
     def recorded(make):
@@ -492,18 +492,17 @@ def kernel_labels(net, source, sink, demand):
         checks.append(args)
         return core._bellman_ford(*args)
 
-    def dijkstra_labels(n, sink, in_arcs, pot, nxt):
+    def dijkstra_labels(n, sink, in_arcs, pot, nxt, source):
         res = arcs[-1]
         expected = [[] for _ in range(n)]
         for a in res.with_room():
             expected[res.head[a]].append((a, res.tail[a], res.cost[a]))
         # a float cost equals the integer it copies
         assert in_arcs == expected
-        for v, kept in enumerate(in_arcs):
-            if pot[v] is not None:
-                assert all(pot[u] is not None for _, u, _ in kept)
-        labels = dijkstra(n, sink, in_arcs, pot, nxt)
-        seen.append((res.flow(), list(res.room), list(labels), list(nxt)))
+        assert None not in pot
+        pot = list(pot)
+        labels = dijkstra(n, sink, in_arcs, pot, nxt, source)
+        seen.append((res.flow(), list(res.room), pot, list(labels), list(nxt)))
         return labels
 
     dijkstra, push_arcs = ssp._dijkstra_labels, core._ResidualArcs.push
@@ -522,20 +521,32 @@ def kernel_labels(net, source, sink, demand):
 
 
 def assert_labels_are_distances(net, source, sink, demand):
-    """At every step the kernel's labels are ``distances_to_sink`` of
-    that step's residual network, each label arc chain runs to the sink
-    over tight arcs with room without repeating a node, and the path
-    taken is ``cheapest_path``'s.  Labels may be floats, and must then
-    be integral.  Returns the number of steps."""
+    """At every step each kernel label is the node's distance to the
+    sink in that step's residual network (``distances_to_sink``, in the
+    arcs' cost scale), capped at the source's distance above the node's
+    potential: ``pot[v] + min(exact[v] - pot[v], exact[source] -
+    pot[source])``, with a missing distance read as infinite.  So every
+    label is exact when the source cannot reach the sink.  The label arc
+    chains of the source and of every node strictly nearer than it run
+    to the sink over tight arcs with room without repeating a node, and
+    the path taken is ``cheapest_path``'s.  Labels may be floats, and
+    must then be integral.  Returns the number of steps."""
     res, pushed, seen = kernel_labels(net, source, sink, demand)
-    for k, (flow, room, labels, nxt) in enumerate(seen):
+    for k, (flow, room, pot, labels, nxt) in enumerate(seen):
         r = residual(net, flow)
-        expected = distances_to_sink(r, sink)
-        assert all(d is None or d == int(d) for d in labels)
-        scaled = [None if d is None else Fraction(int(d), res.cost_scale) for d in labels]
-        assert scaled == expected
+        exact = [None if d is None else d * res.cost_scale for d in distances_to_sink(r, sink)]
+        assert all(d is None or d == int(d) for d in labels + pot)
+        labels = [None if d is None else int(d) for d in labels]
+        pot = [int(p) for p in pot]
+
+        def above(v):
+            return float("inf") if exact[v] is None else exact[v] - pot[v]
+
+        cap = above(source)
+        expected = [pot[v] + min(above(v), cap) for v in range(len(pot))]
+        assert labels == [None if d == float("inf") else d for d in expected]
         for start, label in enumerate(labels):
-            if label is None:
+            if label is None or not (start == source or above(start) < cap):
                 continue
             chain = [start]
             v = start
@@ -602,9 +613,9 @@ def label_arithmetic(net, source, sink, demand):
         kinds.update(type(c) for _, _, _, c in live)
         return core._bellman_ford(n, live, dist, nxt)
 
-    def dijkstra_labels(n, sink, in_arcs, pot, nxt):
+    def dijkstra_labels(n, sink, in_arcs, pot, nxt, source):
         kinds.update(type(c) for kept in in_arcs for _, _, c in kept)
-        searches.append(dijkstra(n, sink, in_arcs, pot, nxt))
+        searches.append(dijkstra(n, sink, in_arcs, pot, nxt, source))
         return searches[-1]
 
     dijkstra = ssp._dijkstra_labels
@@ -689,6 +700,42 @@ def test_ssp_labels_match_the_reference_at_the_float_bound(over, kind):
     kinds, dijkstras = assert_labels_match_the_reference(runs)
     assert kinds[kind] > 120
     assert dijkstras > 150
+
+
+def test_ssp_capped_labels_stay_within_the_float_bound():
+    # acyclic nets whose edges run up the node order, with costs at the
+    # float bound, a third of them negative, and the maximum flow as the
+    # demand: a few middle nodes lead only to each other, so they never
+    # reach the sink and every search caps their labels, step after step,
+    # at the source's distance above their potentials from the
+    # negative-cycle check (a node that reaches the sink keeps reaching
+    # it while the source does: each path opens the reverses of its arcs,
+    # back to the source)
+    rng = random.Random(61)
+    capped = 0
+    for _ in range(100):
+        n = rng.randint(5, 9)
+        dead = set(rng.sample(range(1, n - 1), rng.randint(1, (n - 2) // 2)))
+        bound = (2**53 - 1) // (4 * (n + 1))
+        edges = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                if (a in dead and b not in dead) or rng.randrange(4) == 0:
+                    continue
+                size = bound - rng.randrange(16)
+                edges.append((a, b, rng.randint(1, 2), -size if rng.randrange(3) == 0 else size))
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from((a, b, {"capacity": cap}) for a, b, cap, _ in edges)
+        run = (FlowNetwork.from_data(n, edges), 0, n - 1, nx.maximum_flow_value(graph, 0, n - 1))
+        got, seen, searches = label_arithmetic(*run)
+        assert got == outcome(reference_ssp, *run)
+        assert seen == {float}
+        top = max(abs(c) for _, _, _, c in edges)
+        for labels in searches:
+            assert all(d is not None and abs(d) <= 3 * (n - 1) * top for d in labels)
+        capped += len(searches)
+    assert capped > 250
 
 
 def test_ssp_float_labels_find_a_negative_cycle_beyond_exact_floats():
