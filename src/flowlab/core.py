@@ -378,44 +378,31 @@ class _Start:
 class _Costs:
     """One cost draw over a network's edges, checked: the exact
     ``values``, their lcm ``scale`` and ``paired``, the arc costs
-    ``[c0, -c0, c1, -c1, …]`` in that scale.  The last two are built on
-    first read, so max flow never scales costs, and then kept, so every
-    solver and certificate of the draw shares them.  With a ``base``,
-    the values are the base's followed by zeros (``concentrate_budgets``'s
-    supply and drain edges), and the scale and paired costs are read
-    from the base: zeros have denominator 1.
+    ``[c0, -c0, c1, -c1, …]`` in that scale, all built at once and kept,
+    so every solver and certificate of the draw shares them.  Max flow
+    reads no layer, and ``FlowNetwork._costs`` builds one only on first
+    read, so max flow never scales costs.
     """
 
-    __slots__ = ("values", "_base", "_scale", "_paired")
+    __slots__ = ("values", "scale", "paired")
 
-    def __init__(self, values: tuple[Fraction, ...], base: Optional[_Costs] = None):
+    def __init__(self, values: tuple[Fraction, ...]):
         self.values = values
-        self._base = base
-        # filled on first read; ``functools.cached_property`` measured
-        # about 4% slower on the certificate
-        self._scale: Optional[int] = None
-        self._paired: Optional[list[int]] = None
+        self.scale = scale = lcm(*{c.denominator for c in values})
+        forward = _scaled_all(values, scale)
+        self.paired = paired = [0] * (2 * len(forward))
+        paired[::2] = forward
+        paired[1::2] = map(neg, forward)
 
-    @property
-    def scale(self) -> int:
-        if self._scale is None:
-            base = self._base
-            self._scale = lcm(*{c.denominator for c in self.values}) if base is None else base.scale
-        return self._scale
-
-    @property
-    def paired(self) -> list[int]:
-        if self._paired is None:
-            base = self._base
-            if base is not None:
-                paired = base.paired + [0] * (2 * (len(self.values) - len(base.values)))
-            else:
-                forward = _scaled_all(self.values, self.scale)
-                paired = [0] * (2 * len(forward))
-                paired[::2] = forward
-                paired[1::2] = map(neg, forward)
-            self._paired = paired
-        return self._paired
+    def padded(self, count: int) -> _Costs:
+        """This layer followed by ``count`` zero costs, the widening's
+        supply and drain edges in ``concentrate_budgets``: zeros have
+        denominator 1, so the scale and the scaled costs are kept."""
+        padded = object.__new__(_Costs)
+        padded.values = self.values + (Fraction(0),) * count
+        padded.scale = self.scale
+        padded.paired = self.paired + [0] * (2 * count)
+        return padded
 
 
 def _recosted(net: FlowNetwork, edges: tuple[Edge, ...], layer: _Costs) -> FlowNetwork:
@@ -769,9 +756,9 @@ class _ResidualArcs:
 
     Arc ``2e`` runs along edge ``e`` and arc ``2e + 1`` against it, so
     ``a ^ 1`` is the reverse of ``a``.  Room (residual capacity) is
-    scaled to integers by ``flow_scale``, the lcm of the capacity, flow
-    and ``extra`` denominators, and is ``None`` when unbounded.  The arcs
-    are built in bulk, list by list, and one scan finds the first edge
+    scaled to integers by ``flow_scale``, the lcm of the capacity and
+    flow denominators, and is ``None`` when unbounded.  The arcs are
+    built in bulk, list by list, and one scan finds the first edge
     whose flow is outside its capacities, which raises as in
     ``residual``; ``flow`` defaults to zero.  ``layer`` is the cost layer
     the arcs read their costs from, ``net._costs`` for the certificate
@@ -783,23 +770,19 @@ class _ResidualArcs:
     """
 
     def __init__(
-        self,
-        net: FlowNetwork,
-        flow: Optional[Flow] = None,
-        extra=(),
-        layer: Optional[_Costs] = None,
+        self, net: FlowNetwork, flow: Optional[Flow] = None, layer: Optional[_Costs] = None
     ):
         edges = net.edges
         m = len(edges)
         caps = [e.capacity for e in edges]
         if flow is None:
             values = (0,) * m
-            self.flow_scale = scale = _flow_scale(caps, extra)
+            self.flow_scale = scale = _flow_scale(caps)
             x = [0] * m
             spare = _scaled_all(caps, scale)
         else:
             values = _flow_values(net, flow)
-            self.flow_scale = scale = _flow_scale(caps, values, extra)
+            self.flow_scale = scale = _flow_scale(caps, values)
             x = _scaled_all(values, scale)
             spare = [None if c is None else c - f for c, f in zip(_scaled_all(caps, scale), x)]
         # ``filter`` drops the unbounded rooms and the zeros, neither of

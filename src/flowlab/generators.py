@@ -422,9 +422,11 @@ def sample_costs(inst: SmoothedInstance, seed: int) -> tuple[Fraction, ...]:
 
 
 def gen_random_smoothed(n: int, m: int, phi, seed: int) -> SmoothedInstance:
-    """Unstructured smoothed instance: random weakly-connected simple
-    digraph, interval width exactly ``1/phi``, interval starts uniform
-    in [0, 1 - 1/phi), small integer capacities and transfer budgets."""
+    """Unstructured smoothed instance: random simple digraph, interval
+    width exactly ``1/phi``, interval starts uniform in [0, 1 - 1/phi),
+    small integer capacities and transfer budgets.  It is weakly
+    connected when ``m >= n - 1`` (a random spanning tree comes first);
+    with fewer edges the instance check warns that it is not."""
     phi = rational(phi)
     if n < 2:
         raise ParamViolation("n must be at least 2")

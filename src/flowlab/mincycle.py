@@ -297,10 +297,7 @@ class _MeanSearch:
         certify that num / den is the minimum mean; else ``None``.  See
         the module docstring.
         """
-        potentials = self._potentials(table, num, den)
-        if potentials is None:
-            return None
-        pi, frontier, arcs, num, den = potentials
+        pi, frontier, arcs, num, den = self._potentials(table, num, den)
         if not self._arcs_hold(pi, frontier, arcs, num, den):
             return None
         n, present = self.n, self.present
@@ -352,23 +349,21 @@ class _MeanSearch:
 
     def _potentials(self, table, num: int, den: int):
         """``(pi, frontier, arcs, num, den)`` for the candidate num / den
-        at the last level k of the rows ``table``, or ``None`` when the
-        candidate is beyond every cycle mean.
+        at the last level k of the rows ``table``.
 
         π is held scaled by den, as den·D_j(v) − j·num, so every
-        comparison is exact.  Every cycle mean lies within ``top`` of 0,
-        so a candidate beyond that fails at once.  Within it, every real
-        scaled entry and every sum π(t) + den·c − num is at most
-        (k + 1)(den·top + |num|) in magnitude: below 2^53 they are exact
-        as floats, and above it the rows are taken as integers.  ``arcs``
-        are the arcs in the same arithmetic, and num and den the reduced
-        candidate in it.  An entry with no walk behind it stays far
-        above 0, so it never sets π.  The frontier is the nodes whose π
-        is set by row k alone, in ascending order.
+        comparison is exact.  The candidate is the mean of a cycle cut
+        from arcs of ``present`` (``_candidate``), so it lies within
+        ``top`` of 0.  Every real scaled entry and every sum
+        π(t) + den·c − num is at most (k + 1)(den·top + |num|) in
+        magnitude: below 2^53 they are exact as floats, and above it the
+        rows are taken as integers.  ``arcs`` are the arcs in the same
+        arithmetic, and num and den the reduced candidate in it.  An
+        entry with no walk behind it stays far above 0, so it never sets
+        π.  The frontier is the nodes whose π is set by row k alone, in
+        ascending order.
         """
         k = len(table) - 1
-        if abs(num) > den * self.top:
-            return None
         common = math.gcd(num, den)
         num, den = num // common, den // common
         if not self.floats:

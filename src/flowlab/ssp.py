@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
+from math import gcd
 from typing import Optional
 
 from .core import (
@@ -25,7 +26,6 @@ from .core import (
     InfeasibleError,
     IterationCapExceeded,
     Trace,
-    _Costs,
     _ResidualArcs,
     _bellman_ford,
     _recosted,
@@ -94,7 +94,8 @@ def ssp_solve(
     updates in place.  They start as a copy of the start's arcs at zero
     flow; on a widening from ``concentrate_budgets`` those are the arcs
     that the instance's maximum flow runs on, laid out once per smoothed
-    instance.  Before any path, and whatever the demand, one
+    instance; a demand whose denominator their flow scale lacks scales
+    the copy's rooms up.  Before any path, and whatever the demand, one
     Bellman–Ford from zero labels at every node raises
     ``NegativeCycleError`` on a negative cycle among the arcs with room,
     whether or not it reaches the sink.  Else its labels, shifted to
@@ -133,10 +134,13 @@ def ssp_solve(
         iteration_cap = default_iteration_cap(net.node_count, net.edge_count)
     n = net.node_count
     # a widening's demand is a sum of the budgets, so its denominator
-    # divides the arcs' scale; only another demand may need arcs of its own
+    # divides the arcs' scale; another demand's may not, and then the
+    # copy's scale and rooms are raised to the lcm of both
     res = net._start.zero_arcs(net).copy_for(net._costs)
-    if res.flow_scale % demand.denominator:
-        res = _ResidualArcs(net, extra=(demand,), layer=net._costs)
+    finer = demand.denominator // gcd(res.flow_scale, demand.denominator)
+    if finer > 1:
+        res.flow_scale *= finer
+        res.room = [None if r is None else r * finer for r in res.room]
     tail, head, cost, room = res.tail, res.head, res.cost, res.room
     if 4 * (n + 1) * max(map(abs, cost), default=0) < _FLOAT_EXACT:
         cost = [float(c) for c in cost]
@@ -344,15 +348,15 @@ def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fracti
     the feasible start, which runs on its arcs at zero flow; each call
     only gives it ``net``'s costs.  The result shares the widening's
     start, so ``ssp_solve`` on it builds no arcs of its own.  Its cost
-    layer is ``net``'s, followed by the zero costs of the added edges,
-    so a realization's cost draw is scaled once for its widening too.
+    layer is ``net``'s padded with the zero costs of the added edges, so
+    a realization's cost draw is scaled once for its widening too.
     """
     start = net._start
     if start.error is not None:
         raise InfeasibleError(start.error)
     wide, m, n = start.widening(net), net.edge_count, net.node_count
     added = wide.edges[m:]
-    layer = _Costs(net._costs.values + (Fraction(0),) * len(added), net._costs)
+    layer = net._costs.padded(len(added))
     return _recosted(wide, net.edges + added, layer), n, n + 1, start.demand
 
 

@@ -43,6 +43,19 @@ def test_gen_stdout_and_phi_validation(tmp_path, capsys):
     assert main(["gen", "--family", "mmcc_large_phi", "--n", "4", "--m", "9", "--phi", "64"]) == 2
     assert "fixed by" in capsys.readouterr().err
 
+    # without --phi the large-phi family takes the phi its n and m fix
+    assert main(["gen", "--family", "mmcc_large_phi", "--n", "4", "--m", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "phi 6400000" in lines and "p min 28 49" in lines
+    argv = ["experiment", "--family", "mmcc_large_phi", "--n", "4", "--m", "9",
+            "--seeds", "0", "--algorithm", "ns"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 1
+    row = rows[0].split(",")
+    assert row[:9] == ["mmcc_large_phi", "4", "9", "6400000", "0", "ns", "16", "10", "6"]
+    assert row[-1] == "true"
+
 
 def test_solve_and_verify_round_trip(tmp_path, capsys):
     inst_path = tmp_path / "general.min"

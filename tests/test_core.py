@@ -559,6 +559,13 @@ def test_cycle_from_edges_validates_closure():
     e2 = ResidualEdge(1, 2, Fraction(1), Fraction(1), 1, True)
     with pytest.raises(ValueError):
         Cycle.from_edges([e1, e2])
+    with pytest.raises(EmptyCycleError, match="a cycle needs at least one edge"):
+        Cycle.from_edges([])
+    # a closed walk through node 0 twice
+    loop = [(0, 1), (1, 0), (0, 2), (2, 0)]
+    walk = [ResidualEdge(t, h, Fraction(1), Fraction(1), i, True) for i, (t, h) in enumerate(loop)]
+    with pytest.raises(ValueError, match="cycle revisits a node"):
+        Cycle.from_edges(walk)
 
 
 def test_cost_interval_bounds():
@@ -647,9 +654,8 @@ def test_residual_arcs_scale_the_costs_as_the_fused_loop_did():
         inst = gen_random_smoothed(10, 25, 256, seed)
         nets.append(inst.realize(sample_costs(inst, seed)))
     for net in nets:
-        # the arcs read the network's cost layer, which scales on first read
+        # the arcs read the network's cost layer, scaled when it is built
         layer = net._costs
-        assert layer._paired is None and layer._scale is None
         arcs = core._ResidualArcs(net, layer=layer)
         scale, cost = _fused_cost_loop(net)
         assert (arcs.cost_scale, arcs.cost) == (scale, cost)
@@ -658,25 +664,31 @@ def test_residual_arcs_scale_the_costs_as_the_fused_loop_did():
 
 
 def test_max_flow_and_residual_never_scale_the_costs(monkeypatch):
-    def refuse(self):
-        raise AssertionError("costs scaled")
-
-    # costs are scaled in the cost layer only
-    monkeypatch.setattr(core._Costs, "paired", property(refuse))
-    monkeypatch.setattr(core._Costs, "scale", property(refuse))
+    # costs are scaled in the cost layer only, built once per draw
+    layers = []
+    init = core._Costs.__init__
+    monkeypatch.setattr(
+        core._Costs, "__init__", lambda self, *args: layers.append(self) or init(self, *args)
+    )
     inst = gen_random_smoothed(8, 20, 64, 3)
+    solve_max_flow(inst.network, 0, 7)
+    assert check_feasible(inst.network, initial_feasible_flow(inst.network)) is None
+    assert "_costs" not in inst.network.__dict__ and layers == []
     net = inst.realize(sample_costs(inst, 0))
+    assert layers == [net._costs]
     value, flow = solve_max_flow(net, 0, 7)
     assert check_feasible(net, initial_feasible_flow(net)) is None
     assert residual(net, flow).edge_count > 0
     # the shared start: read from the instance network and another
     # realization, copied for MMCC and network simplex, and widened
     other = inst.realize(sample_costs(inst, 1))
+    assert layers == [net._costs, other._costs]
     assert initial_feasible_flow(inst.network) == initial_feasible_flow(other)
     assert other._start.arcs_at(other, None).flow() == initial_feasible_flow(net)
     assert concentrate_budgets(other)[3] > 0
-    with pytest.raises(AssertionError, match="costs scaled"):
-        verify_optimality(net, flow)
+    verify_optimality(net, flow)
+    assert layers == [net._costs, other._costs]
+    assert "_costs" not in inst.network.__dict__
 
 
 def test_smoothed_instance_realize_checks_containment():
@@ -702,6 +714,13 @@ def test_validate_instance_flags_narrow_interval():
     )
     bad = validate_instance(inst)
     assert bad is not None and bad.kind == "interval_too_narrow"
+    assert validate_instance(replace(inst, phi=Fraction(0))) == Violation(
+        "bad_phi", "phi must be positive, got 0"
+    )
+    # a broken network is reported before the smoothing is looked at
+    looped = replace(inst, network=net_from(2, [(0, 0, 1, 0)], [0, 0]))
+    assert validate_instance(looped) == validate_network(looped.network)
+    assert validate_instance(looped).kind == "self_loop"
 
 
 def test_smoothed_instance_rejects_a_starting_flow_of_the_wrong_length():
@@ -709,6 +728,8 @@ def test_smoothed_instance_rejects_a_starting_flow_of_the_wrong_length():
     intervals = (CostInterval(Fraction(0), Fraction(1)),) * 2
     with pytest.raises(ValueError, match="one starting flow value per edge is required"):
         SmoothedInstance(net, intervals, Fraction(1), Flow.zero(1))
+    with pytest.raises(ValueError, match="one cost interval per edge is required"):
+        SmoothedInstance(net, intervals[:1], Fraction(1))
     inst = SmoothedInstance(net, intervals, Fraction(1), Flow.from_values([2, 0]))
     assert validate_instance(inst) == Violation("capacity", "edge 0 carries 2")
 

@@ -145,6 +145,22 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError):
         parse_network("p min 2 1\na 1 2 0 1 3\nphi 64\n")
 
+    for text, line, reason in [
+        ("p min x 1\n", 1, "bad node count 'x'"),
+        ("p min 2 y\n", 1, "bad arc count 'y'"),
+        ("p max 2 1\n", 1, "unsupported problem type 'max'"),
+        ("p min 2 -1\n", 1, "negative size in problem line"),
+        ("p min 2 0\nn 1 1\nn 1 -1\n", 3, "duplicate budget for node 1"),
+        ("p min 2 1\na x 2 0 1 3\n", 2, "bad node id 'x'"),
+        ("p min 2 1\na 1 2 0 1 3\na 2 1 0 1 3\n", 3, "more arcs than declared"),
+        ("p min 2 2\na 1 2 0 1 3\na 1 2 0 2 4\n", 3, "duplicate arc 1 2"),
+        ("", 0, "missing problem line"),
+        ("c only a comment\n\n", 2, "missing problem line"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_network(text)
+        assert (err.value.line_number, err.value.reason) == (line, reason)
+
 
 def test_parse_smoothed_errors():
     base = "p min 2 1\na 1 2 0 1 3\n"
@@ -164,10 +180,33 @@ def test_parse_smoothed_errors():
         parse_smoothed(base + "phi 64\ni 1 2 0 1\nf 1 2 1\nf 1 2 1\n")
     assert "duplicate flow" in str(err.value)
 
+    for extra, line, reason in [
+        ("phi 64\nphi 32\n", 4, "duplicate phi line"),
+        ("phi 64\ni 1 2 0 1\ni 1 2 0 2\n", 5, "duplicate interval line"),
+        ("phi 64\ni 1 2 0 1\nroot 1\nroot 2\n", 6, "duplicate root line"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_smoothed(base + extra)
+        assert (err.value.line_number, err.value.reason) == (line, reason)
+
+
+def test_parse_flow_errors_carry_line_numbers():
+    net = parse_network("p min 2 1\na 1 2 0 1 3\n")
+    for text, line, reason in [
+        ("c a comment\nx 1 2 1\n", 2, "unexpected 'x' line"),
+        ("f 2 1 1\n", 1, "unknown arc 2 1"),
+        ("f 1 2 1\n\nf 1 2 0\n", 3, "duplicate flow line for arc 1 2"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_flow(text, net)
+        assert (err.value.line_number, err.value.reason) == (line, reason)
+
 
 def test_comments_are_ignored_but_names_harvested():
     text = (
         "c anything at all\n"
+        "\n"
+        "c node x not a node id\n"
         "c node 1 source node\n"
         "c node 2 sink\n"
         "c arc 1 2 main\n"

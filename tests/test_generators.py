@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,22 @@ def test_strip_q_chain_keeps_ids_and_prefix():
     )
     with pytest.raises(ValueError):
         strip_q_chain(nameless)
+    for names, edges, reason in [
+        (("s", "t"), [(0, 1, 1, 0)], "no detour chain nodes found"),
+        (("q1", "s"), [(0, 1, 1, 0)], "detour chain nodes are not a suffix of the node numbering"),
+        (
+            ("s", "t", "q1"),
+            [(0, 2, 1, 0), (0, 1, 1, 0)],
+            "detour chain edges are not a suffix of the edge numbering",
+        ),
+    ]:
+        named = SmoothedInstance(
+            network=FlowNetwork.from_data(len(names), edges, node_names=names),
+            intervals=(CostInterval(Fraction(0), Fraction(1)),) * len(edges),
+            phi=Fraction(1),
+        )
+        with pytest.raises(ValueError, match=reason):
+            strip_q_chain(named)
 
 
 def test_sample_costs_bounds_and_determinism():
@@ -310,6 +327,10 @@ def test_gen_random_smoothed_contract():
         gen_random_smoothed(4, 7, 32, 0)
     with pytest.raises(ParamViolation):
         gen_random_smoothed(4, 5, Fraction(1, 2), 0)
+    # fewer edges than a spanning tree has: the graph cannot be connected
+    with pytest.warns(UserWarning, match="network is not weakly connected"):
+        sparse = gen_random_smoothed(6, 3, 32, 0)
+    assert sparse.network.edge_count == 3
 
 
 def test_gen_random_smoothed_connected_when_enough_edges():
@@ -332,6 +353,15 @@ def test_gen_random_smoothed_connected_when_enough_edges():
 
 
 def test_predicted_iteration_helpers():
+    half = SmoothedInstance(
+        network=FlowNetwork.from_data(2, [(0, 1, 1, 0)], ["1/2", "-1/2"], node_names=("s", "t")),
+        intervals=(CostInterval(Fraction(0), Fraction(1)),),
+        phi=Fraction(1),
+    )
+    with pytest.raises(ValueError, match="instance has no node names"):
+        predicted_ns_pivots(replace(half, network=replace(half.network, node_names=None)))
+    with pytest.raises(ValueError, match="demand is not integral"):
+        predicted_ns_pivots(half)
     assert predicted_mmcc_general_iterations(MmccGeneralParams(6, 12, 64)) == 12
     assert predicted_mmcc_general_iterations(MmccGeneralParams(8, 16, 256)) == 48
     assert predicted_mmcc_large_phi_iterations(4, 9) == 72

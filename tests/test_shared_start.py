@@ -195,10 +195,11 @@ def test_one_cost_draw_is_checked_and_scaled_once(monkeypatch):
     cut = Flow(by_paths.final_flow.values[: net.edge_count])
     for flow in (by_cycles.final_flow, by_pivots.final_flow, cut):
         assert verify_optimality(net, flow) is None
-    # each cost checked once, and one layer for the draw; the widening's reads it
+    # each cost checked once, and one layer for the draw; the widening's
+    # is a padded copy of it
     layer = net._costs
     assert checks == list(costs)
-    assert layers == [layer, wide._costs]
+    assert layers == [layer]
     assert wide._costs.values == layer.values + (Fraction(0),) * (wide.edge_count - net.edge_count)
     assert wide._costs.scale == layer.scale
     # the costs were scaled to integers once, for all three solvers and
@@ -304,11 +305,13 @@ def test_a_demand_finer_than_the_capacities_gets_arcs_of_its_own():
     # whole units, so SSP scales its own
     net = FlowNetwork.from_data(3, [(0, 1, 2, 1), (1, 2, 2, 1), (0, 2, 1, 3)])
     assert net._start.zero_arcs(net).flow_scale == 1
+    rooms = net._start.zero_arcs(net).room[:]
     trace = ssp_solve(net, 0, 2, Fraction(7, 3))
     steps, flow = reference_ssp(net, 0, 2, Fraction(7, 3))
     assert trace.steps == steps and trace.final_flow == flow
     assert [s.amount for s in steps] == [Fraction(2), Fraction(1, 3)]
     assert net._start.zero_arcs(net).flow_scale == 1
+    assert net._start.zero_arcs(net).room == rooms
 
 
 def test_the_last_search_of_a_solve_skips_the_min_max_step(monkeypatch):
