@@ -259,7 +259,7 @@ class FlowNetwork:
         """The cost layer of these edges' costs, built on first read and
         kept in the instance ``__dict__`` like ``_start``.  A realization
         and the widening that ``concentrate_budgets`` returns get theirs
-        from ``_recosted`` instead."""
+        from ``_recosted`` instead, and ``zero_budget_copy`` its network's."""
         return _Costs(tuple(map(attrgetter("cost"), self.edges)))
 
 
@@ -269,8 +269,8 @@ class _Start:
     realization of one smoothed instance shares the instance network's
     (``SmoothedInstance.realize``).
 
-    ``scaled`` holds the budgets scaled to integers by their lcm
-    ``scale``, and ``demand`` the supply that the widening ships from
+    ``scaled`` holds the budgets scaled to integers by their lcm, and
+    ``demand`` the supply that the widening ships from
     its source ``n`` to its sink ``n + 1``; ``error`` is the text of the
     ``InfeasibleError`` of budgets that do not sum to zero, else
     ``None``.  The widening ``wide``, the arcs at the maximum flow or
@@ -280,10 +280,10 @@ class _Start:
     alive with the network.
     """
 
-    __slots__ = ("scale", "scaled", "demand", "error", "wide", "arcs", "kept", "flow")
+    __slots__ = ("scaled", "demand", "error", "wide", "arcs", "kept", "flow")
 
     def __init__(self, budgets: Sequence[Fraction]):
-        self.scale = scale = lcm(*{b.denominator for b in budgets})
+        scale = lcm(*{b.denominator for b in budgets})
         self.scaled = scaled = _scaled_all(budgets, scale)
         total = sum(scaled)
         self.error = "budgets sum to %s, not zero" % Fraction(total, scale) if total else None
@@ -375,6 +375,38 @@ class _Start:
         return _ResidualArcs(net, flow, layer=net._costs)
 
 
+def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fraction]:
+    """Rewrite budgets as a single source-sink demand.
+
+    Returns a widened network with two extra nodes, a cost-free supply
+    edge from the new source to every node with positive budget and a
+    matching edge into the new sink from every node with negative
+    budget, plus the source id, sink id, and total demand.  A flow on
+    the original network corresponds to a widened flow that saturates
+    all the added edges.  Budgets that do not sum to zero raise
+    ``InfeasibleError``: no flow meets them, and a negative capacity
+    ``CapacityViolation``.  The widening is built once per network, by
+    ``net._start``, which every realization of one smoothed instance
+    shares with the instance network, and so does the maximum flow of
+    the feasible start, which runs on its arcs at zero flow; each call
+    only gives it ``net``'s costs.  The result shares the widening's
+    start, so ``ssp_solve`` on it builds no arcs of its own.  Its cost
+    layer is ``net``'s padded with the zero costs of the added edges, so
+    a realization's cost draw is scaled once for its widening too.
+    """
+    start = net._start
+    if start.error is not None:
+        raise InfeasibleError(start.error)
+    wide, m, n = start.widening(net), net.edge_count, net.node_count
+    added = wide.edges[m:]
+    # zeros have denominator 1, so the draw's scale and scaled costs hold
+    costs, k = net._costs, len(added)
+    layer = object.__new__(_Costs)
+    layer.values, layer.scale = costs.values + (Fraction(0),) * k, costs.scale
+    layer.paired = costs.paired + [0] * (2 * k)
+    return _recosted(wide, net.edges + added, layer), n, n + 1, start.demand
+
+
 class _Costs:
     """One cost draw over a network's edges, checked: the exact
     ``values``, their lcm ``scale`` and ``paired``, the arc costs
@@ -393,16 +425,6 @@ class _Costs:
         self.paired = paired = [0] * (2 * len(forward))
         paired[::2] = forward
         paired[1::2] = map(neg, forward)
-
-    def padded(self, count: int) -> _Costs:
-        """This layer followed by ``count`` zero costs, the widening's
-        supply and drain edges in ``concentrate_budgets``: zeros have
-        denominator 1, so the scale and the scaled costs are kept."""
-        padded = object.__new__(_Costs)
-        padded.values = self.values + (Fraction(0),) * count
-        padded.scale = self.scale
-        padded.paired = self.paired + [0] * (2 * count)
-        return padded
 
 
 def _recosted(net: FlowNetwork, edges: tuple[Edge, ...], layer: _Costs) -> FlowNetwork:
@@ -775,16 +797,10 @@ class _ResidualArcs:
         edges = net.edges
         m = len(edges)
         caps = [e.capacity for e in edges]
-        if flow is None:
-            values = (0,) * m
-            self.flow_scale = scale = _flow_scale(caps)
-            x = [0] * m
-            spare = _scaled_all(caps, scale)
-        else:
-            values = _flow_values(net, flow)
-            self.flow_scale = scale = _flow_scale(caps, values)
-            x = _scaled_all(values, scale)
-            spare = [None if c is None else c - f for c, f in zip(_scaled_all(caps, scale), x)]
+        values = (0,) * m if flow is None else _flow_values(net, flow)
+        self.flow_scale = scale = _flow_scale(caps, values)
+        x = _scaled_all(values, scale)
+        spare = [None if c is None else c - f for c, f in zip(_scaled_all(caps, scale), x)]
         # ``filter`` drops the unbounded rooms and the zeros, neither of
         # which is negative
         if min(x, default=0) < 0 or min(filter(None, spare), default=0) < 0:

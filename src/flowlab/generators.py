@@ -491,8 +491,7 @@ def predicted_ns_nondegenerate_pivots(params: NsParams) -> int:
     down to a power of two as the construction rounds it.
     ``predicted_ns_pivots`` reads the same count off a built instance.
     """
-    phi = 2 ** floor_log2(params.phi)
-    return 2 * min(params.n, phi // 4 - 2) * (params.m * phi // 64)
+    return 2 * params.chain_length * params.m * 2 ** (params.level_count - 1)
 
 
 def predicted_ns_pivots(inst: SmoothedInstance) -> int:

@@ -1,7 +1,7 @@
 """Minimum-mean cycle search over residual networks.
 
 ``karp_min_mean`` runs Karp's dynamic program over walk lengths.
-Karp's table (``_walk_table``), its min-max step and the cycle cut are
+Karp's table (``_extend``), its min-max step and the cycle cut are
 private routines on flat integer arcs, held together by ``_MeanSearch``,
 which does the fixed set-up of a search once for a set of arcs and then
 searches the subset of them that it keeps; ``karp_min_mean`` and the
@@ -60,9 +60,17 @@ _FLOAT_EXACT = 2**53
 
 def _extend(table: list[list], arcs, levels: int, far) -> None:
     """Append ``levels`` rows to Karp's table ``table`` over arcs
-    ``(tail, head, cost)``: each row holds, for each node, the least
-    cost of a walk one arc longer than those of the row before that
-    ends there, or ``far`` if there is none."""
+    ``(tail, head, cost)`` whose costs are integers, held as ``int`` or
+    ``float``: each row holds, for each node, the least cost of a walk
+    one arc longer than those of the row before that ends there, or
+    ``far`` if there is none.  A table starts at row 0, all zeros, the
+    empty walks, so row k is the least cost of a walk of exactly k arcs.
+
+    Every real entry of row k lies within ``k * top`` of 0, where
+    ``top`` is the largest cost magnitude, and an entry with no walk
+    behind it stays within that distance below ``far``; so with
+    ``far > 2 * k * top`` the two never mix, and an entry above
+    ``k * top`` means there is no walk."""
     prev = table[-1]
     for _ in range(levels):
         row: list = [far] * len(prev)
@@ -74,29 +82,12 @@ def _extend(table: list[list], arcs, levels: int, far) -> None:
         prev = row
 
 
-def _walk_table(n: int, arcs, levels: int, far) -> list[list]:
-    """Karp's table over arcs ``(tail, head, cost)`` whose costs are
-    integers, held as ``int`` or ``float``: row k holds, for each node,
-    the least cost of a walk of exactly k arcs ending there, from any
-    start.  Row 0 is all zeros, the empty walks.
-
-    Rows start at ``far``.  Every real entry lies within ``levels * top``
-    of 0, where ``top`` is the largest cost magnitude, and an entry with
-    no walk behind it stays within that distance below ``far``; so with
-    ``far > 2 * levels * top`` the two never mix, and an entry above
-    ``levels * top`` means there is no walk.
-    """
-    table = [[0] * n]
-    _extend(table, arcs, levels, far)
-    return table
-
-
 class _MeanSearch:
     """Karp's minimum-mean cycle over any subset of fixed integer arcs
     ``(tail, head, cost)`` on ``n`` nodes.
 
     The set-up depends on the arcs only: ``top``, the largest cost
-    magnitude, and with it ``limit`` and ``far`` (see ``_walk_table``),
+    magnitude, and with it ``limit`` and ``far`` (see ``_extend``),
     whether the table is held in floats, the quotients' divisors, and
     the in-arcs of each head and out-arcs of each tail, in arc order.  A
     bound over all arcs is at least the bound over any subset, so floats

@@ -28,8 +28,8 @@ from .core import (
     Trace,
     _ResidualArcs,
     _bellman_ford,
-    _recosted,
     _scaled,
+    concentrate_budgets,
     default_iteration_cap,
     rational,
 )
@@ -332,34 +332,10 @@ def _step(source: int, res: _ResidualArcs, record) -> SspStep:
     )
 
 
-def concentrate_budgets(net: FlowNetwork) -> tuple[FlowNetwork, int, int, Fraction]:
-    """Rewrite budgets as a single source-sink demand.
-
-    Returns a widened network with two extra nodes, a cost-free supply
-    edge from the new source to every node with positive budget and a
-    matching edge into the new sink from every node with negative
-    budget, plus the source id, sink id, and total demand.  A flow on
-    the original network corresponds to a widened flow that saturates
-    all the added edges.  Budgets that do not sum to zero raise
-    ``InfeasibleError``: no flow meets them, and a negative capacity
-    ``CapacityViolation``.  The widening is built once per network, by
-    ``net._start``, which every realization of one smoothed instance
-    shares with the instance network, and so does the maximum flow of
-    the feasible start, which runs on its arcs at zero flow; each call
-    only gives it ``net``'s costs.  The result shares the widening's
-    start, so ``ssp_solve`` on it builds no arcs of its own.  Its cost
-    layer is ``net``'s padded with the zero costs of the added edges, so
-    a realization's cost draw is scaled once for its widening too.
-    """
-    start = net._start
-    if start.error is not None:
-        raise InfeasibleError(start.error)
-    wide, m, n = start.widening(net), net.edge_count, net.node_count
-    added = wide.edges[m:]
-    layer = net._costs.padded(len(added))
-    return _recosted(wide, net.edges + added, layer), n, n + 1, start.demand
-
-
 def zero_budget_copy(net: FlowNetwork) -> FlowNetwork:
-    """The same network with every budget set to zero."""
-    return replace(net, budgets=(Fraction(0),) * net.node_count)
+    """The same network with every budget set to zero.  It shares
+    ``net``'s cost layer, which no budget enters, and computes a start
+    of its own."""
+    copied = replace(net, budgets=(Fraction(0),) * net.node_count)
+    copied.__dict__["_costs"] = net._costs
+    return copied

@@ -8,7 +8,7 @@ and ``augment_cycle``), ``reference_karp``,
 ``reference_verify_optimality``, ``reference_check_feasible`` and
 ``reference_basic_structure`` (free cycles pushed flat in ``Fraction``
 values).  The other oracles the tests use live here too:
-``walk_cost_table`` (Karp's table back in rationals), the exhaustive
+``walk_cost_table`` (Karp's table in rationals), the exhaustive
 ``brute_force_min_mean`` over ``enumerate_simple_cycles``, and
 ``nondegenerate_cycle_paths``, which carves paths out of an NS trace.
 """
@@ -34,7 +34,7 @@ from flowlab.core import (
     residual,
     verify_optimality,
 )
-from flowlab.mincycle import _scaled_arcs, _walk_table, karp_min_mean
+from flowlab.mincycle import karp_min_mean
 from flowlab.mmcc import MmccIteration, initial_feasible_flow
 from flowlab.netsimplex import (
     InfeasibleStructureError,
@@ -532,16 +532,22 @@ def walk_cost_table(r: ResidualNetwork):
 
     Row 0 is all zeros (the empty walk at each node); unreachable
     entries are ``None``.  The table has node-count + 1 rows, which is
-    what the minimum-mean formula needs.  It is the table
-    ``karp_min_mean`` computes, with entries divided back by the scale.
+    what the minimum-mean formula needs.  It is the table that
+    ``karp_min_mean`` builds with ``mincycle._extend`` on scaled costs,
+    here in the edges' own costs and by a loop of its own, so this
+    oracle runs no kernel code.
     """
-    levels = r.node_count
-    arcs, scale = _scaled_arcs(r)
-    limit = levels * max((abs(c) for _, _, c in arcs), default=0)
-    return [
-        [None if d > limit else Fraction(d, scale) for d in row]
-        for row in _walk_table(r.node_count, arcs, levels, 2 * limit + 1)
-    ]
+    n = r.node_count
+    table = [[Fraction(0)] * n]
+    for _ in range(n):
+        prev, row = table[-1], [None] * n
+        for e in r.edges:
+            if prev[e.tail] is not None:
+                walk = prev[e.tail] + e.cost
+                if row[e.head] is None or walk < row[e.head]:
+                    row[e.head] = walk
+        table.append(row)
+    return table
 
 
 def enumerate_simple_cycles(r: ResidualNetwork) -> Iterator[tuple[ResidualEdge, ...]]:

@@ -1,6 +1,7 @@
 """Core type and operation tests."""
 
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -133,6 +134,14 @@ def test_validate_disconnected_warns_but_passes():
     net = net_from(4, [(0, 1, 1, 0), (2, 3, 1, 0)], [0, 0, 0, 0])
     with pytest.warns(UserWarning, match="weakly connected"):
         assert validate_network(net) is None
+
+
+def test_validate_one_or_no_node_is_connected():
+    # a network of at most one node has no second component to warn about
+    for net in (net_from(0, [], []), net_from(1, [], [0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_network(net) is None
 
 
 def test_validate_bad_endpoint():

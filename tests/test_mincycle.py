@@ -15,7 +15,7 @@ from flowlab.generators import (
     gen_random_smoothed,
     sample_costs,
 )
-from flowlab.mincycle import _MeanSearch, _scaled_arcs, _walk_table, karp_min_mean
+from flowlab.mincycle import _extend, _MeanSearch, _scaled_arcs, karp_min_mean
 from flowlab.mmcc import mmcc_solve
 
 from conftest import random_capacity_respecting_flow, random_network
@@ -82,6 +82,22 @@ def test_karp_rejects_edges_outside_the_nodes():
             build()
 
 
+def test_a_search_with_no_walk_of_two_arcs_takes_no_candidate(monkeypatch):
+    # an out-star has no walk of two arcs, so the levels 5 to 8 that a
+    # 20-node search reads for candidates hold no entry, and it has no cycle
+    seen = []
+    candidate = _MeanSearch._candidate
+
+    def spy(search, table):
+        found = candidate(search, table)
+        seen.append((len(table) - 1, found))
+        return found
+
+    monkeypatch.setattr(_MeanSearch, "_candidate", spy)
+    assert karp_min_mean(residual_net(20, [(0, v, v - 10) for v in range(1, 20)])) is None
+    assert seen == [(k, None) for k in range(5, 9)]
+
+
 def test_walk_table_matches_direct_recursion():
     rng = random.Random(5)
     for _ in range(30):
@@ -106,6 +122,13 @@ def test_walk_table_matches_direct_recursion():
                 ]
                 expected = min(options) if options else None
                 assert table[k][v] == expected
+        # the kernel's rows, scaled back, with entries above the limit
+        # read as no walk
+        scaled, scale = _scaled_arcs(r)
+        limit = n * max((abs(c) for _, _, c in scaled), default=0)
+        rows = [[0] * n]
+        _extend(rows, scaled, n, 2 * limit + 1)
+        assert [[None if d > limit else Fraction(d, scale) for d in row] for row in rows] == table
 
 
 def test_karp_matches_oracle_on_random_graphs():
@@ -467,7 +490,8 @@ def test_certificate_rejects_a_candidate_next_to_the_minimum_mean():
         present = range(len(arcs))
         search = full_table_search(r.node_count, arcs, present)
         level_arcs = [search.table_arcs[a] for a in present]
-        table = _walk_table(search.n, level_arcs, search.n, search.far)
+        table = [[0] * search.n]
+        _extend(table, level_arcs, search.n, search.far)
         karp = search()
         if karp is None:
             continue
@@ -514,7 +538,8 @@ def test_arc_check_on_the_frontier_agrees_with_the_check_of_every_arc():
         arcs, _ = _scaled_arcs(r)
         present = range(len(arcs))
         search = full_table_search(r.node_count, arcs, present)
-        table = _walk_table(search.n, [search.table_arcs[a] for a in present], search.n, search.far)
+        table = [[0] * search.n]
+        _extend(table, [search.table_arcs[a] for a in present], search.n, search.far)
         karp = search()
         if karp is None:
             continue
